@@ -142,10 +142,10 @@ def wk_spec(n: int, k: int) -> WkSpec:
 @lru_cache(maxsize=None)
 def _walsh_sign_matrix(n: int) -> np.ndarray:
     """Rows r = 1..D-1 of the D x D sign matrix (-1)^popcount(r & x)."""
-    d = 2**n
-    rows = np.empty((d - 1, d), dtype=float)
-    for r in range(1, d):
-        rows[r - 1] = [1.0 - 2.0 * ((r & x).bit_count() & 1) for x in range(d)]
+    signs = np.ones((1, 1))
+    for _ in range(n):  # Sylvester doubling: H_2d = [[H, H], [H, -H]]
+        signs = np.block([[signs, signs], [signs, -signs]])
+    rows = signs[1:]
     rows.setflags(write=False)
     return rows
 
@@ -166,9 +166,7 @@ def walsh_balanced_basis(n: int) -> BalancedBasis:
     d = 2**n
     signs = _walsh_sign_matrix(n)
     vectors = tuple(StateVector(row / math.sqrt(d)) for row in signs)
-    functions = tuple(
-        BooleanFunction(n, tuple(int(s < 0) for s in row)) for row in signs
-    )
+    functions = tuple(BooleanFunction(n, (row < 0).tolist()) for row in signs)
     return BalancedBasis(n=n, vectors=vectors, functions=functions)
 
 

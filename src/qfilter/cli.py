@@ -36,9 +36,13 @@ from .neumark import (
     projective_scheme,
 )
 from .simulate import aggregate_failure, simulate
-from .strategies import StrategyReport, failure_curve, optimal_filtering
+from .strategies import CURVE_REGIMES, StrategyReport, failure_curve, optimal_filtering
 
 SWEEP_HEADER = "S,Q_sqm1,Q_sqm2,Q_povm,Q_opt,regime"
+# CSV rows in _fmt's format; the Q_povm cell is empty outside the POVM window.
+_SWEEP_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,POVM\n"
+_SWEEP_ROW_NO_POVM = "%.12g,%.12g,%.12g,,%.12g,%s\n"
+_SWEEP_CHUNK = 4096
 
 
 def _fmt(x: float) -> str:
@@ -58,10 +62,6 @@ def _round12(value):
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps(_round12(payload), indent=2))
-
-
-def _report_payload(report: StrategyReport) -> dict:
-    return report.to_dict()
 
 
 def _print_report_table(report: StrategyReport, priors) -> None:
@@ -95,7 +95,7 @@ def _cmd_strategies(args) -> int:
         )
     report = optimal_filtering(problem)
     if args.format == "json":
-        _emit_json(_report_payload(report))
+        _emit_json(report.to_dict())
     else:
         _print_report_table(report, problem.priors)
     return 0
@@ -107,16 +107,25 @@ def _cmd_sweep(args) -> int:
     if not 0.0 <= args.smin < args.smax:
         raise InvalidInputError("need 0 <= smin < smax")
     grid = np.linspace(args.smin, args.smax, args.steps)
-    rows = failure_curve(args.eta1, args.f, grid)
+    curve = failure_curve(args.eta1, args.f, grid)
+    names = np.array([r.value for r in CURVE_REGIMES])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for row in rows:
-            povm = _fmt(row.q_povm) if row.q_povm is not None else ""
-            fh.write(
-                f"{_fmt(row.s)},{_fmt(row.q_sqm1)},{_fmt(row.q_sqm2)},"
-                f"{povm},{_fmt(row.q_opt)},{row.regime.value}\n"
-            )
-    print(f"wrote {len(rows)} rows to {args.out}")
+        for start in range(0, len(curve), _SWEEP_CHUNK):
+            part = slice(start, start + _SWEEP_CHUNK)
+            fh.write("".join(
+                _SWEEP_ROW % (s, q1, q2, qp, qo) if regime == "POVM"
+                else _SWEEP_ROW_NO_POVM % (s, q1, q2, qo, regime)
+                for s, q1, q2, qp, qo, regime in zip(
+                    curve.s[part].tolist(),
+                    curve.q_sqm1[part].tolist(),
+                    curve.q_sqm2[part].tolist(),
+                    curve.q_povm[part].tolist(),
+                    curve.q_opt[part].tolist(),
+                    names[curve.regime_codes[part]].tolist(),
+                )
+            ))
+    print(f"wrote {len(curve)} rows to {args.out}")
     return 0
 
 

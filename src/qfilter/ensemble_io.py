@@ -9,11 +9,15 @@ from __future__ import annotations
 import json
 from os import PathLike
 
+import numpy as np
+
 from .ensemble import FilteringProblem, StateVector
 from .errors import InvalidInputError
 
 _TOP_KEYS = {"dimension", "states", "target_index"}
 _STATE_KEYS = {"amplitudes", "prior"}
+# numpy dtype kinds of the JSON numbers (bool, int, float) an amplitude may hold
+_NUMBER_KINDS = "biuf"
 
 
 def problem_to_dict(problem: FilteringProblem) -> dict:
@@ -59,18 +63,21 @@ def problem_from_dict(data) -> FilteringProblem:
             raise InvalidInputError(
                 f"state {pos} must list exactly {dimension} [re, im] amplitude pairs"
             )
-        for pair in pairs:
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)
-            ):
-                raise InvalidInputError(f"state {pos} amplitudes must be [re, im] number pairs")
+        try:
+            amplitudes = np.array(pairs)
+        except ValueError:  # ragged nesting
+            amplitudes = None
+        if (
+            amplitudes is None
+            or amplitudes.dtype.kind not in _NUMBER_KINDS
+            or amplitudes.shape != (dimension, 2)
+        ):
+            raise InvalidInputError(f"state {pos} amplitudes must be [re, im] number pairs")
         prior = entry["prior"]
         if not isinstance(prior, (int, float)):
             raise InvalidInputError(f"state {pos} prior must be a number")
         try:
-            states.append(StateVector.from_pairs(pairs))
+            states.append(StateVector.from_pairs(amplitudes))
         except InvalidInputError as exc:
             raise InvalidInputError(f"state {pos}: {exc}") from exc
         priors.append(float(prior))
@@ -89,7 +96,29 @@ def load_problem(path: str | PathLike) -> FilteringProblem:
     return problem_from_dict(data)
 
 
+# The layout json.dump(problem_to_dict(problem), fh, indent=1) produces.
+_FILE_OPEN = '{\n "dimension": %d,\n "states": [\n'
+_AMPLITUDES_OPEN = '  {\n   "amplitudes": [\n'
+_PAIR = "    [\n     %r,\n     %r\n    ]"
+_STATE_CLOSE = '\n   ],\n   "prior": %r\n  }'
+_FILE_CLOSE = '\n ],\n "target_index": 0\n}\n'
+
+
 def save_problem(problem: FilteringProblem, path: str | PathLike) -> None:
+    """Write ``problem_to_dict(problem)`` as indent-1 JSON, one state at a time.
+
+    The bytes equal ``json.dump(problem_to_dict(problem), fh, indent=1)``
+    followed by a newline; amplitudes and priors are finite, so ``%r`` spells
+    each float as the JSON encoder does.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(problem), fh, indent=1)
-        fh.write("\n")
+        fh.write(_FILE_OPEN % problem.dimension)
+        for pos, (state, prior) in enumerate(zip(problem.states, problem.priors)):
+            pairs = zip(state.amplitudes.real.tolist(), state.amplitudes.imag.tolist())
+            fh.write(
+                (",\n" if pos else "")
+                + _AMPLITUDES_OPEN
+                + ",\n".join(_PAIR % pair for pair in pairs)
+                + _STATE_CLOSE % float(prior)
+            )
+        fh.write(_FILE_CLOSE)

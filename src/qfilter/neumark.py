@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .ensemble import FilteringProblem, decompose_target, gram_matrix, span_basis
+from .ensemble import FilteringProblem, _freeze, decompose_target, gram_matrix, span_basis
 from .errors import (
     DegenerateDecompositionError,
     InfeasibleError,
@@ -53,11 +53,6 @@ class Outcome(str, Enum):
     IS_TARGET = "IS_TARGET"
     IS_COMPLEMENT = "IS_COMPLEMENT"
     FAIL = "FAIL"
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,9 @@
 Outcomes are sampled by inverse-CDF over the scheme's ordered outcome list
 using exact partial sums, with probabilities below 1e-12 treated as exact
 zeros, so an outcome with vanishing Born probability can never be drawn. Each
-true state draws from its own RNG substream (seed XOR state index), which
-makes per-state simulation order-independent: running states separately and
-merging counts reproduces a single run exactly.
+true state draws from its own RNG substream, seeded by the pair (seed, state
+index), which makes per-state simulation order-independent: running states
+separately and merging counts reproduces a single run exactly.
 """
 from __future__ import annotations
 
@@ -63,11 +63,14 @@ def outcome_distribution(scheme: MeasurementScheme, state: StateVector) -> Outco
     )
 
 
-def _substream(seed: int, state_index: int) -> int:
-    return (int(seed) ^ state_index) & _SEED_MASK
+def _substream(seed: int, state_index: int) -> np.random.SeedSequence:
+    """The RNG stream of one true state: distinct for every (seed, state) pair."""
+    return np.random.SeedSequence([int(seed) & _SEED_MASK, state_index])
 
 
-def _sample_counts(probs: np.ndarray, trials: int, stream_seed: int) -> np.ndarray:
+def _sample_counts(
+    probs: np.ndarray, trials: int, stream_seed: int | np.random.SeedSequence
+) -> np.ndarray:
     """Draw outcome counts via inverse-CDF with exact cumulative thresholds."""
     p = np.where(probs < ZERO_PROB, 0.0, probs)
     cum = np.cumsum(p)

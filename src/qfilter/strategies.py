@@ -15,6 +15,7 @@ component inside the complement span.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -207,30 +208,77 @@ class SweepRow:
     regime: Regime
 
 
-def failure_curve(
-    eta1: float, parallel_norm_sq: float, overlap_values
-) -> list[SweepRow]:
-    """Evaluate all three strategies on a list of overlap values S.
+#: Regime codes stored by ``FailureCurve.regime_codes``.
+CURVE_REGIMES = (Regime.POVM, Regime.SQM1_BOUNDARY, Regime.SQM2_BOUNDARY)
+
+
+@dataclass(frozen=True, eq=False)
+class FailureCurve(Sequence):
+    """A sweep held column by column; indexing and iteration yield ``SweepRow``.
+
+    ``q_povm`` is NaN outside the validity window, where rows report None;
+    ``regime_codes`` index ``CURVE_REGIMES``.
+    """
+
+    s: np.ndarray
+    q_sqm1: np.ndarray
+    q_sqm2: np.ndarray
+    q_povm: np.ndarray
+    q_opt: np.ndarray
+    regime_codes: np.ndarray
+
+    def __post_init__(self):
+        for name in ("s", "q_sqm1", "q_sqm2", "q_povm", "q_opt", "regime_codes"):
+            getattr(self, name).setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.s.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        regime = CURVE_REGIMES[self.regime_codes[index]]
+        return SweepRow(
+            s=float(self.s[index]),
+            q_sqm1=float(self.q_sqm1[index]),
+            q_sqm2=float(self.q_sqm2[index]),
+            q_povm=float(self.q_povm[index]) if regime is Regime.POVM else None,
+            q_opt=float(self.q_opt[index]),
+            regime=regime,
+        )
+
+
+def failure_curve(eta1: float, parallel_norm_sq: float, overlap_values) -> FailureCurve:
+    """Evaluate all three strategies on a sequence of overlap values S.
 
     (eta1, f, S) are treated as free parameters here, matching a parametric
     sweep; the POVM column is reported only inside its validity window, and
-    q_opt is the piecewise minimum.
+    q_opt is the piecewise minimum. Each column applies the scalar closed
+    forms' floating-point operations elementwise, so every value equals
+    what ``q_sqm1``, ``q_sqm2`` and ``q_povm`` return for that S.
     """
     eta1 = _check_eta1(eta1)
     f = _check_fraction(parallel_norm_sq)
-    rows = []
-    for s in overlap_values:
-        s = _check_overlap(s)
-        qs1 = eta1 + s
-        if f > 0.0:
-            qs2 = eta1 * f + s / f
-        else:
-            qs2 = 0.0 if s == 0.0 else math.inf
-        in_window = povm_window(eta1, f, s)
-        qp = 2.0 * math.sqrt(eta1 * s) if in_window else None
-        regime, _ = _select_branch(eta1, f, s)
-        q_opt = {Regime.POVM: qp, Regime.SQM1_BOUNDARY: qs1, Regime.SQM2_BOUNDARY: qs2}[regime]
-        rows.append(
-            SweepRow(s=s, q_sqm1=qs1, q_sqm2=qs2, q_povm=qp, q_opt=float(q_opt), regime=regime)
-        )
-    return rows
+    if isinstance(overlap_values, np.ndarray):
+        s = np.array(overlap_values, dtype=float)
+    else:
+        s = np.fromiter(overlap_values, dtype=float)
+    if s.ndim != 1:
+        raise InvalidInputError("overlap values must form a one-dimensional sequence")
+    bad = ~(np.isfinite(s) & (s >= 0.0))
+    if bad.any():
+        _check_overlap(s[np.argmax(bad)])  # raises for the first invalid S
+
+    qs1 = eta1 + s
+    if f > 0.0:
+        qs2 = eta1 * f + s / f
+    else:
+        qs2 = np.where(s == 0.0, 0.0, math.inf)
+    in_window = (eta1 * f**2 <= s) & (s <= eta1)
+    qp = np.full_like(s, math.nan)
+    qp[in_window] = 2.0 * np.sqrt(eta1 * s[in_window])
+    codes = np.where(in_window, 0, np.where(s > eta1, 1, 2)).astype(np.int8)
+    q_opt = np.choose(codes, (qp, qs1, qs2))
+    return FailureCurve(
+        s=s, q_sqm1=qs1, q_sqm2=qs2, q_povm=qp, q_opt=q_opt, regime_codes=codes
+    )

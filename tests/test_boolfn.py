@@ -23,6 +23,7 @@ from qfilter import (
     walsh_balanced_basis,
     wk_spec,
 )
+from qfilter.boolfn import _walsh_sign_matrix
 
 ROOT3 = math.sqrt(3.0)
 
@@ -127,6 +128,19 @@ class TestWalshBasis:
         np.testing.assert_allclose(rows.sum(axis=1), 0.0, atol=1e-12)
         for fn in basis.functions:
             assert fn.function_class is FunctionClass.BALANCED
+
+
+class TestWalshSignMatrix:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_popcount_definition(self, n):
+        d = 2**n
+        expected = np.array(
+            [[1.0 - 2.0 * ((r & x).bit_count() & 1) for x in range(d)] for r in range(1, d)]
+        )
+        signs = _walsh_sign_matrix(n)
+        assert signs.dtype == expected.dtype and signs.shape == expected.shape
+        np.testing.assert_array_equal(signs, expected)
+        assert not signs.flags.writeable
 
 
 class TestAverageOverlaps:

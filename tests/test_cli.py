@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from qfilter import boolean_problem, load_problem, save_problem
+from qfilter import (
+    boolean_problem,
+    load_problem,
+    povm_window,
+    q_povm,
+    q_sqm1,
+    q_sqm2,
+    save_problem,
+)
 from qfilter.cli import SWEEP_HEADER, main
 from qfilter.errors import NumericalError
 
@@ -169,6 +177,51 @@ class TestSweepCommand:
             "--out", str(tmp_path / "missing_dir" / "x.csv"),
         )
         assert code == 2
+
+    @staticmethod
+    def reference_csv(eta1, f, grid):
+        """The CSV built row by row from the scalar closed forms."""
+        lines = [SWEEP_HEADER]
+        for s in grid.tolist():
+            qs1 = q_sqm1(eta1, s)
+            qs2 = q_sqm2(eta1, f, s) if f > 0.0 or s == 0.0 else math.inf
+            povm = ""
+            if povm_window(eta1, f, s):
+                regime, q_opt = "POVM", q_povm(eta1, s)
+                povm = f"{q_opt:.12g}"
+            elif s > eta1:
+                regime, q_opt = "SQM1_BOUNDARY", qs1
+            else:
+                regime, q_opt = "SQM2_BOUNDARY", qs2
+            lines.append(f"{s:.12g},{qs1:.12g},{qs2:.12g},{povm},{q_opt:.12g},{regime}")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "eta1,f,smax,steps",
+        [
+            (0.4, 0.25, 0.6, 121),  # both regime boundaries, empty POVM cells
+            (0.4, 0.25, 0.6, 10_001),  # spans several write chunks
+            (0.00390625, 0.0, 0.01, 2001),  # f = 0: the Q_sqm2 column is inf
+            (0.00390625, 1.0, 0.01, 501),  # f = 1: the window closes to S = eta1
+        ],
+    )
+    def test_csv_matches_scalar_closed_forms(self, capsys, tmp_path, eta1, f, smax, steps):
+        out_path = tmp_path / "sweep.csv"
+        code, out, _ = run(
+            capsys, "sweep", "--eta1", repr(eta1), "--f", repr(f), "--smin", "0",
+            "--smax", repr(smax), "--steps", str(steps), "--out", str(out_path),
+        )
+        assert code == 0
+        assert out == f"wrote {steps} rows to {out_path}\n"
+        expected = self.reference_csv(eta1, f, np.linspace(0.0, smax, steps))
+        assert out_path.read_text() == expected
+
+    def test_out_overwrites_longer_file(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("x" * 100_000)
+        code, _ = self.sweep(capsys, tmp_path)
+        assert code == 0
+        assert path.read_text() == self.reference_csv(0.4, 0.25, np.linspace(0.0, 0.6, 121))
 
 
 class TestBooleanCommand:

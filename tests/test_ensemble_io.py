@@ -1,17 +1,23 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from qfilter import (
+    ComplementVariant,
+    FilteringProblem,
     InvalidInputError,
+    StateVector,
+    boolean_problem,
     load_problem,
     optimal_filtering,
     problem_from_dict,
     problem_to_dict,
     save_problem,
 )
+from conftest import random_problem
 
 
 def valid_payload():
@@ -48,6 +54,15 @@ class TestParsing:
             (lambda p: p["states"][0].pop("prior"), "missing"),
             (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0]]), "pairs"),
             (lambda p: p["states"][0].update(amplitudes=[[1.0], [0.0]]), "pairs"),
+            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [0.0]]), "pairs"),
+            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [0.0, 0.0, 0.0]]), "pairs"),
+            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], "ab"]), "pairs"),
+            (lambda p: p["states"][0].update(amplitudes=["ab", "cd"]), "pairs"),
+            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [0.0, None]]), "pairs"),
+            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [0.0, "0"]]), "pairs"),
+            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [[0.0], [0.0]]]), "pairs"),
+            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], {"re": 0.0}]), "pairs"),
+            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [0.0, 10**400]]), "pairs"),
             (lambda p: p.update(states=[]), "nonempty"),
             (lambda p: p.update(target_index="0"), "integer"),
             (lambda p: p.update(dimension=0), "positive"),
@@ -58,6 +73,12 @@ class TestParsing:
         mutate(payload)
         with pytest.raises(InvalidInputError, match=message):
             problem_from_dict(payload)
+
+    def test_integer_amplitudes_accepted(self):
+        payload = valid_payload()
+        payload["states"][0]["amplitudes"] = [[1, 0], [0, 0]]
+        problem = problem_from_dict(payload)
+        np.testing.assert_array_equal(problem.target.amplitudes, [1.0, 0.0])
 
     def test_unnormalized_state_named(self):
         payload = valid_payload()
@@ -85,3 +106,35 @@ class TestRoundTrip:
         np.testing.assert_array_equal(
             reparsed.state_matrix, figure_point_problem.state_matrix
         )
+
+
+def tiny_and_signed_zero_problem():
+    """Amplitudes whose JSON spelling needs -0.0, subnormals and wide exponents."""
+    target = np.array([1.0, -0.0, 5e-324 - 0.0j, -1e-300j, 2.5e-17 + 1e-160j], dtype=complex)
+    other = np.array([0.6, 0.8j, -0.0 - 0.0j, 1e-308, -3e-20], dtype=complex)
+    return FilteringProblem(
+        states=(StateVector(target), StateVector(other)), priors=(0.1 + 0.2, 0.7)
+    )
+
+
+class TestWriter:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: random_problem(np.random.default_rng(3)),
+            lambda: boolean_problem(8, 3),
+            lambda: boolean_problem(3, 2, variant=ComplementVariant.FULL),
+            tiny_and_signed_zero_problem,
+        ],
+        ids=["random", "walsh-n8", "full-n3", "tiny-and-signed-zero"],
+    )
+    def test_bytes_equal_json_dump(self, tmp_path, build):
+        problem = build()
+        path = tmp_path / "ensemble.json"
+        save_problem(problem, path)
+        expected = json.dumps(problem_to_dict(problem), indent=1) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_accepts_null_device(self, figure_point_problem):
+        save_problem(figure_point_problem, os.devnull)
+        assert os.path.exists(os.devnull)

@@ -76,6 +76,15 @@ class TestSampling:
         assert counts[2] == 0
 
 
+class TestSubstreams:
+    def test_seed_and_state_do_not_alias(self):
+        # (seed 0, state 1) and (seed 1, state 0) must be different streams
+        probs = np.array([0.25, 0.25, 0.25, 0.25])
+        a = _sample_counts(probs, 10_000, _substream(0, 1))
+        b = _sample_counts(probs, 10_000, _substream(1, 0))
+        assert not np.array_equal(a, b)
+
+
 class TestSimulate:
     def test_single_trial_reproducible(self, walsh_problem):
         scheme, _ = optimal_scheme(walsh_problem)

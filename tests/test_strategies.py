@@ -175,3 +175,46 @@ class TestFailureCurve:
             failure_curve(0.0, 0.25, [0.1])
         with pytest.raises(InvalidInputError):
             failure_curve(0.4, 0.25, [-0.1])
+
+    @pytest.mark.parametrize("bad", (-0.1, math.inf, math.nan))
+    def test_first_bad_overlap_named(self, bad):
+        with pytest.raises(InvalidInputError) as caught:
+            failure_curve(0.4, 0.25, [0.1, bad, -7.0])
+        assert str(caught.value) == (
+            f"average overlap must be finite and >= 0, got {float(bad)!r}"
+        )
+
+    @pytest.mark.parametrize("f", (0.0, 0.25, 1.0))
+    def test_columns_equal_scalar_forms(self, f):
+        eta1 = 0.4
+        grid = np.concatenate([
+            [0.0, -0.0, eta1 * f**2, eta1, 5e-324],
+            np.linspace(0.0, 0.6, 601),
+            np.random.default_rng(5).uniform(0.0, 0.6, 200),
+        ])
+        curve = failure_curve(eta1, f, grid)
+        assert len(curve) == grid.size
+        for s, row in zip(grid.tolist(), curve):
+            inside = povm_window(eta1, f, s)
+            assert row.s == s
+            assert row.q_sqm1 == q_sqm1(eta1, s)
+            assert row.q_sqm2 == (q_sqm2(eta1, f, s) if f > 0.0 or s == 0.0 else math.inf)
+            assert row.q_povm == (q_povm(eta1, s) if inside else None)
+            expected = Regime.POVM if inside else (
+                Regime.SQM1_BOUNDARY if s > eta1 else Regime.SQM2_BOUNDARY
+            )
+            assert row.regime is expected
+            assert row.q_opt == {
+                Regime.POVM: row.q_povm,
+                Regime.SQM1_BOUNDARY: row.q_sqm1,
+                Regime.SQM2_BOUNDARY: row.q_sqm2,
+            }[expected]
+
+    def test_sequence_access(self):
+        curve = failure_curve(0.4, 0.25, (s for s in (0.0, 0.1, 0.5)))
+        assert len(curve) == 3
+        assert curve[-1].regime is Regime.SQM1_BOUNDARY
+        assert [r.s for r in curve[1:]] == [0.1, 0.5]
+        with pytest.raises(IndexError):
+            curve[3]
+        assert len(failure_curve(0.4, 0.25, [])) == 0
