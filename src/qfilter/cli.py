@@ -24,7 +24,7 @@ from .boolfn import (
     povm_advantage,
     wk_spec,
 )
-from .ensemble import FilteringProblem, gram_matrix
+from .ensemble import FilteringProblem
 from .ensemble_io import load_problem, save_problem
 from .errors import InfeasibleError, InvalidInputError, NumericalError
 from .neumark import (
@@ -88,11 +88,6 @@ def _print_report_table(report: StrategyReport, priors) -> None:
 
 def _cmd_strategies(args) -> int:
     problem = load_problem(args.input)
-    min_eig = float(np.linalg.eigvalsh(gram_matrix(problem)).min())
-    if min_eig < -1e-9:
-        raise NumericalError(
-            f"ensemble Gram matrix has eigenvalue {min_eig:.3e} beyond tolerance"
-        )
     report = optimal_filtering(problem)
     if args.format == "json":
         _emit_json(report.to_dict())

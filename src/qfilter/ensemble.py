@@ -2,8 +2,10 @@
 
 State vectors, priors, Gram matrices, span bases, and the orthogonal
 decomposition of a designated target state against the span of the remaining
-states. Everything here is a pure function of immutable values, so results
-can be shared freely between concurrent workers.
+states. Every orthonormal basis of a span in the package comes from one
+helper, ``_row_basis``. Everything here is a pure function of immutable values
+(``FilteringProblem`` caches its overlaps and decomposition on first use), so
+results can be shared freely between concurrent workers.
 """
 from __future__ import annotations
 
@@ -100,7 +102,7 @@ class FilteringProblem:
         priors = np.array(self.priors, dtype=float)
         if priors.shape != (n,):
             raise InvalidInputError(f"expected {n} priors, got shape {priors.shape}")
-        if np.any(priors <= 0.0) or np.any(priors > 1.0):
+        if not np.all((priors > 0.0) & (priors <= 1.0)):  # NaN fails both
             raise InvalidInputError("priors must lie in (0, 1]")
         total = float(priors.sum())
         if abs(total - 1.0) > NORM_TOL:
@@ -135,6 +137,26 @@ class FilteringProblem:
         """(N, D) matrix whose rows are the state amplitudes, target first."""
         return _freeze(np.vstack([s.amplitudes for s in self.states]))
 
+    @cached_property
+    def _overlaps(self) -> np.ndarray:
+        """(N - 1,) overlaps <psi_1|psi_i> of the target with each complement state."""
+        m = self.state_matrix
+        return _freeze(m[1:] @ m[0].conj())
+
+    @cached_property
+    def _decomposition(self) -> Decomposition:
+        """The target split against the complement span; see ``decompose_target``."""
+        target = self.state_matrix[0]
+        basis, _ = span_basis(self.state_matrix[1:])
+        coef = basis.conj() @ target
+        parallel = basis.T @ coef
+        norm_sq = float(np.real(coef.conj() @ coef))
+        return Decomposition(
+            parallel=parallel,
+            perpendicular=target - parallel,
+            parallel_norm_sq=min(max(norm_sq, 0.0), 1.0),
+        )
+
 
 def gram_matrix(problem: FilteringProblem) -> np.ndarray:
     """Hermitian N x N matrix of pairwise inner products G_ij = <psi_i|psi_j>."""
@@ -143,29 +165,31 @@ def gram_matrix(problem: FilteringProblem) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
+def _row_basis(rows: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
+    """D x D unitary ``vh`` and ``rank``, the number of singular values above ``tol``.
+
+    The first ``rank`` rows of ``vh`` span the rows of the (n, D) matrix ``rows``
+    and the rest span the orthogonal complement. Rank-deficient input takes the
+    right singular vectors, dropping directions at or below ``tol``; full-rank
+    input takes a Householder QR, whose LAPACK workspace is a fraction of the
+    complex SVD's (at D = 256 the SVD adds ~6 MB to a CLI run's peak memory).
+    """
+    n, d = rows.shape
+    rank = int((np.linalg.svd(rows, compute_uv=False) > tol).sum())
+    if rank < min(n, d):
+        return np.linalg.svd(rows, full_matrices=n < d)[2], rank
+    return np.linalg.qr(rows.T, mode="complete")[0].T, rank
+
+
 def span_basis(vectors, tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
     """Orthonormal basis for the span of ``vectors`` plus its rank.
 
-    Two-pass (re-orthogonalized) Gram-Schmidt sweep; a candidate whose residual
-    norm after projection falls below ``tol`` contributes no basis element.
-    Returns (basis, rank) with basis rows orthonormal to ~1e-15.
+    The rank counts singular values above ``tol``; directions at or below it
+    contribute no basis element (see ``_row_basis``). Returns (basis, rank)
+    with basis rows orthonormal to ~1e-15.
     """
-    rows = _as_rows(vectors)
-    n, d = rows.shape
-    basis = np.zeros((min(n, d), d), dtype=np.complex128)
-    rank = 0
-    for v in rows:
-        w = v.astype(np.complex128, copy=True)
-        for _ in range(2):
-            if rank:
-                w -= basis[:rank].T @ (basis[:rank].conj() @ w)
-        nrm = float(np.linalg.norm(w))
-        if nrm > tol:
-            basis[rank] = w / nrm
-            rank += 1
-            if rank == d:
-                break  # span is already the full space
-    return basis[:rank].copy(), rank
+    vh, rank = _row_basis(_as_rows(vectors), tol)
+    return vh[:rank], rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,20 +215,7 @@ def decompose_target(problem: FilteringProblem) -> Decomposition:
     """Project the target onto the span of the complement set.
 
     The parallel squared norm is accumulated over an orthonormal span basis,
-    so it is exactly the Born weight of the target inside that subspace.
+    so it is exactly the Born weight of the target inside that subspace. It
+    is computed once per problem and cached on it.
     """
-    target = problem.state_matrix[0]
-    basis, rank = span_basis(problem.state_matrix[1:])
-    if rank:
-        coef = basis.conj() @ target
-        parallel = basis.T @ coef
-        norm_sq = float(np.real(coef.conj() @ coef))
-    else:
-        parallel = np.zeros_like(target)
-        norm_sq = 0.0
-    norm_sq = min(max(norm_sq, 0.0), 1.0)
-    return Decomposition(
-        parallel=parallel,
-        perpendicular=target - parallel,
-        parallel_norm_sq=norm_sq,
-    )
+    return problem._decomposition

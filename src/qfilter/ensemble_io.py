@@ -7,6 +7,7 @@ unknown fields are rejected.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from os import PathLike
 
 import numpy as np
@@ -16,8 +17,8 @@ from .errors import InvalidInputError
 
 _TOP_KEYS = {"dimension", "states", "target_index"}
 _STATE_KEYS = {"amplitudes", "prior"}
-# numpy dtype kinds of the JSON numbers (bool, int, float) an amplitude may hold
-_NUMBER_KINDS = "biuf"
+# numpy dtype kinds of the JSON numbers (int, float) an amplitude may hold
+_NUMBER_KINDS = "iuf"
 
 
 def problem_to_dict(problem: FilteringProblem) -> dict:
@@ -42,7 +43,7 @@ def problem_from_dict(data) -> FilteringProblem:
     if missing:
         raise InvalidInputError(f"missing ensemble fields: {sorted(missing)}")
     dimension = data["dimension"]
-    if not isinstance(dimension, int) or dimension < 1:
+    if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
         raise InvalidInputError("dimension must be a positive integer")
     entries = data["states"]
     if not isinstance(entries, list) or not entries:
@@ -71,10 +72,11 @@ def problem_from_dict(data) -> FilteringProblem:
             amplitudes is None
             or amplitudes.dtype.kind not in _NUMBER_KINDS
             or amplitudes.shape != (dimension, 2)
+            or bool in set(map(type, chain.from_iterable(pairs)))  # numpy casts true to 1
         ):
             raise InvalidInputError(f"state {pos} amplitudes must be [re, im] number pairs")
         prior = entry["prior"]
-        if not isinstance(prior, (int, float)):
+        if isinstance(prior, bool) or not isinstance(prior, (int, float)):
             raise InvalidInputError(f"state {pos} prior must be a number")
         try:
             states.append(StateVector.from_pairs(amplitudes))
@@ -82,7 +84,7 @@ def problem_from_dict(data) -> FilteringProblem:
             raise InvalidInputError(f"state {pos}: {exc}") from exc
         priors.append(float(prior))
     target = data["target_index"]
-    if not isinstance(target, int):
+    if isinstance(target, bool) or not isinstance(target, int):
         raise InvalidInputError("target_index must be an integer")
     return FilteringProblem(states=tuple(states), priors=priors, target_index=target)
 

@@ -13,10 +13,13 @@ of the prescribed success vectors: G_succ = G - w w^dagger with
 w_i = sqrt(q_i) e^{-i theta_i}. G_succ must be positive semidefinite for U to
 exist; the verdict is checked numerically. Success vectors are recovered from
 an eigendecomposition of G_succ (eigenvalues below 1e-10 truncated, since the
-matrix is routinely rank-deficient), the linear map is solved on the span of
-the inputs, and both bases are completed to full orthonormal bases by
-orthonormalizing residual coordinate vectors. The completion is not unique;
-measurement outcomes depend only on the isometry block.
+matrix is routinely rank-deficient) and the linear map is solved on the span
+of the inputs. The domain basis is ``ensemble._row_basis`` of the inputs:
+their span, then its orthogonal complement in the system block, then the
+ancilla coordinate. One complete QR of the solved map gives the codomain
+basis: the images orthonormalized in order, then the orthogonal complement
+of their span. The completion is not unique; measurement outcomes depend
+only on the isometry block.
 
 Phase convention: theta_1 = 0 and theta_i = arg<psi_1|psi_i>, which zeroes the
 first row of G_succ exactly and thereby enforces the success-orthogonality
@@ -29,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .ensemble import FilteringProblem, _freeze, decompose_target, gram_matrix, span_basis
+from .ensemble import FilteringProblem, _freeze, _row_basis, decompose_target, gram_matrix
 from .errors import (
     DegenerateDecompositionError,
     InfeasibleError,
@@ -82,9 +85,7 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
             f"target failure weight q1={q1!r} must lie in the range [{f!r}, 1]"
         )
     q1 = min(max(q1, f, 0.0), 1.0)
-    m = problem.state_matrix
-    overlaps = m[1:] @ m[0].conj()
-    overlaps_sq = np.abs(overlaps) ** 2
+    overlaps_sq = np.abs(problem._overlaps) ** 2
     n = problem.n_states
     q = np.empty(n)
     q[0] = q1
@@ -97,7 +98,7 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
             )
         q[1:] = 0.0
     q = np.minimum(q, 1.0)
-    phases = np.concatenate([[0.0], np.angle(overlaps)])
+    phases = np.concatenate([[0.0], np.angle(problem._overlaps)])
     return FailureAllocation(q1=q1, failure_probs=q, phases=phases)
 
 
@@ -165,50 +166,9 @@ class NeumarkModel:
         return vec
 
 
-def _orthonormalize_rows(rows: np.ndarray) -> np.ndarray:
-    """Two-pass Gram-Schmidt on already nearly-orthonormal rows (in order)."""
-    out = rows.astype(np.complex128, copy=True)
-    for i in range(out.shape[0]):
-        w = out[i]
-        for _ in range(2):
-            if i:
-                w = w - out[:i].T @ (out[:i].conj() @ w)
-        nrm = float(np.linalg.norm(w))
-        if nrm < 0.5:
-            raise NumericalError("prescribed output vectors collapsed during orthonormalization")
-        out[i] = w / nrm
-    return out
-
-
-def _complete_basis(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Extend orthonormal rows to a full orthonormal basis of C^dim.
-
-    Unassigned directions are filled by orthonormalizing residual coordinate
-    vectors in index order (system coordinates first, ancilla last).
-    """
-    basis = np.zeros((dim, dim), dtype=np.complex128)
-    r = rows.shape[0]
-    basis[:r] = rows
-    for j in range(dim):
-        if r == dim:
-            break
-        e = np.zeros(dim, dtype=np.complex128)
-        e[j] = 1.0
-        for _ in range(2):
-            e = e - basis[:r].T @ (basis[:r].conj() @ e)
-        nrm = float(np.linalg.norm(e))
-        if nrm > 1e-8:
-            basis[r] = e / nrm
-            r += 1
-    if r != dim:
-        raise NumericalError("failed to complete an orthonormal basis")
-    return basis
-
-
 def _dependency_diagnostic(coeffs: np.ndarray, outputs: np.ndarray) -> str:
     """Name the input linear dependency whose prescribed outputs are inconsistent."""
-    _, singular, vh = np.linalg.svd(coeffs, full_matrices=True)
-    rank = int((singular > 1e-10).sum())
+    vh, rank = _row_basis(coeffs, tol=1e-10)
     for c in vh[rank:].conj():
         if np.linalg.norm(outputs.T @ c) > DEPENDENCY_TOL:
             involved = [int(i) for i in np.flatnonzero(np.abs(c) > 1e-6)]
@@ -249,13 +209,9 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
     outputs[:, :rank] = factors.T
     outputs[:, d] = np.sqrt(allocation.failure_probs) * np.exp(1j * allocation.phases)
 
-    basis, r_in = span_basis(problem.state_matrix)
-    dom = np.zeros((r_in, d + 1), dtype=np.complex128)
-    dom[:, :d] = basis
-    inputs = np.zeros((n, d + 1), dtype=np.complex128)
-    inputs[:, :d] = problem.state_matrix
-
-    coeffs = dom.conj() @ inputs.T  # (r_in, N): inputs in span coordinates
+    m = problem.state_matrix
+    vh, r_in = _row_basis(m)
+    coeffs = vh[:r_in].conj() @ m.T  # (r_in, N): inputs in span coordinates
     solution, *_ = np.linalg.lstsq(coeffs.T, outputs, rcond=None)
     residual = float(np.abs(coeffs.T @ solution - outputs).max())
     if residual > DEPENDENCY_TOL:
@@ -264,15 +220,22 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
             + _dependency_diagnostic(coeffs, outputs)
         )
 
-    images = _orthonormalize_rows(solution)  # row a = image of domain basis vector a
-    cod_full = _complete_basis(images, d + 1)
-    dom_full = _complete_basis(dom, d + 1)
+    # solution.T = q r orthonormalizes the solved images in order (Gram-Schmidt):
+    # image a is q[:, a] turned by the phase of r[a, a]; q's last columns complete it.
+    q, r = np.linalg.qr(solution.T, mode="complete")
+    diag = np.diagonal(r)
+    if np.abs(diag).min() < 0.5:
+        raise NumericalError("prescribed output vectors collapsed during orthonormalization")
+    cod_full = q.T
+    cod_full[:r_in] *= (diag / np.abs(diag))[:, None]
+    dom_full = np.eye(d + 1, dtype=np.complex128)  # vh on the system block, then the ancilla
+    dom_full[:d, :d] = vh
     unitary = cod_full.T @ dom_full.conj()
 
     unitarity = float(np.abs(unitary.conj().T @ unitary - np.eye(d + 1)).max())
     if unitarity > 1e-10:
         raise NumericalError(f"unitarity defect {unitarity:.3e} exceeds 1e-10")
-    mapping = float(np.abs((unitary @ inputs.T).T - outputs).max())
+    mapping = float(np.abs(m @ unitary[:, :d].T - outputs).max())
     if mapping > DEPENDENCY_TOL:
         raise NumericalError(f"constructed unitary misses prescribed outputs by {mapping:.3e}")
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .ensemble import FilteringProblem, decompose_target
 from .errors import InvalidInputError
+from .neumark import failure_allocations
 
 #: Failure probabilities computed from per-state weights must reproduce the
 #: closed forms to this tolerance.
@@ -60,9 +61,7 @@ def _check_fraction(f: float) -> float:
 
 def average_overlap(problem: FilteringProblem) -> float:
     """Prior-weighted squared overlap S between the target and the complement set."""
-    m = problem.state_matrix
-    overlaps = m[1:] @ m[0].conj()
-    return float(problem.priors[1:] @ np.abs(overlaps) ** 2)
+    return float(problem.priors[1:] @ np.abs(problem._overlaps) ** 2)
 
 
 def q_sqm1(eta1: float, overlap: float) -> float:
@@ -147,49 +146,34 @@ class StrategyReport:
         }
 
 
-def _select_branch(eta1: float, f: float, s: float) -> tuple[Regime, float]:
-    """Pick the optimal branch and its q1; boundary ties resolve to POVM."""
-    if povm_window(eta1, f, s):
-        return Regime.POVM, math.sqrt(s / eta1) if eta1 > 0 else 0.0
-    if s > eta1:
-        return Regime.SQM1_BOUNDARY, 1.0
-    return Regime.SQM2_BOUNDARY, f
-
-
 def optimal_filtering(problem: FilteringProblem) -> StrategyReport:
     """Optimal unambiguous filtering of the ensemble's target state.
 
     Selects the piecewise-optimal branch, allocates per-state failure weights
-    via q1*q_i = |<psi_1|psi_i>|^2, and reports all three strategy values.
+    via ``failure_allocations`` (q1*q_i = |<psi_1|psi_i>|^2), and reports all
+    three strategy values.
     """
     eta1 = float(problem.priors[0])
     if not 0.0 < eta1 < 1.0:
         raise InvalidInputError("target prior must lie strictly inside (0, 1)")
-    m = problem.state_matrix
-    overlaps_sq = np.abs(m[1:] @ m[0].conj()) ** 2
-    s = float(problem.priors[1:] @ overlaps_sq)
+    s = average_overlap(problem)
     f = decompose_target(problem).parallel_norm_sq
-
-    regime, q1 = _select_branch(eta1, f, s)
-    q = np.empty(problem.n_states)
-    q[0] = q1
-    if q1 > 0.0:
-        q[1:] = overlaps_sq / q1
-    else:
-        q[1:] = 0.0  # q1 = 0 only when every overlap vanishes
-    q = np.minimum(q, 1.0)
-    p = 1.0 - q
+    qs1, qs2, qp, codes, _ = _closed_forms(eta1, f, np.array([s]))
+    regime = CURVE_REGIMES[codes[0]]
+    q1 = (math.sqrt(s / eta1), 1.0, f)[codes[0]]  # the optimal q1 of each regime
+    allocation = failure_allocations(problem, q1)
+    q = allocation.failure_probs
     optimal_q = float(problem.priors @ q)
 
     return StrategyReport(
-        q_sqm1=q_sqm1(eta1, s),
-        q_sqm2=q_sqm2(eta1, f, s) if f > 0.0 else (0.0 if s == 0.0 else math.inf),
-        q_povm=q_povm(eta1, s) if povm_window(eta1, f, s) else None,
+        q_sqm1=float(qs1[0]),
+        q_sqm2=float(qs2[0]),
+        q_povm=float(qp[0]) if regime is Regime.POVM else None,
         regime=regime,
-        optimal_q1=q1,
+        optimal_q1=allocation.q1,
         optimal_Q=optimal_q,
         per_state_failure=q,
-        per_state_success=p,
+        per_state_success=1.0 - q,
         average_success=1.0 - optimal_q,
         overlap_S=s,
         parallel_norm_f=f,
@@ -268,7 +252,18 @@ def failure_curve(eta1: float, parallel_norm_sq: float, overlap_values) -> Failu
     bad = ~(np.isfinite(s) & (s >= 0.0))
     if bad.any():
         _check_overlap(s[np.argmax(bad)])  # raises for the first invalid S
+    qs1, qs2, qp, codes, q_opt = _closed_forms(eta1, f, s)
+    return FailureCurve(
+        s=s, q_sqm1=qs1, q_sqm2=qs2, q_povm=qp, q_opt=q_opt, regime_codes=codes
+    )
 
+
+def _closed_forms(eta1: float, f: float, s: np.ndarray):
+    """(q_sqm1, q_sqm2, q_povm, regime codes, q_opt) columns for validated inputs.
+
+    q_povm is NaN outside the window; codes index ``CURVE_REGIMES``, and
+    boundary ties resolve to POVM.
+    """
     qs1 = eta1 + s
     if f > 0.0:
         qs2 = eta1 * f + s / f
@@ -279,6 +274,4 @@ def failure_curve(eta1: float, parallel_norm_sq: float, overlap_values) -> Failu
     qp[in_window] = 2.0 * np.sqrt(eta1 * s[in_window])
     codes = np.where(in_window, 0, np.where(s > eta1, 1, 2)).astype(np.int8)
     q_opt = np.choose(codes, (qp, qs1, qs2))
-    return FailureCurve(
-        s=s, q_sqm1=qs1, q_sqm2=qs2, q_povm=qp, q_opt=q_opt, regime_codes=codes
-    )
+    return qs1, qs2, qp, codes, q_opt

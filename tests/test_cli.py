@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qfilter import (
+    FilteringProblem,
     boolean_problem,
     load_problem,
     povm_window,
@@ -366,3 +368,42 @@ class TestRoundTrip:
         q_boolean = json.loads(boolean_out)["optimal_Q"]
         q_strategies = json.loads(strategies_out)["optimal_Q"]
         assert abs(q_boolean - q_strategies) <= 1e-12
+
+
+class TestStrategiesInputAndMemory:
+    def test_nan_prior_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "dimension": 2,
+                    "states": [
+                        {"amplitudes": [[1.0, 0.0], [0.0, 0.0]], "prior": 0.5},
+                        {"amplitudes": [[0.0, 0.0], [1.0, 0.0]], "prior": math.nan},
+                    ],
+                    "target_index": 0,
+                }
+            )
+        )
+        code, out, err = run(capsys, "strategies", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "priors must lie in" in err
+
+    def test_no_n_by_n_matrix(self, capsys, tmp_path):
+        # 1,025 states in D = 16: an N x N complex matrix alone would take 16.8 MB
+        rng = np.random.default_rng(11)
+        n, d = 1025, 16
+        raw = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        raw /= np.linalg.norm(raw, axis=1)[:, None]
+        path = tmp_path / "tall.json"
+        save_problem(FilteringProblem(states=tuple(raw), priors=np.full(n, 1.0 / n)), path)
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "strategies", "--input", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out)["regime"] in {"POVM", "SQM1_BOUNDARY", "SQM2_BOUNDARY"}
+        assert peak < n * n * 16

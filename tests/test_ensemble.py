@@ -83,6 +83,17 @@ class TestFilteringProblem:
         with pytest.raises(InvalidInputError):
             FilteringProblem(states=(ket(0, 2), ket(1, 2)), priors=(0.5, 0.5), target_index=2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prior_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="priors must lie in"):
+            FilteringProblem(states=(ket(0, 2), ket(1, 2)), priors=(0.5, bad))
+
+    def test_overlaps_and_decomposition_cached(self, walsh_problem):
+        assert decompose_target(walsh_problem) is decompose_target(walsh_problem)
+        assert walsh_problem._overlaps is walsh_problem._overlaps
+        m = walsh_problem.state_matrix
+        np.testing.assert_array_equal(walsh_problem._overlaps, m[1:] @ m[0].conj())
+
 
 class TestGramMatrix:
     def test_identical_states(self):

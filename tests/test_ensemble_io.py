@@ -138,3 +138,33 @@ class TestWriter:
     def test_accepts_null_device(self, figure_point_problem):
         save_problem(figure_point_problem, os.devnull)
         assert os.path.exists(os.devnull)
+
+
+class TestJsonBooleansRejected:
+    """JSON true/false are not numbers here, although Python and numpy treat them as 1/0."""
+
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (lambda p: p["states"][0].update(amplitudes=[[True, False], [False, False]]), "pairs"),
+            (lambda p: p["states"][0].update(amplitudes=[[True, 0.0], [0.0, 0.0]]), "pairs"),
+            (lambda p: p["states"][0].update(amplitudes=[[1, 0], [0, False]]), "pairs"),
+            (lambda p: p.update(dimension=True), "positive"),
+            (lambda p: p.update(target_index=True), "integer"),
+            (lambda p: p["states"][0].update(prior=True), "number"),
+        ],
+        ids=["amplitudes", "mixed-float", "mixed-int", "dimension", "target_index", "prior"],
+    )
+    def test_boolean_rejected(self, mutate, message):
+        payload = valid_payload()
+        mutate(payload)
+        with pytest.raises(InvalidInputError, match=message):
+            problem_from_dict(payload)
+
+    def test_boolean_file_rejected(self, tmp_path):
+        path = tmp_path / "bool.json"
+        payload = valid_payload()
+        payload["states"][0]["amplitudes"] = [[True, False], [False, False]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidInputError, match="state 0 amplitudes"):
+            load_problem(path)

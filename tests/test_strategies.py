@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qfilter import (
+    FilteringProblem,
     InvalidInputError,
     Regime,
     average_overlap,
@@ -218,3 +219,47 @@ class TestFailureCurve:
         with pytest.raises(IndexError):
             curve[3]
         assert len(failure_curve(0.4, 0.25, [])) == 0
+
+
+class TestTwoStateLiteratureOracle:
+    """N = 2 filtering is two-state unambiguous discrimination with unequal priors.
+
+    Jaeger & Shimony, Phys. Lett. A 197, 83 (1995): Q = 2 sqrt(eta1 eta2)|s|
+    when |s|^2 <= min(eta1/eta2, eta2/eta1), otherwise min(eta) + max(eta)|s|^2.
+    At equal priors this is the Ivanovic-Dieks-Peres limit Q = |s|.
+    """
+
+    @staticmethod
+    def pair(rng, eta1, s):
+        d = int(rng.integers(2, 5))
+        raw = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
+        target = raw[0] / np.linalg.norm(raw[0])
+        other = raw[1] - target * (target.conj() @ raw[1])
+        other /= np.linalg.norm(other)
+        second = s * target + math.sqrt(1.0 - abs(s) ** 2) * other
+        return FilteringProblem(states=(target, second), priors=(eta1, 1.0 - eta1))
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(2024)
+        branches = set()
+        for _ in range(2000):
+            eta1 = float(rng.uniform(0.01, 0.99))
+            eta2 = 1.0 - eta1
+            s = math.sqrt(rng.uniform(0.0, 1.0)) * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            mod_sq = abs(s) ** 2
+            interior = mod_sq <= min(eta1 / eta2, eta2 / eta1)
+            branches.add(interior)
+            expected = (
+                2.0 * math.sqrt(eta1 * eta2) * abs(s)
+                if interior
+                else min(eta1, eta2) + max(eta1, eta2) * mod_sq
+            )
+            report = optimal_filtering(self.pair(rng, eta1, s))
+            assert report.optimal_Q == pytest.approx(expected, abs=1e-12)
+        assert branches == {True, False}
+
+    def test_equal_priors_reduce_to_idp(self):
+        rng = np.random.default_rng(2025)
+        for s in (0.0, 0.1, 0.5, 0.9, 0.99):
+            report = optimal_filtering(self.pair(rng, 0.5, s))
+            assert report.optimal_Q == pytest.approx(s, abs=1e-12)
