@@ -4,8 +4,9 @@ Subcommands: ``strategies`` (closed-form report for an ensemble file),
 ``sweep`` (failure-probability curve to CSV), ``boolean`` (the biased-vs-
 balanced application), ``simulate`` (Monte Carlo outcome statistics).
 
-Exit codes: 0 success, 2 invalid input, 3 infeasible construction,
-4 numerical failure.
+Exit codes: 0 success, 2 invalid input (including an ensemble too large for
+the available memory, reported as ``error: out of memory``), 3 infeasible
+construction, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -328,6 +329,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -8,18 +8,11 @@ ancilla coordinate, index D). A unitary U maps each embedded input state onto
 
 with the target's success vector orthogonal to every complement success
 vector, so that a projective measurement of {target direction, ancilla,
-remainder} never misidentifies. The construction goes through the Gram matrix
-of the prescribed success vectors: G_succ = G - w w^dagger with
-w_i = sqrt(q_i) e^{-i theta_i}. G_succ must be positive semidefinite for U to
-exist; the verdict is checked numerically. Success vectors are recovered from
-an eigendecomposition of G_succ (eigenvalues below 1e-10 truncated, since the
-matrix is routinely rank-deficient) and the linear map is solved on the span
-of the inputs. The domain basis is ``ensemble._row_basis`` of the inputs:
-their span, then its orthogonal complement in the system block, then the
-ancilla coordinate. One complete QR of the solved map gives the codomain
-basis: the images orthonormalized in order, then the orthogonal complement
-of their span. The completion is not unique; measurement outcomes depend
-only on the isometry block.
+remainder} never misidentifies. U exists iff the success Gram
+G_succ = G - w w^dagger, w_i = sqrt(q_i) e^{-i theta_i}, is positive
+semidefinite; that verdict is checked numerically. U is then built in closed
+form from its ancilla row (``build_neumark``), and the measurement elements
+are read from two rows of it (``povm_elements``).
 
 Phase convention: theta_1 = 0 and theta_i = arg<psi_1|psi_i>, which zeroes the
 first row of G_succ exactly and thereby enforces the success-orthogonality
@@ -32,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .ensemble import FilteringProblem, _freeze, _row_basis, decompose_target, gram_matrix
+from .ensemble import RANK_TOL, FilteringProblem, _freeze, decompose_target, gram_matrix
 from .errors import (
     DegenerateDecompositionError,
     InfeasibleError,
@@ -41,7 +34,6 @@ from .errors import (
 )
 
 PSD_TOL = 1e-9  # most negative success-Gram eigenvalue still counted feasible
-TRUNCATION_TOL = 1e-10  # eigenvalues below this contribute no success dimension
 DEPENDENCY_TOL = 1e-8  # residual above this means outputs violate input dependencies
 ZERO_TOL = 1e-12
 
@@ -158,84 +150,56 @@ class NeumarkModel:
         """The D-column block mapping embedded system vectors through the unitary."""
         return self.unitary[:, : self.dimension]
 
-    @property
-    def ancilla_vector(self) -> np.ndarray:
-        """The failure direction: the coordinate basis vector at ``ancilla_index``."""
-        vec = np.zeros(self.dimension + 1, dtype=np.complex128)
-        vec[self.ancilla_index] = 1.0
-        return vec
-
-
-def _dependency_diagnostic(coeffs: np.ndarray, outputs: np.ndarray) -> str:
-    """Name the input linear dependency whose prescribed outputs are inconsistent."""
-    vh, rank = _row_basis(coeffs, tol=1e-10)
-    for c in vh[rank:].conj():
-        if np.linalg.norm(outputs.T @ c) > DEPENDENCY_TOL:
-            involved = [int(i) for i in np.flatnonzero(np.abs(c) > 1e-6)]
-            return (
-                f"states {involved} are linearly dependent but their prescribed "
-                "outputs do not satisfy the same dependency"
-            )
-    return "prescribed outputs are inconsistent with the input states' linear dependencies"
-
 
 def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> NeumarkModel:
     """Construct the dilated unitary for the given failure allocation.
 
-    Raises InfeasibleError when the success Gram is not positive semidefinite,
-    when the success rank exceeds the system dimension, or when linearly
-    dependent inputs are paired with outputs violating their dependencies.
+    The ancilla row u is the minimum-norm solution of M u = a, with the states
+    as the rows of M, a_i = sqrt(q_i) e^{i theta_i}, and singular values of M
+    below RANK_TOL times the largest counted as dependencies. With
+    r = sqrt(1 - |u|^2) and R = I - conj(u) u^T / (1 + r), R is Hermitian with
+    R^2 = I - conj(u) u^T, so U = [[R, -conj(u)], [u^T, r]] is unitary and
+    sends each state to R psi_i + a_i |ancilla>.
+
+    Raises InfeasibleError when the success Gram is not positive semidefinite
+    or when a lies outside the range of M: the states are linearly dependent
+    and the amplitudes violate the same dependency.
     """
-    n, d = problem.n_states, problem.dimension
+    d = problem.dimension
     sg = success_gram(problem, allocation)
     if not sg.feasible:
         raise InfeasibleError(
             f"no unitary realization: success Gram has eigenvalue {sg.min_eigenvalue:.3e}"
         )
 
-    evals, evecs = np.linalg.eigh(sg.matrix)
-    keep = evals > TRUNCATION_TOL
-    rank = int(keep.sum())
-    if rank > d:
-        raise InfeasibleError(
-            f"success vectors need {rank} dimensions but the system has only {d}; "
-            "the prescribed failure amplitudes are inconsistent with the input "
-            "states' linear dependencies"
-        )
-    # Columns of sqrt(Lambda) V^dagger reproduce G_succ as their Gram matrix.
-    factors = (evecs[:, keep] * np.sqrt(evals[keep])).conj().T
-
-    outputs = np.zeros((n, d + 1), dtype=np.complex128)
-    outputs[:, :rank] = factors.T
-    outputs[:, d] = np.sqrt(allocation.failure_probs) * np.exp(1j * allocation.phases)
-
     m = problem.state_matrix
-    vh, r_in = _row_basis(m)
-    coeffs = vh[:r_in].conj() @ m.T  # (r_in, N): inputs in span coordinates
-    solution, *_ = np.linalg.lstsq(coeffs.T, outputs, rcond=None)
-    residual = float(np.abs(coeffs.T @ solution - outputs).max())
+    amplitudes = np.sqrt(allocation.failure_probs) * np.exp(1j * allocation.phases)
+    # Singular values of near-dependent states (~1e-13) would amplify rounding
+    # in the amplitudes past |u| = 1. One refinement step makes M u = a exact
+    # to rounding, which is what the FAIL probabilities |u^T psi_i|^2 rest on.
+    u, *_ = np.linalg.lstsq(m, amplitudes, rcond=RANK_TOL)
+    u += np.linalg.lstsq(m, amplitudes - m @ u, rcond=RANK_TOL)[0]
+    residual = float(np.abs(m @ u - amplitudes).max())
     if residual > DEPENDENCY_TOL:
         raise InfeasibleError(
-            f"output assignment residual {residual:.3e}: "
-            + _dependency_diagnostic(coeffs, outputs)
+            f"failure amplitudes leave residual {residual:.3e} in M u = a: the states are "
+            "linearly dependent but the amplitudes do not satisfy the same dependency"
         )
 
-    # solution.T = q r orthonormalizes the solved images in order (Gram-Schmidt):
-    # image a is q[:, a] turned by the phase of r[a, a]; q's last columns complete it.
-    q, r = np.linalg.qr(solution.T, mode="complete")
-    diag = np.diagonal(r)
-    if np.abs(diag).min() < 0.5:
-        raise NumericalError("prescribed output vectors collapsed during orthonormalization")
-    cod_full = q.T
-    cod_full[:r_in] *= (diag / np.abs(diag))[:, None]
-    dom_full = np.eye(d + 1, dtype=np.complex128)  # vh on the system block, then the ancilla
-    dom_full[:d, :d] = vh
-    unitary = cod_full.T @ dom_full.conj()
+    # A feasible allocation has |u| <= 1; at q1 = f and q1 = 1 it is 1 to rounding.
+    norm_sq = float(np.real(np.vdot(u, u)))
+    if norm_sq > 1.0:
+        u = u / np.sqrt(norm_sq)
+        norm_sq = 1.0
+    r = np.sqrt(1.0 - norm_sq)
+    # (1 - r) / |u|^2 = 1 / (1 + r), which needs no branch at u = 0.
+    block = np.eye(d, dtype=np.complex128) - np.outer(u.conj(), u) / (1.0 + r)
+    unitary = np.block([[block, -u.conj()[:, None]], [u, r]])
 
     unitarity = float(np.abs(unitary.conj().T @ unitary - np.eye(d + 1)).max())
     if unitarity > 1e-10:
         raise NumericalError(f"unitarity defect {unitarity:.3e} exceeds 1e-10")
-    mapping = float(np.abs(m @ unitary[:, :d].T - outputs).max())
+    mapping = float(np.abs(m @ unitary[d, :d] - amplitudes).max())
     if mapping > DEPENDENCY_TOL:
         raise NumericalError(f"constructed unitary misses prescribed outputs by {mapping:.3e}")
 
@@ -243,8 +207,8 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
         unitary=unitary,
         dimension=d,
         ancilla_index=d,
-        success_outputs=outputs[:, :d],
-        failure_amplitudes=outputs[:, d],
+        success_outputs=m @ block.T,
+        failure_amplitudes=amplitudes,
         phases=allocation.phases,
         allocation=allocation,
     )
@@ -293,48 +257,39 @@ class MeasurementScheme:
 def povm_elements(model: NeumarkModel) -> MeasurementScheme:
     """System-space elements of the generalized measurement.
 
-    Three projectors on the dilation (target success direction, ancilla,
-    remainder) are pulled back through the isometry block: E_k = V^dag Pi_k V.
-    When the target always fails (p_1 = 0) the conclusive target outcome is
-    omitted and the scheme carries a warning flag.
+    Two rows of the isometry V give rank-one elements: the ancilla row,
+    x_f = conj(V[D]), and the target success direction s_1 / sqrt(p_1) pulled
+    back, x_t = V[:D]^dag s_1 / sqrt(p_1). Then E_fail = x_f x_f^dag,
+    E_target = x_t x_t^dag and E_comp = I - E_target - E_fail. When the target
+    always fails (p_1 = 0) the conclusive target outcome is omitted and the
+    scheme carries a warning flag.
     """
     d = model.dimension
-    dil = d + 1
     v = model.isometry
+    target_success = model.success_outputs[0]
+    p1 = float(np.real(np.vdot(target_success, target_success)))
 
-    target_success = np.zeros(dil, dtype=np.complex128)
-    target_success[:d] = model.success_outputs[0]
-    p1 = float(np.real(target_success.conj() @ target_success))
-
-    ancilla = model.ancilla_vector
-    proj_fail = np.outer(ancilla, ancilla.conj())
-
-    outcomes: list[Outcome] = []
-    projectors: list[np.ndarray] = []
-    warning = None
+    x_f = v[model.ancilla_index].conj()
+    e_fail = np.outer(x_f, x_f.conj())
+    e_comp = np.eye(d, dtype=np.complex128) - e_fail
     if p1 > ZERO_TOL:
-        direction = target_success / np.sqrt(p1)
-        proj_target = np.outer(direction, direction.conj())
-        outcomes.append(Outcome.IS_TARGET)
-        projectors.append(proj_target)
+        x_t = v[:d].conj().T @ target_success / np.sqrt(p1)
+        e_target = np.outer(x_t, x_t.conj())
+        e_comp -= e_target
+        outcomes = (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)
+        elements = (e_target, e_comp, e_fail)
+        warning = None
     else:
-        proj_target = np.zeros((dil, dil), dtype=np.complex128)
+        outcomes = (Outcome.IS_COMPLEMENT, Outcome.FAIL)
+        elements = (e_comp, e_fail)
         warning = "target success probability is zero; IS_TARGET outcome omitted"
-    proj_comp = np.eye(dil) - proj_target - proj_fail
-    outcomes += [Outcome.IS_COMPLEMENT, Outcome.FAIL]
-    projectors += [proj_comp, proj_fail]
-
-    elements = []
-    for proj in projectors:
-        e = v.conj().T @ proj @ v
-        elements.append((e + e.conj().T) / 2.0)
 
     return MeasurementScheme(
         kind=SchemeKind.POVM,
-        outcomes=tuple(outcomes),
-        operators=tuple(elements),
+        outcomes=outcomes,
+        operators=elements,
         acting_dimension=d,
-        dilation_dimension=dil,
+        dilation_dimension=d + 1,
         warning=warning,
     )
 

@@ -25,10 +25,6 @@ from .ensemble import FilteringProblem, decompose_target
 from .errors import InvalidInputError
 from .neumark import failure_allocations
 
-#: Failure probabilities computed from per-state weights must reproduce the
-#: closed forms to this tolerance.
-CONSISTENCY_TOL = 1e-12
-
 
 class Regime(str, Enum):
     """Which branch of the piecewise optimum applies."""

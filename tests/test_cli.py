@@ -355,6 +355,20 @@ class TestSimulateCommand:
         assert code == 4
         assert "numerical" in err
 
+    def test_out_of_memory_exits_2(self, capsys, walsh_file, monkeypatch):
+        import qfilter.cli as cli_module
+
+        def boom(problem, strategy):
+            raise MemoryError("Unable to allocate 2.47 GiB for an array")
+
+        monkeypatch.setattr(cli_module, "_build_scheme", boom)
+        code, _, err = run(
+            capsys, "simulate", "--input", str(walsh_file),
+            "--strategy", "povm", "--trials", "10", "--seed", "1",
+        )
+        assert code == 2
+        assert err == "error: out of memory: Unable to allocate 2.47 GiB for an array\n"
+
 
 class TestRoundTrip:
     def test_boolean_export_then_strategies_identical(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
-"""Property tests of the span-basis helper and the target decomposition.
+"""Property tests of the span-basis helper, the target decomposition and the
+generalized measurement.
 
 Ensembles are drawn tall (N up to 32x D) and near-dependent: rows are random
 combinations of a few base directions plus noise of size eps, so singular
@@ -8,8 +9,18 @@ SVD (rank-deficient) paths of ``_row_basis`` run.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from qfilter import FilteringProblem, decompose_target, span_basis
+from qfilter import (
+    FilteringProblem,
+    Outcome,
+    build_neumark,
+    decompose_target,
+    failure_allocations,
+    optimal_filtering,
+    povm_elements,
+    span_basis,
+)
 from qfilter.ensemble import RANK_TOL, _row_basis
+from qfilter.neumark import ZERO_TOL
 
 # Directions dropped below RANK_TOL leave residuals of at most sqrt(D) * RANK_TOL.
 DROPPED_TOL = 10 * RANK_TOL
@@ -58,3 +69,27 @@ def test_decomposition_invariants(rows, seed):
     perp_sq = float(np.real(dec.perpendicular.conj() @ dec.perpendicular))
     assert abs(dec.parallel_norm_sq + perp_sq - 1.0) <= 1e-12
     assert 0.0 <= dec.parallel_norm_sq <= 1.0
+
+
+@PROPERTY_SETTINGS
+@given(rows=near_dependent_rows(), seed=st.integers(0, 2**32 - 1))
+def test_measurement_is_unambiguous_with_prescribed_failures(rows, seed):
+    priors = np.random.default_rng(seed).uniform(0.1, 1.0, size=rows.shape[0])
+    problem = FilteringProblem(states=tuple(rows), priors=priors / priors.sum())
+    m = problem.state_matrix
+    f = decompose_target(problem).parallel_norm_sq
+    for q1 in (f, optimal_filtering(problem).optimal_q1, 1.0):
+        allocation = failure_allocations(problem, q1)
+        scheme = povm_elements(build_neumark(problem, allocation))
+
+        def born(outcome):
+            return np.real(np.einsum("ij,jk,ik->i", m.conj(), scheme.operator(outcome), m))
+
+        assert np.abs(born(Outcome.FAIL) - allocation.failure_probs).max() <= 1e-9
+        # p_1 <= ZERO_TOL folds the target element into IS_COMPLEMENT.
+        misidentified = born(Outcome.IS_COMPLEMENT)[0]
+        if Outcome.IS_TARGET in scheme.outcomes:
+            misidentified = max(misidentified, born(Outcome.IS_TARGET)[1:].max())
+        assert misidentified <= ZERO_TOL
+        fail_evals = np.linalg.eigvalsh(scheme.operator(Outcome.FAIL))
+        assert fail_evals.size == 1 or fail_evals[-2] <= 1e-10
