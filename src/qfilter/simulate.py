@@ -2,7 +2,12 @@
 
 Outcomes are sampled by inverse-CDF over the scheme's ordered outcome list
 using exact partial sums, with probabilities below 1e-12 treated as exact
-zeros, so an outcome with vanishing Born probability can never be drawn. Each
+zeros, so an outcome with vanishing Born probability can never be drawn.
+Rather than locating each uniform draw among the thresholds, the sampler
+counts, for every live partial sum, how many draws fall below it; adjacent
+differences of those counts are the outcome counts. Draws are made in
+fixed-size chunks into one reused buffer, so memory does not grow with the
+number of trials, and the counts equal those of a single large draw. Each
 true state draws from its own RNG substream, seeded by the pair (seed, state
 index), which makes per-state simulation order-independent: running states
 separately and merging counts reproduces a single run exactly.
@@ -18,6 +23,9 @@ from .errors import InvalidInputError
 from .neumark import MeasurementScheme, Outcome, SchemeKind
 
 ZERO_PROB = 1e-12
+# Uniform draws per chunk: 64 KiB of doubles, small enough to be served from
+# the heap rather than a fresh mmap on every call.
+_CHUNK = 8192
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 
@@ -68,18 +76,37 @@ def _substream(seed: int, state_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed) & _SEED_MASK, state_index])
 
 
+def _sampled(probs: np.ndarray) -> np.ndarray:
+    """The distribution the sampler draws from: entries below ZERO_PROB are 0."""
+    return np.where(probs < ZERO_PROB, 0.0, probs)
+
+
 def _sample_counts(
     probs: np.ndarray, trials: int, stream_seed: int | np.random.SeedSequence
 ) -> np.ndarray:
-    """Draw outcome counts via inverse-CDF with exact cumulative thresholds."""
-    p = np.where(probs < ZERO_PROB, 0.0, probs)
-    cum = np.cumsum(p)
+    """Draw outcome counts via inverse-CDF with exact cumulative thresholds.
+
+    A draw u lands on the first outcome j whose partial sum cum[j] exceeds u,
+    so the number of draws landing on outcomes 0..j is the number with
+    u < cum[j]. Those "below" counts are taken at every live outcome but the
+    last; the last live outcome takes the remainder, which includes any
+    residual mass of a total slightly below 1. The uniforms are drawn _CHUNK
+    at a time into one buffer; the generator fills doubles in sequence, so the
+    counts equal those of one draw of ``trials`` uniforms.
+    """
+    p = _sampled(probs)
+    live = np.flatnonzero(p)
+    thresholds = np.cumsum(p)[live[:-1]]
+    below = np.zeros(thresholds.size, dtype=np.int64)
     rng = np.random.default_rng(stream_seed)
-    u = rng.random(trials)
-    idx = np.searchsorted(cum, u, side="right")
-    last_live = int(np.flatnonzero(p)[-1])  # residual mass cannot land on a zero outcome
-    np.minimum(idx, last_live, out=idx)
-    return np.bincount(idx, minlength=p.size).astype(np.int64)
+    buf = np.empty(min(trials, _CHUNK))
+    for start in range(0, trials, _CHUNK):
+        u = rng.random(out=buf[: min(_CHUNK, trials - start)])
+        for j, t in enumerate(thresholds):
+            below[j] += np.count_nonzero(u < t)
+    counts = np.zeros(p.size, dtype=np.int64)
+    counts[live] = np.diff(below, prepend=0, append=trials)
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +147,9 @@ def simulate(
 ) -> SimulationStats:
     """Sample every state of the ensemble ``trials_per_state`` times.
 
-    Deterministic for a fixed (scheme, problem, trials, seed); z-scores are
+    Deterministic for a fixed (scheme, problem, trials, seed). The analytic
+    rates are those of the sampled distribution, with Born probabilities
+    below ZERO_PROB read as exact zeros; z-scores are
     (empirical - analytic) / sqrt(analytic * (1 - analytic) / trials) per
     (state, outcome) cell, zero where the analytic rate is deterministic and
     matched exactly.
@@ -134,8 +163,8 @@ def simulate(
     analytic = np.zeros((n, k), dtype=float)
     for i, state in enumerate(problem.states):
         dist = outcome_distribution(scheme, state)
-        analytic[i] = dist.probabilities
-        counts[i] = _sample_counts(dist.probabilities, trials, _substream(seed, i))
+        analytic[i] = _sampled(dist.probabilities)
+        counts[i] = _sample_counts(analytic[i], trials, _substream(seed, i))
     empirical = counts / float(trials)
     variance = analytic * (1.0 - analytic) / float(trials)
     z = np.zeros_like(analytic)

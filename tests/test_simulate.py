@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfilter import (
+    FilteringProblem,
     InvalidInputError,
+    MeasurementScheme,
     Outcome,
     SchemeKind,
     StateVector,
@@ -17,7 +21,7 @@ from qfilter import (
     projective_scheme,
     simulate,
 )
-from qfilter.simulate import _sample_counts, _substream
+from qfilter.simulate import _CHUNK, ZERO_PROB, _sample_counts, _substream
 
 ROOT3 = math.sqrt(3.0)
 
@@ -76,6 +80,61 @@ class TestSampling:
         assert counts[2] == 0
 
 
+def reference_counts(probs, trials, stream_seed):
+    """The inverse-CDF sampler written out draw by draw: locate every uniform
+    among the partial sums, clamp residual mass onto the last live outcome and
+    tally."""
+    p = np.where(probs < ZERO_PROB, 0.0, probs)
+    u = np.random.default_rng(stream_seed).random(trials)
+    idx = np.searchsorted(np.cumsum(p), u, side="right")
+    np.minimum(idx, np.flatnonzero(p)[-1], out=idx)
+    return np.bincount(idx, minlength=p.size)
+
+
+@st.composite
+def sampled_distributions(draw):
+    """Probability vectors with exact zeros, entries below ZERO_PROB, zero
+    trailing entries and totals within 1e-12 of 1."""
+    kinds = draw(st.lists(st.sampled_from(["live", "zero", "tiny"]), min_size=1, max_size=7))
+    kinds[draw(st.integers(0, len(kinds) - 1))] = "live"
+    kinds += ["zero"] * draw(st.integers(0, 2))
+    weights = np.array(
+        [draw(st.floats(0.01, 1.0)) if kind == "live" else 0.0 for kind in kinds]
+    )
+    tiny = np.array(
+        [draw(st.floats(1e-18, 0.999 * ZERO_PROB)) if kind == "tiny" else 0.0 for kind in kinds]
+    )
+    drift = draw(st.sampled_from([0.0, -1e-12, -3e-13, 3e-13, 1e-12]))
+    live_total = 1.0 + drift - tiny.sum()
+    return weights / weights.sum() * live_total + tiny
+
+
+class TestSamplerOracle:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        probs=sampled_distributions(),
+        trials=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 10**5 + 3]),
+        seed=st.integers(0, 2**64 - 1),
+        state_index=st.none() | st.integers(0, 10**6),
+    )
+    def test_counts_match_draw_by_draw_reference(self, probs, trials, seed, state_index):
+        stream = seed if state_index is None else _substream(seed, state_index)
+        counts = _sample_counts(probs, trials, stream)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, reference_counts(probs, trials, stream))
+
+    def test_memory_does_not_grow_with_trials(self):
+        probs = np.array([0.3, 0.2, 0.5])
+        tracemalloc.start()
+        try:
+            counts = _sample_counts(probs, 10**7, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 10**7
+        assert peak < 1_000_000
+
+
 class TestSubstreams:
     def test_seed_and_state_do_not_alias(self):
         # (seed 0, state 1) and (seed 1, state 0) must be different streams
@@ -127,6 +186,43 @@ class TestSimulate:
         stats = simulate(scheme, problem, 10_000, 9)
         assert Outcome.IS_TARGET not in stats.outcomes
         assert stats.misidentifications == 0
+
+    def test_seeded_counts_are_pinned(self, walsh_problem, figure_point_problem):
+        # counts published from these runs must not move with the sampler
+        scheme, _ = optimal_scheme(walsh_problem)
+        np.testing.assert_array_equal(
+            simulate(scheme, walsh_problem, 100_000, 42).counts,
+            [[13348, 0, 86652], [0, 71189, 28811], [0, 71351, 28649], [0, 71184, 28816]],
+        )
+        sqm2 = projective_scheme(figure_point_problem, SchemeKind.SQM2)
+        np.testing.assert_array_equal(
+            simulate(sqm2, figure_point_problem, 100_000, 42).counts,
+            [[75035, 0, 24965], [0, 0, 100000], [0, 66890, 33110]],
+        )
+
+    def test_analytic_rates_are_the_sampled_distribution(self):
+        # the target's IS_COMPLEMENT probability 4e-13 is below ZERO_PROB:
+        # it is never drawn, so it reads analytic 0 and z 0
+        tiny = 4e-13
+        target = StateVector(np.array([math.sqrt(1 - tiny), math.sqrt(tiny), 0.0]))
+        problem = FilteringProblem(
+            states=(target, StateVector(np.array([0.0, 1.0, 0.0])),
+                    StateVector(np.array([0.0, 0.0, 1.0]))),
+            priors=(0.4, 0.3, 0.3),
+        )
+        scheme = MeasurementScheme(
+            kind=SchemeKind.SQM2,
+            outcomes=(Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL),
+            operators=tuple(np.diag(np.eye(3)[j]) for j in range(3)),
+            acting_dimension=3,
+        )
+        raw = outcome_distribution(scheme, target).probabilities
+        assert 0.0 < raw[1] < ZERO_PROB
+        stats = simulate(scheme, problem, 1000, 11)
+        assert stats.counts[0, 1] == 0
+        assert stats.analytic_rates[0, 1] == 0.0
+        assert stats.z_scores[0, 1] == 0.0
+        assert stats.analytic_rates[0, 0] == raw[0]
 
     def test_merging_per_state_substreams_reproduces_full_run(self, walsh_problem):
         # per-state partitions merge to exactly the same statistics
