@@ -163,11 +163,13 @@ def walsh_balanced_basis(n: int) -> BalancedBasis:
     """The D-1 nonconstant Walsh vectors, each the encoding of a balanced table."""
     if n < 1:
         raise InvalidInputError("bit count n must be >= 1")
-    d = 2**n
-    signs = _walsh_sign_matrix(n)
-    vectors = tuple(StateVector(row / math.sqrt(d)) for row in signs)
-    functions = tuple(BooleanFunction(n, (row < 0).tolist()) for row in signs)
-    return BalancedBasis(n=n, vectors=vectors, functions=functions)
+    functions = tuple(BooleanFunction(n, (row < 0).tolist()) for row in _walsh_sign_matrix(n))
+    return BalancedBasis(n=n, vectors=_walsh_vectors(n), functions=functions)
+
+
+def _walsh_vectors(n: int) -> tuple[StateVector, ...]:
+    """The D-1 nonconstant Walsh vectors, read from the sign matrix rows."""
+    return tuple(StateVector(row) for row in _walsh_sign_matrix(n) / math.sqrt(2**n))
 
 
 class OverlapPair(NamedTuple):
@@ -295,7 +297,7 @@ def boolean_problem(
             "target cannot be filtered from the balanced set"
         )
     if variant == ComplementVariant.BASIS:
-        complement = list(walsh_balanced_basis(n).vectors)
+        complement = list(_walsh_vectors(n))
     else:
         complement = [dj_encode(fn) for fn in enumerate_balanced(n)]
     m = len(complement)

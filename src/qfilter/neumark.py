@@ -11,8 +11,15 @@ vector, so that a projective measurement of {target direction, ancilla,
 remainder} never misidentifies. U exists iff the success Gram
 G_succ = G - w w^dagger, w_i = sqrt(q_i) e^{-i theta_i}, is positive
 semidefinite; that verdict is checked numerically. U is then built in closed
-form from its ancilla row (``build_neumark``), and the measurement elements
-are read from two rows of it (``povm_elements``).
+form from its ancilla row (``build_neumark``).
+
+Every scheme is at most two rank-one elements x x^dagger plus the remainder
+I - sum x x^dagger, and is stored as those vectors (``MeasurementScheme``):
+x_t and x_f, read from two rows of U, for the generalized measurement
+(``povm_elements``); psi_1 for the selective projection and the unit
+perpendicular and parallel parts of psi_1 for the nonselective one
+(``projective_scheme``). Born probabilities for N states then cost O(N * D)
+and no D x D matrix is formed unless ``operators`` is read.
 
 Phase convention: theta_1 = 0 and theta_i = arg<psi_1|psi_i>, which zeroes the
 first row of G_succ exactly and thereby enforces the success-orthogonality
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +44,9 @@ from .errors import (
 PSD_TOL = 1e-9  # most negative success-Gram eigenvalue still counted feasible
 DEPENDENCY_TOL = 1e-8  # residual above this means outputs violate input dependencies
 ZERO_TOL = 1e-12
+# Largest positivity, completeness or unitarity defect of a constructed operator
+# still counted as rounding.
+OPERATOR_TOL = 1e-10
 
 
 class SchemeKind(str, Enum):
@@ -197,8 +208,8 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
     unitary = np.block([[block, -u.conj()[:, None]], [u, r]])
 
     unitarity = float(np.abs(unitary.conj().T @ unitary - np.eye(d + 1)).max())
-    if unitarity > 1e-10:
-        raise NumericalError(f"unitarity defect {unitarity:.3e} exceeds 1e-10")
+    if unitarity > OPERATOR_TOL:
+        raise NumericalError(f"unitarity defect {unitarity:.3e} exceeds {OPERATOR_TOL:g}")
     mapping = float(np.abs(m @ unitary[d, :d] - amplitudes).max())
     if mapping > DEPENDENCY_TOL:
         raise NumericalError(f"constructed unitary misses prescribed outputs by {mapping:.3e}")
@@ -214,81 +225,174 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MeasurementScheme:
     """Labeled positive operators implementing one filtering strategy.
 
     Operators act on the space states are fed into directly (dimension
     ``acting_dimension``); for the generalized measurement they are the
     elements pulled back from the (D+1)-dimensional dilation, whose size is
-    recorded in ``dilation_dimension``. Construction validates positivity
-    (eigenvalues >= -1e-10) and completeness (sum = identity within 1e-10).
+    recorded in ``dilation_dimension``.
+
+    A scheme given ``vectors`` is rank-one elements x x^dagger, one per row,
+    for the outcomes other than IS_COMPLEMENT in their order, plus the
+    remainder I - sum x x^dagger as IS_COMPLEMENT. Completeness then holds by
+    construction, and positivity is a check on the small Gram matrix
+    X^dagger X of the rows: I - X X^dagger has eigenvalues 1 and
+    1 - eig(X^dagger X). ``operators`` are derived from the rows on first use.
+
+    A scheme given explicit ``operators`` has ``vectors`` None; construction
+    validates positivity (eigenvalues >= -1e-10) and completeness (sum =
+    identity within 1e-10).
     """
 
     kind: SchemeKind
     outcomes: tuple[Outcome, ...]
-    operators: tuple[np.ndarray, ...]
     acting_dimension: int
-    dilation_dimension: int | None = None
-    warning: str | None = None
+    dilation_dimension: int | None
+    warning: str | None
+    vectors: np.ndarray | None
 
-    def __post_init__(self):
-        ops = tuple(_freeze(np.asarray(op, np.complex128)) for op in self.operators)
-        object.__setattr__(self, "operators", ops)
+    def __init__(
+        self,
+        kind: SchemeKind,
+        outcomes: tuple[Outcome, ...],
+        operators=None,
+        acting_dimension: int | None = None,
+        dilation_dimension: int | None = None,
+        warning: str | None = None,
+        *,
+        vectors=None,
+    ):
+        if (operators is None) == (vectors is None):
+            raise InvalidInputError("a scheme takes either operators or rank-one vectors")
+        for name, value in (
+            ("kind", kind),
+            ("outcomes", outcomes),
+            ("dilation_dimension", dilation_dimension),
+            ("warning", warning),
+        ):
+            object.__setattr__(self, name, value)
+        if vectors is None:
+            self._set_operators(operators, int(acting_dimension))
+        else:
+            self._set_vectors(vectors, acting_dimension)
+
+    def _set_operators(self, operators, d: int) -> None:
+        ops = tuple(_freeze(np.asarray(op, np.complex128)) for op in operators)
         if len(ops) != len(self.outcomes):
             raise InvalidInputError("one operator per outcome label is required")
-        d = self.acting_dimension
         total = np.zeros((d, d), dtype=np.complex128)
         for op in ops:
             if op.shape != (d, d):
                 raise InvalidInputError(f"operator shape {op.shape} != ({d}, {d})")
-            min_eig = float(np.linalg.eigvalsh((op + op.conj().T) / 2.0).min())
-            if min_eig < -1e-10:
-                raise NumericalError(f"outcome operator has eigenvalue {min_eig:.3e} < -1e-10")
+            _check_min_eigenvalue(float(np.linalg.eigvalsh((op + op.conj().T) / 2.0).min()))
             total += op
         defect = float(np.abs(total - np.eye(d)).max())
-        if defect > 1e-10:
-            raise NumericalError(f"completeness defect {defect:.3e} exceeds 1e-10")
+        if defect > OPERATOR_TOL:
+            raise NumericalError(f"completeness defect {defect:.3e} exceeds {OPERATOR_TOL:g}")
+        object.__setattr__(self, "acting_dimension", d)
+        object.__setattr__(self, "vectors", None)
+        # Stored over the cached property, which derives operators from vectors.
+        object.__setattr__(self, "operators", ops)
+
+    def _set_vectors(self, vectors, acting_dimension: int | None) -> None:
+        x = _freeze(np.array(vectors, dtype=np.complex128))
+        d = x.shape[-1] if acting_dimension is None else int(acting_dimension)
+        if Outcome.IS_COMPLEMENT not in self.outcomes or x.shape != (len(self.outcomes) - 1, d):
+            raise InvalidInputError(
+                f"rank-one vectors of shape {x.shape} do not fit {len(self.outcomes)} "
+                f"outcomes in dimension {d}: one vector per outcome other than "
+                "IS_COMPLEMENT is required"
+            )
+        # Each x x^dagger is positive; the remainder's smallest eigenvalue is
+        # 1 - the largest eigenvalue of the Gram matrix of the vectors.
+        gram_max = np.linalg.eigvalsh(x.conj() @ x.T).max(initial=0.0)
+        _check_min_eigenvalue(1.0 - float(gram_max))
+        object.__setattr__(self, "acting_dimension", d)
+        object.__setattr__(self, "vectors", x)
+
+    @cached_property
+    def operators(self) -> tuple[np.ndarray, ...]:
+        """One read-only D x D operator per outcome, in outcome order."""
+        rank_one = [_freeze(np.outer(x, x.conj())) for x in self.vectors]
+        remainder = _freeze(np.eye(self.acting_dimension, dtype=np.complex128) - sum(rank_one))
+        ordered = iter(rank_one)
+        return tuple(
+            remainder if outcome == Outcome.IS_COMPLEMENT else next(ordered)
+            for outcome in self.outcomes
+        )
 
     def operator(self, outcome: Outcome) -> np.ndarray:
         return self.operators[self.outcomes.index(outcome)]
 
+    def born_probabilities(self, states) -> np.ndarray:
+        """(N, K) matrix of <psi_i|E_k|psi_i> for the N rows of ``states``.
+
+        A rank-one cell is |x^dagger psi|^2, at O(D) per state and vector; the
+        remainder cell is |psi|^2 minus the row's rank-one cells, so every row
+        sums to its state's squared norm. Explicit operators take one
+        quadratic form each, O(D^2) per state. Values are raw Born values,
+        which rounding can leave just outside [0, 1]. The products are einsum
+        loops rather than BLAS calls, so a row's values do not depend on how
+        many rows are passed with it.
+        """
+        rows = np.ascontiguousarray(states, dtype=np.complex128)
+        if rows.ndim != 2 or rows.shape[1] != self.acting_dimension:
+            raise InvalidInputError(
+                f"state dimension {rows.shape[-1]} does not match the scheme's "
+                f"measured space ({self.acting_dimension})"
+            )
+        if self.vectors is None:
+            return np.stack(
+                [np.einsum("ij,jk,ik->i", rows.conj(), op, rows).real for op in self.operators],
+                axis=1,
+            )
+        amplitudes = np.einsum("ij,rj->ir", rows, self.vectors.conj())
+        probs = amplitudes.real**2 + amplitudes.imag**2
+        flat = rows.view(np.float64)
+        remainder = np.einsum("ij,ij->i", flat, flat) - probs.sum(axis=1)
+        return np.insert(probs, self.outcomes.index(Outcome.IS_COMPLEMENT), remainder, axis=1)
+
+
+def _check_min_eigenvalue(min_eig: float) -> None:
+    if min_eig < -OPERATOR_TOL:
+        raise NumericalError(
+            f"outcome operator has eigenvalue {min_eig:.3e} < -{OPERATOR_TOL:g}"
+        )
+
 
 def povm_elements(model: NeumarkModel) -> MeasurementScheme:
-    """System-space elements of the generalized measurement.
+    """System-space elements of the generalized measurement, as rank-one vectors.
 
-    Two rows of the isometry V give rank-one elements: the ancilla row,
-    x_f = conj(V[D]), and the target success direction s_1 / sqrt(p_1) pulled
-    back, x_t = V[:D]^dag s_1 / sqrt(p_1). Then E_fail = x_f x_f^dag,
-    E_target = x_t x_t^dag and E_comp = I - E_target - E_fail. When the target
-    always fails (p_1 = 0) the conclusive target outcome is omitted and the
-    scheme carries a warning flag.
+    Two rows of the isometry V give them: the ancilla row, x_f = conj(V[D]),
+    and the target success direction s_1 / sqrt(p_1) pulled back,
+    x_t = V[:D]^dag s_1 / sqrt(p_1). Then E_fail = x_f x_f^dag,
+    E_target = x_t x_t^dag and E_comp = I - E_target - E_fail, the scheme's
+    remainder. When the target always fails (p_1 = 0) the conclusive target
+    outcome is omitted and the scheme carries a warning flag. O(D^2) time and
+    O(D) memory: no D x D matrix is formed.
     """
     d = model.dimension
-    v = model.isometry
     target_success = model.success_outputs[0]
     p1 = float(np.real(np.vdot(target_success, target_success)))
 
-    x_f = v[model.ancilla_index].conj()
-    e_fail = np.outer(x_f, x_f.conj())
-    e_comp = np.eye(d, dtype=np.complex128) - e_fail
+    x_f = model.unitary[model.ancilla_index, :d].conj()
     if p1 > ZERO_TOL:
-        x_t = v[:d].conj().T @ target_success / np.sqrt(p1)
-        e_target = np.outer(x_t, x_t.conj())
-        e_comp -= e_target
+        # V[:D]^dag s_1 as a vector-matrix product, which copies no D x D block.
+        x_t = (target_success.conj() @ model.unitary[:d, :d]).conj() / np.sqrt(p1)
         outcomes = (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)
-        elements = (e_target, e_comp, e_fail)
+        vectors = (x_t, x_f)
         warning = None
     else:
         outcomes = (Outcome.IS_COMPLEMENT, Outcome.FAIL)
-        elements = (e_comp, e_fail)
+        vectors = (x_f,)
         warning = "target success probability is zero; IS_TARGET outcome omitted"
 
     return MeasurementScheme(
         kind=SchemeKind.POVM,
         outcomes=outcomes,
-        operators=elements,
-        acting_dimension=d,
+        vectors=vectors,
         dilation_dimension=d + 1,
         warning=warning,
     )
@@ -302,18 +406,16 @@ def projective_scheme(problem: FilteringProblem, kind: SchemeKind) -> Measuremen
     measures the target's component orthogonal to the complement span, giving
     a conclusive outcome for both subsets. SQM2 degenerates when the target
     lies entirely inside the complement span (error) or is orthogonal to it
-    (perfect discrimination, returned with a warning flag).
+    (perfect discrimination, returned with a warning flag). Both are stored
+    as rank-one vectors: SQM1 as psi_1 (FAIL), SQM2 as the unit perpendicular
+    (IS_TARGET) and parallel (FAIL) parts of psi_1.
     """
-    d = problem.dimension
     target = problem.state_matrix[0]
-    proj_target_state = np.outer(target, target.conj())
-
     if kind == SchemeKind.SQM1:
         return MeasurementScheme(
             kind=SchemeKind.SQM1,
             outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL),
-            operators=(np.eye(d) - proj_target_state, proj_target_state),
-            acting_dimension=d,
+            vectors=(target,),
         )
     if kind != SchemeKind.SQM2:
         raise InvalidInputError(f"projective scheme kind must be SQM1 or SQM2, got {kind!r}")
@@ -325,25 +427,14 @@ def projective_scheme(problem: FilteringProblem, kind: SchemeKind) -> Measuremen
             "target lies entirely inside the complement span; "
             "the conclusive target outcome of the nonselective strategy is impossible"
         )
+    outcomes = (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)
     if f <= ZERO_TOL:
         return MeasurementScheme(
             kind=SchemeKind.SQM2,
-            outcomes=(Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL),
-            operators=(
-                proj_target_state,
-                np.eye(d) - proj_target_state,
-                np.zeros((d, d), dtype=np.complex128),
-            ),
-            acting_dimension=d,
+            outcomes=outcomes,
+            vectors=(target, np.zeros_like(target)),
             warning="target orthogonal to complement span; filtering is perfect",
         )
     perp = dec.perpendicular / np.linalg.norm(dec.perpendicular)
     para = dec.parallel / np.linalg.norm(dec.parallel)
-    proj_perp = np.outer(perp, perp.conj())
-    proj_para = np.outer(para, para.conj())
-    return MeasurementScheme(
-        kind=SchemeKind.SQM2,
-        outcomes=(Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL),
-        operators=(proj_perp, np.eye(d) - proj_perp - proj_para, proj_para),
-        acting_dimension=d,
-    )
+    return MeasurementScheme(kind=SchemeKind.SQM2, outcomes=outcomes, vectors=(perp, para))

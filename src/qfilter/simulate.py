@@ -1,16 +1,20 @@
 """Monte Carlo simulation of the measurement schemes.
 
-Outcomes are sampled by inverse-CDF over the scheme's ordered outcome list
-using exact partial sums, with probabilities below 1e-12 treated as exact
-zeros, so an outcome with vanishing Born probability can never be drawn.
-Rather than locating each uniform draw among the thresholds, the sampler
-counts, for every live partial sum, how many draws fall below it; adjacent
-differences of those counts are the outcome counts. Draws are made in
+Born probabilities of every state come from one call,
+``MeasurementScheme.born_probabilities``: for the rank-one schemes qfilter
+builds that is O(N * D) for N states in dimension D, with no per-state or
+per-operator loop. Outcomes are sampled by inverse-CDF over the scheme's
+ordered outcome list using exact partial sums, with probabilities below 1e-12
+treated as exact zeros, so an outcome with vanishing Born probability can
+never be drawn. Rather than locating each uniform draw among the thresholds,
+the sampler counts, for every live partial sum, how many draws fall below it;
+adjacent differences of those counts are the outcome counts. Draws are made in
 fixed-size chunks into one reused buffer, so memory does not grow with the
 number of trials, and the counts equal those of a single large draw. Each
 true state draws from its own RNG substream, seeded by the pair (seed, state
 index), which makes per-state simulation order-independent: running states
-separately and merging counts reproduces a single run exactly.
+separately and merging counts reproduces a single run exactly. A state with
+a single live outcome needs no draws and gets no stream.
 """
 from __future__ import annotations
 
@@ -50,25 +54,28 @@ def outcome_distribution(scheme: MeasurementScheme, state: StateVector) -> Outco
     """Evaluate <psi|E_k|psi> for every outcome operator, clamped to [0, 1].
 
     The distribution is renormalized (and flagged) only when the total drifts
-    from 1 by more than 1e-12.
+    from 1 by more than 1e-12. It is the state's row of the computation
+    ``simulate`` makes for a whole ensemble, value for value.
     """
     psi = state.amplitudes if isinstance(state, StateVector) else np.asarray(state, complex)
-    if psi.size != scheme.acting_dimension:
-        raise InvalidInputError(
-            f"state dimension {psi.size} does not match the scheme's "
-            f"measured space ({scheme.acting_dimension})"
-        )
-    probs = np.array(
-        [float(np.real(psi.conj() @ op @ psi)) for op in scheme.operators], dtype=float
-    )
-    probs = np.clip(probs, 0.0, 1.0)
-    drift = abs(float(probs.sum()) - 1.0)
-    renormalized = drift > 1e-12
-    if renormalized:
-        probs = probs / probs.sum()
+    probs, renormalized = _born_rates(scheme, psi.reshape(1, -1))
     return OutcomeDistribution(
-        outcomes=scheme.outcomes, probabilities=probs, renormalized=renormalized
+        outcomes=scheme.outcomes, probabilities=probs[0], renormalized=bool(renormalized[0])
     )
+
+
+def _born_rates(scheme: MeasurementScheme, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Born probabilities of every row, clamped to [0, 1], and the rows renormalized.
+
+    A row is renormalized when its clamped total drifts from 1 by more than
+    1e-12, which also covers states whose squared norm is off by up to the
+    1e-9 input tolerance.
+    """
+    probs = np.clip(scheme.born_probabilities(rows), 0.0, 1.0)
+    totals = probs.sum(axis=1)
+    renormalized = np.abs(totals - 1.0) > 1e-12
+    probs[renormalized] /= totals[renormalized, None]
+    return probs, renormalized
 
 
 def _substream(seed: int, state_index: int) -> np.random.SeedSequence:
@@ -90,14 +97,24 @@ def _sample_counts(
     so the number of draws landing on outcomes 0..j is the number with
     u < cum[j]. Those "below" counts are taken at every live outcome but the
     last; the last live outcome takes the remainder, which includes any
-    residual mass of a total slightly below 1. The uniforms are drawn _CHUNK
-    at a time into one buffer; the generator fills doubles in sequence, so the
-    counts equal those of one draw of ``trials`` uniforms.
+    residual mass of a total slightly below 1.
     """
     p = _sampled(probs)
+    return _draw_counts(p, np.cumsum(p), trials, stream_seed)
+
+
+def _draw_counts(
+    p: np.ndarray, cum: np.ndarray, trials: int, stream_seed: int | np.random.SeedSequence
+) -> np.ndarray:
+    """``_sample_counts`` for a sampled row ``p`` with partial sums ``cum``.
+
+    The uniforms are drawn _CHUNK at a time into one buffer; the generator
+    fills doubles in sequence, so the counts equal those of one draw of
+    ``trials`` uniforms.
+    """
     live = np.flatnonzero(p)
-    thresholds = np.cumsum(p)[live[:-1]]
-    below = np.zeros(thresholds.size, dtype=np.int64)
+    thresholds = cum[live[:-1]].tolist()
+    below = [0] * len(thresholds)
     rng = np.random.default_rng(stream_seed)
     buf = np.empty(min(trials, _CHUNK))
     for start in range(0, trials, _CHUNK):
@@ -105,7 +122,7 @@ def _sample_counts(
         for j, t in enumerate(thresholds):
             below[j] += np.count_nonzero(u < t)
     counts = np.zeros(p.size, dtype=np.int64)
-    counts[live] = np.diff(below, prepend=0, append=trials)
+    counts[live] = np.diff([0, *below, trials])
     return counts
 
 
@@ -157,14 +174,15 @@ def simulate(
     trials = int(trials_per_state)
     if trials < 1:
         raise InvalidInputError("trials_per_state must be >= 1")
-    n = problem.n_states
-    k = len(scheme.outcomes)
-    counts = np.zeros((n, k), dtype=np.int64)
-    analytic = np.zeros((n, k), dtype=float)
-    for i, state in enumerate(problem.states):
-        dist = outcome_distribution(scheme, state)
-        analytic[i] = _sampled(dist.probabilities)
-        counts[i] = _sample_counts(analytic[i], trials, _substream(seed, i))
+    probs, _ = _born_rates(scheme, problem.state_matrix)
+    analytic = _sampled(probs)
+    cum = np.cumsum(analytic, axis=1)
+    drawable = analytic > 0.0
+    # A state with one live outcome lands there on every trial, with no draws.
+    single = drawable.sum(axis=1) == 1
+    counts = np.where(drawable & single[:, None], trials, 0).astype(np.int64)
+    for i in np.flatnonzero(~single):
+        counts[i] = _draw_counts(analytic[i], cum[i], trials, _substream(seed, i))
     empirical = counts / float(trials)
     variance = analytic * (1.0 - analytic) / float(trials)
     z = np.zeros_like(analytic)

@@ -217,6 +217,11 @@ class TestEnumeration:
 
 
 class TestBooleanProblem:
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_basis_complement_is_the_walsh_basis(self, n):
+        walsh = np.vstack([v.amplitudes for v in walsh_balanced_basis(n).vectors])
+        np.testing.assert_array_equal(boolean_problem(n, 2).state_matrix[1:], walsh)
+
     def test_equal_basis_priors_reach_povm_regime(self):
         report = optimal_filtering(boolean_problem(2, 2))
         assert report.regime is Regime.POVM

@@ -8,6 +8,7 @@ from qfilter import (
     FailureAllocation,
     FilteringProblem,
     InfeasibleError,
+    InvalidInputError,
     MeasurementScheme,
     NumericalError,
     Outcome,
@@ -337,4 +338,26 @@ class TestMeasurementSchemeValidation:
                 outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL),
                 operators=(proj, proj),
                 acting_dimension=2,
+            )
+
+    def test_rank_one_vectors_must_fit_the_outcomes(self):
+        with pytest.raises(InvalidInputError, match="one vector per outcome"):
+            MeasurementScheme(
+                kind=SchemeKind.SQM1,
+                outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL),
+                vectors=np.eye(2),
+            )
+        with pytest.raises(InvalidInputError, match="one vector per outcome"):
+            MeasurementScheme(
+                kind=SchemeKind.SQM1,
+                outcomes=(Outcome.IS_TARGET, Outcome.FAIL),
+                vectors=np.eye(2)[:1],
+            )
+        with pytest.raises(InvalidInputError, match="either operators or rank-one vectors"):
+            MeasurementScheme(
+                kind=SchemeKind.SQM1,
+                outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL),
+                operators=(np.eye(2), np.zeros((2, 2))),
+                acting_dimension=2,
+                vectors=np.eye(2)[:1],
             )

@@ -1,5 +1,5 @@
-"""Property tests of the span-basis helper, the target decomposition and the
-generalized measurement.
+"""Property tests of the span-basis helper, the target decomposition, the
+generalized measurement and the rank-one form of the measurement schemes.
 
 Ensembles are drawn tall (N up to 32x D) and near-dependent: rows are random
 combinations of a few base directions plus noise of size eps, so singular
@@ -7,20 +7,28 @@ values fall on both sides of ``RANK_TOL`` and both the QR (full-rank) and the
 SVD (rank-deficient) paths of ``_row_basis`` run.
 """
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qfilter import (
+    DegenerateDecompositionError,
     FilteringProblem,
+    MeasurementScheme,
+    NumericalError,
     Outcome,
+    SchemeKind,
+    StateVector,
     build_neumark,
     decompose_target,
     failure_allocations,
     optimal_filtering,
+    outcome_distribution,
     povm_elements,
+    projective_scheme,
     span_basis,
 )
-from qfilter.ensemble import RANK_TOL, _row_basis
-from qfilter.neumark import ZERO_TOL
+from qfilter.ensemble import NORM_TOL, RANK_TOL, _row_basis
+from qfilter.neumark import OPERATOR_TOL, ZERO_TOL
 
 # Directions dropped below RANK_TOL leave residuals of at most sqrt(D) * RANK_TOL.
 DROPPED_TOL = 10 * RANK_TOL
@@ -93,3 +101,86 @@ def test_measurement_is_unambiguous_with_prescribed_failures(rows, seed):
         assert misidentified <= ZERO_TOL
         fail_evals = np.linalg.eigvalsh(scheme.operator(Outcome.FAIL))
         assert fail_evals.size == 1 or fail_evals[-2] <= 1e-10
+
+
+def _schemes(problem):
+    """The generalized measurement at q1 = f, the optimum and 1, and both projections."""
+    f = decompose_target(problem).parallel_norm_sq
+    schemes = [
+        povm_elements(build_neumark(problem, failure_allocations(problem, q1)))
+        for q1 in (f, optimal_filtering(problem).optimal_q1, 1.0)
+    ]
+    schemes.append(projective_scheme(problem, SchemeKind.SQM1))
+    try:
+        schemes.append(projective_scheme(problem, SchemeKind.SQM2))
+    except DegenerateDecompositionError:
+        pass
+    except NumericalError:
+        # f within ~1e-6 of 1: the unit perpendicular part is too short to be
+        # normalized orthogonal to the parallel part (the same verdict as
+        # the explicit D x D positivity check)
+        assert decompose_target(problem).parallel_norm_sq > 1.0 - 1e-6
+    return schemes
+
+
+@PROPERTY_SETTINGS
+@given(
+    rows=near_dependent_rows(),
+    seed=st.integers(0, 2**32 - 1),
+    norm_drift=st.sampled_from([0.0, 0.999 * NORM_TOL, -0.999 * NORM_TOL]),
+)
+def test_rank_one_born_matrix_matches_derived_operators(rows, seed, norm_drift):
+    priors = np.random.default_rng(seed).uniform(0.1, 1.0, size=rows.shape[0])
+    problem = FilteringProblem(states=tuple(rows), priors=priors / priors.sum())
+    # inputs as far off unit norm as StateVector accepts
+    states = [StateVector(row * np.sqrt(1.0 + norm_drift)) for row in problem.state_matrix]
+    drifted = np.vstack([s.amplitudes for s in states])
+    for scheme in _schemes(problem):
+        assert scheme.vectors is not None
+        quadratic = np.stack(
+            [np.einsum("ij,jk,ik->i", drifted.conj(), op, drifted).real for op in scheme.operators],
+            axis=1,
+        )
+        assert np.abs(scheme.born_probabilities(drifted) - quadratic).max() <= 1e-12
+        # the explicit-operator form of the same scheme clips and renormalizes alike
+        explicit = MeasurementScheme(
+            kind=scheme.kind,
+            outcomes=scheme.outcomes,
+            operators=scheme.operators,
+            acting_dimension=scheme.acting_dimension,
+        )
+        for state in states:
+            fast = outcome_distribution(scheme, state)
+            slow = outcome_distribution(explicit, state)
+            assert np.abs(fast.probabilities - slow.probabilities).max() <= 1e-12
+            assert fast.renormalized == slow.renormalized
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 8),
+    n_vectors=st.integers(1, 2),
+    excess=st.sampled_from(
+        [-0.5, -1e-6, -5e-11, 0.0, 5e-11, 0.9 * OPERATOR_TOL, 1.1 * OPERATOR_TOL, 1e-6, 0.5]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_one_positivity_verdict_matches_eigvalsh(d, n_vectors, excess, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n_vectors, d)) + 1j * rng.normal(size=(n_vectors, d))
+    # scale the largest Gram eigenvalue to 1 + excess
+    x *= np.sqrt((1.0 + excess) / np.linalg.eigvalsh(x.conj() @ x.T).max())
+    remainder = np.eye(d) - x.T @ x.conj()
+    min_eig = float(np.linalg.eigvalsh(remainder).min())
+    assume(abs(min_eig + OPERATOR_TOL) > 1e-13)  # no verdict rests on rounding
+    outcomes = (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)[2 - n_vectors:]
+    if min_eig < -OPERATOR_TOL:
+        with pytest.raises(NumericalError, match="eigenvalue"):
+            MeasurementScheme(kind=SchemeKind.POVM, outcomes=outcomes, vectors=x)
+        return
+    scheme = MeasurementScheme(kind=SchemeKind.POVM, outcomes=outcomes, vectors=x)
+    derived = scheme.operator(Outcome.IS_COMPLEMENT)
+    np.testing.assert_allclose(derived, remainder, atol=1e-12)
+    assert abs(float(np.linalg.eigvalsh(derived).min()) - min_eig) <= 1e-12
+    total = sum(scheme.operators)
+    assert np.abs(total - np.eye(d)).max() <= 1e-12

@@ -13,15 +13,18 @@ from qfilter import (
     SchemeKind,
     StateVector,
     aggregate_failure,
+    boolean_problem,
     build_neumark,
     failure_allocations,
+    load_problem,
     optimal_filtering,
     outcome_distribution,
     povm_elements,
     projective_scheme,
+    save_problem,
     simulate,
 )
-from qfilter.simulate import _CHUNK, ZERO_PROB, _sample_counts, _substream
+from qfilter.simulate import _CHUNK, ZERO_PROB, _sample_counts, _sampled, _substream
 
 ROOT3 = math.sqrt(3.0)
 
@@ -55,10 +58,12 @@ class TestOutcomeDistribution:
             1 - 1 / (2 * ROOT3), abs=1e-10
         )
 
-    def test_dimension_mismatch_rejected(self, walsh_problem):
+    def test_dimension_mismatch_rejected(self, walsh_problem, symmetric_pair_problem):
         scheme, _ = optimal_scheme(walsh_problem)
         with pytest.raises(InvalidInputError, match="dimension"):
             outcome_distribution(scheme, StateVector(np.array([1.0, 0.0])))
+        with pytest.raises(InvalidInputError, match="measured space"):
+            simulate(scheme, symmetric_pair_problem, 10, 1)
 
 
 class TestSampling:
@@ -248,6 +253,46 @@ class TestSimulate:
                 cells += int(live.sum())
                 outliers += int((np.abs(stats.z_scores[live]) > 4).sum())
         assert outliers <= 0.01 * cells
+
+
+class TestScale:
+    def test_walsh_export_counts_match_per_state_sampler(self, tmp_path):
+        # the n = 8 export has 248 states with one live outcome: they take
+        # every trial without a stream, and every other row is its own draw
+        path = tmp_path / "walsh8.json"
+        save_problem(boolean_problem(8, 3), path)
+        problem = load_problem(path)
+        scheme, _ = optimal_scheme(problem)
+        stats = simulate(scheme, problem, 3000, 5)
+        single = (stats.analytic_rates > 0).sum(axis=1) == 1
+        assert int(single.sum()) == 248
+        for i, state in enumerate(problem.states):
+            probs = outcome_distribution(scheme, state).probabilities
+            np.testing.assert_array_equal(stats.analytic_rates[i], _sampled(probs))
+            np.testing.assert_array_equal(
+                stats.counts[i], _sample_counts(probs, 3000, _substream(5, i))
+            )
+
+    def test_n10_measurement_forms_no_dense_operator(self):
+        # D = 1024: one D x D complex matrix is 16 MiB; povm_elements and
+        # simulate hold O(N + D) vectors and (N, 3) tables only
+        problem = boolean_problem(10, 4)
+        report = optimal_filtering(problem)
+        model = build_neumark(problem, failure_allocations(problem, report.optimal_q1))
+        dense = problem.dimension**2 * 16
+        tracemalloc.start()
+        try:
+            scheme = povm_elements(model)
+            stats = simulate(scheme, problem, 1000, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense
+        assert stats.misidentifications == 0
+        fail = stats.outcomes.index(Outcome.FAIL)
+        assert float(problem.priors @ stats.analytic_rates[:, fail]) == pytest.approx(
+            report.optimal_Q, abs=1e-9
+        )
 
 
 class TestAggregateFailure:
