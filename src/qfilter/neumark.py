@@ -14,12 +14,13 @@ semidefinite; that verdict is checked numerically. U is then built in closed
 form from its ancilla row (``build_neumark``).
 
 Every scheme is at most two rank-one elements x x^dagger plus the remainder
-I - sum x x^dagger, and is stored as those vectors (``MeasurementScheme``):
-x_t and x_f, read from two rows of U, for the generalized measurement
-(``povm_elements``); psi_1 for the selective projection and the unit
-perpendicular and parallel parts of psi_1 for the nonselective one
-(``projective_scheme``). Born probabilities for N states then cost O(N * D)
-and no D x D matrix is formed unless ``operators`` is read.
+I - sum x x^dagger, and is stored as those vectors and nothing else
+(``MeasurementScheme``): x_t and x_f, read from two rows of U, for the
+generalized measurement (``povm_elements``); psi_1 for the selective
+projection and the unit perpendicular and parallel parts of psi_1 for the
+nonselective one (``projective_scheme``). Born probabilities for N states
+then cost O(N * D) on one path, and no D x D matrix is formed unless
+``operators`` is read.
 
 Phase convention: theta_1 = 0 and theta_i = arg<psi_1|psi_i>, which zeroes the
 first row of G_succ exactly and thereby enforces the success-orthogonality
@@ -137,29 +138,22 @@ def success_gram(problem: FilteringProblem, allocation: FailureAllocation) -> Su
 class NeumarkModel:
     """The dilated unitary realizing the generalized filtering measurement.
 
-    ``unitary`` acts on the (D+1)-dimensional dilation; ``ancilla_index`` (= D)
-    is the failure coordinate. ``success_outputs[i]`` is the unnormalized
-    system-block image sqrt(p_i)|success_i> and ``failure_amplitudes[i]`` the
-    ancilla amplitude sqrt(q_i) e^{i theta_i}.
+    ``unitary`` acts on the (D+1)-dimensional dilation, whose last coordinate
+    (index D) is the failure direction. ``success_outputs[i]`` is the
+    unnormalized system-block image sqrt(p_i)|success_i> and
+    ``failure_amplitudes[i]`` the ancilla amplitude sqrt(q_i) e^{i theta_i},
+    with the phases theta_i those of ``allocation``.
     """
 
     unitary: np.ndarray
     dimension: int
-    ancilla_index: int
     success_outputs: np.ndarray
     failure_amplitudes: np.ndarray
-    phases: np.ndarray
     allocation: FailureAllocation
 
     def __post_init__(self):
         for name in ("unitary", "success_outputs", "failure_amplitudes"):
             object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), np.complex128)))
-        object.__setattr__(self, "phases", _freeze(np.asarray(self.phases, float)))
-
-    @property
-    def isometry(self) -> np.ndarray:
-        """The D-column block mapping embedded system vectors through the unitary."""
-        return self.unitary[:, : self.dimension]
 
 
 def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> NeumarkModel:
@@ -217,100 +211,59 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
     return NeumarkModel(
         unitary=unitary,
         dimension=d,
-        ancilla_index=d,
         success_outputs=m @ block.T,
         failure_amplitudes=amplitudes,
-        phases=allocation.phases,
         allocation=allocation,
     )
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class MeasurementScheme:
     """Labeled positive operators implementing one filtering strategy.
 
-    Operators act on the space states are fed into directly (dimension
-    ``acting_dimension``); for the generalized measurement they are the
-    elements pulled back from the (D+1)-dimensional dilation, whose size is
-    recorded in ``dilation_dimension``.
-
-    A scheme given ``vectors`` is rank-one elements x x^dagger, one per row,
-    for the outcomes other than IS_COMPLEMENT in their order, plus the
-    remainder I - sum x x^dagger as IS_COMPLEMENT. Completeness then holds by
-    construction, and positivity is a check on the small Gram matrix
+    The operators are rank-one elements x x^dagger, one per row of
+    ``vectors``, for the outcomes other than IS_COMPLEMENT in their order,
+    plus the remainder I - sum x x^dagger as IS_COMPLEMENT. Completeness then
+    holds by construction, and positivity is a check on the small Gram matrix
     X^dagger X of the rows: I - X X^dagger has eigenvalues 1 and
-    1 - eig(X^dagger X). ``operators`` are derived from the rows on first use.
+    1 - eig(X^dagger X), and construction rejects any below -1e-10.
 
-    A scheme given explicit ``operators`` has ``vectors`` None; construction
-    validates positivity (eigenvalues >= -1e-10) and completeness (sum =
-    identity within 1e-10).
+    ``acting_dimension`` is the length D of the rows, the space states are fed
+    into directly; ``dilation_dimension`` is D + 1 for the generalized
+    measurement, whose elements are pulled back from that dilation, and None
+    for the projective ones. ``operators`` are derived from the rows on first
+    use.
     """
 
     kind: SchemeKind
     outcomes: tuple[Outcome, ...]
-    acting_dimension: int
-    dilation_dimension: int | None
-    warning: str | None
-    vectors: np.ndarray | None
+    vectors: np.ndarray
+    warning: str | None = None
 
-    def __init__(
-        self,
-        kind: SchemeKind,
-        outcomes: tuple[Outcome, ...],
-        operators=None,
-        acting_dimension: int | None = None,
-        dilation_dimension: int | None = None,
-        warning: str | None = None,
-        *,
-        vectors=None,
-    ):
-        if (operators is None) == (vectors is None):
-            raise InvalidInputError("a scheme takes either operators or rank-one vectors")
-        for name, value in (
-            ("kind", kind),
-            ("outcomes", outcomes),
-            ("dilation_dimension", dilation_dimension),
-            ("warning", warning),
-        ):
-            object.__setattr__(self, name, value)
-        if vectors is None:
-            self._set_operators(operators, int(acting_dimension))
-        else:
-            self._set_vectors(vectors, acting_dimension)
-
-    def _set_operators(self, operators, d: int) -> None:
-        ops = tuple(_freeze(np.asarray(op, np.complex128)) for op in operators)
-        if len(ops) != len(self.outcomes):
-            raise InvalidInputError("one operator per outcome label is required")
-        total = np.zeros((d, d), dtype=np.complex128)
-        for op in ops:
-            if op.shape != (d, d):
-                raise InvalidInputError(f"operator shape {op.shape} != ({d}, {d})")
-            _check_min_eigenvalue(float(np.linalg.eigvalsh((op + op.conj().T) / 2.0).min()))
-            total += op
-        defect = float(np.abs(total - np.eye(d)).max())
-        if defect > OPERATOR_TOL:
-            raise NumericalError(f"completeness defect {defect:.3e} exceeds {OPERATOR_TOL:g}")
-        object.__setattr__(self, "acting_dimension", d)
-        object.__setattr__(self, "vectors", None)
-        # Stored over the cached property, which derives operators from vectors.
-        object.__setattr__(self, "operators", ops)
-
-    def _set_vectors(self, vectors, acting_dimension: int | None) -> None:
-        x = _freeze(np.array(vectors, dtype=np.complex128))
-        d = x.shape[-1] if acting_dimension is None else int(acting_dimension)
-        if Outcome.IS_COMPLEMENT not in self.outcomes or x.shape != (len(self.outcomes) - 1, d):
+    def __post_init__(self):
+        x = _freeze(np.array(self.vectors, dtype=np.complex128))
+        fits = x.ndim == 2 and len(x) == len(self.outcomes) - 1
+        if Outcome.IS_COMPLEMENT not in self.outcomes or not fits:
             raise InvalidInputError(
                 f"rank-one vectors of shape {x.shape} do not fit {len(self.outcomes)} "
-                f"outcomes in dimension {d}: one vector per outcome other than "
-                "IS_COMPLEMENT is required"
+                "outcomes: one vector per outcome other than IS_COMPLEMENT is required"
             )
         # Each x x^dagger is positive; the remainder's smallest eigenvalue is
         # 1 - the largest eigenvalue of the Gram matrix of the vectors.
-        gram_max = np.linalg.eigvalsh(x.conj() @ x.T).max(initial=0.0)
-        _check_min_eigenvalue(1.0 - float(gram_max))
-        object.__setattr__(self, "acting_dimension", d)
+        min_eig = 1.0 - float(np.linalg.eigvalsh(x.conj() @ x.T).max(initial=0.0))
+        if min_eig < -OPERATOR_TOL:
+            raise NumericalError(
+                f"outcome operator has eigenvalue {min_eig:.3e} < -{OPERATOR_TOL:g}"
+            )
         object.__setattr__(self, "vectors", x)
+
+    @property
+    def acting_dimension(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def dilation_dimension(self) -> int | None:
+        return self.acting_dimension + 1 if self.kind == SchemeKind.POVM else None
 
     @cached_property
     def operators(self) -> tuple[np.ndarray, ...]:
@@ -331,8 +284,7 @@ class MeasurementScheme:
 
         A rank-one cell is |x^dagger psi|^2, at O(D) per state and vector; the
         remainder cell is |psi|^2 minus the row's rank-one cells, so every row
-        sums to its state's squared norm. Explicit operators take one
-        quadratic form each, O(D^2) per state. Values are raw Born values,
+        sums to its state's squared norm. Values are raw Born values,
         which rounding can leave just outside [0, 1]. The products are einsum
         loops rather than BLAS calls, so a row's values do not depend on how
         many rows are passed with it.
@@ -343,11 +295,6 @@ class MeasurementScheme:
                 f"state dimension {rows.shape[-1]} does not match the scheme's "
                 f"measured space ({self.acting_dimension})"
             )
-        if self.vectors is None:
-            return np.stack(
-                [np.einsum("ij,jk,ik->i", rows.conj(), op, rows).real for op in self.operators],
-                axis=1,
-            )
         amplitudes = np.einsum("ij,rj->ir", rows, self.vectors.conj())
         probs = amplitudes.real**2 + amplitudes.imag**2
         flat = rows.view(np.float64)
@@ -355,19 +302,12 @@ class MeasurementScheme:
         return np.insert(probs, self.outcomes.index(Outcome.IS_COMPLEMENT), remainder, axis=1)
 
 
-def _check_min_eigenvalue(min_eig: float) -> None:
-    if min_eig < -OPERATOR_TOL:
-        raise NumericalError(
-            f"outcome operator has eigenvalue {min_eig:.3e} < -{OPERATOR_TOL:g}"
-        )
-
-
 def povm_elements(model: NeumarkModel) -> MeasurementScheme:
     """System-space elements of the generalized measurement, as rank-one vectors.
 
-    Two rows of the isometry V give them: the ancilla row, x_f = conj(V[D]),
-    and the target success direction s_1 / sqrt(p_1) pulled back,
-    x_t = V[:D]^dag s_1 / sqrt(p_1). Then E_fail = x_f x_f^dag,
+    Two rows of the unitary U give them: the ancilla row, x_f = conj(U[D, :D]),
+    and the target success direction s_1 / sqrt(p_1) pulled back through the
+    system block, x_t = U[:D, :D]^dag s_1 / sqrt(p_1). Then E_fail = x_f x_f^dag,
     E_target = x_t x_t^dag and E_comp = I - E_target - E_fail, the scheme's
     remainder. When the target always fails (p_1 = 0) the conclusive target
     outcome is omitted and the scheme carries a warning flag. O(D^2) time and
@@ -377,9 +317,9 @@ def povm_elements(model: NeumarkModel) -> MeasurementScheme:
     target_success = model.success_outputs[0]
     p1 = float(np.real(np.vdot(target_success, target_success)))
 
-    x_f = model.unitary[model.ancilla_index, :d].conj()
+    x_f = model.unitary[d, :d].conj()
     if p1 > ZERO_TOL:
-        # V[:D]^dag s_1 as a vector-matrix product, which copies no D x D block.
+        # U[:D, :D]^dag s_1 as a vector-matrix product, which copies no D x D block.
         x_t = (target_success.conj() @ model.unitary[:d, :d]).conj() / np.sqrt(p1)
         outcomes = (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)
         vectors = (x_t, x_f)
@@ -393,7 +333,6 @@ def povm_elements(model: NeumarkModel) -> MeasurementScheme:
         kind=SchemeKind.POVM,
         outcomes=outcomes,
         vectors=vectors,
-        dilation_dimension=d + 1,
         warning=warning,
     )
 
@@ -435,6 +374,10 @@ def projective_scheme(problem: FilteringProblem, kind: SchemeKind) -> Measuremen
             vectors=(target, np.zeros_like(target)),
             warning="target orthogonal to complement span; filtering is perfect",
         )
-    perp = dec.perpendicular / np.linalg.norm(dec.perpendicular)
     para = dec.parallel / np.linalg.norm(dec.parallel)
+    # target - parallel carries rounding of size eps / |psi_perp| relative to
+    # its length, which near f = 1 leaves it visibly non-orthogonal to psi_par;
+    # one projection step restores orthogonality before normalizing.
+    perp = dec.perpendicular - para * np.vdot(para, dec.perpendicular)
+    perp /= np.linalg.norm(perp)
     return MeasurementScheme(kind=SchemeKind.SQM2, outcomes=outcomes, vectors=(perp, para))

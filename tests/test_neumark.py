@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -292,6 +293,27 @@ class TestProjectiveSchemes:
         )
         assert born(scheme.operator(Outcome.FAIL), target) == 0.0
 
+    def test_sqm2_near_contained_target_keeps_parts_orthogonal(self):
+        # Targets within ~1e-6 of the complement span: the perpendicular part
+        # is short, so its rounding must not leave it overlapping the parallel
+        # part (which showed as a remainder eigenvalue below -1e-10).
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(3, 9))
+            n = int(rng.integers(2, d + 1))
+            comp = rng.normal(size=(n - 1, d)) + 1j * rng.normal(size=(n - 1, d))
+            for eps in (1e-4, 1e-5, 1e-6):
+                noise = rng.normal(size=d) + 1j * rng.normal(size=d)
+                rows = np.vstack([rng.normal(size=n - 1) @ comp + eps * noise, comp])
+                rows /= np.linalg.norm(rows, axis=1)[:, None]
+                problem = FilteringProblem(states=tuple(rows), priors=np.full(n, 1.0 / n))
+                try:
+                    perp, para = projective_scheme(problem, SchemeKind.SQM2).vectors
+                except DegenerateDecompositionError:  # f within 1e-12 of 1
+                    continue
+                assert abs(np.vdot(perp, para)) <= 1e-14
+                assert abs(np.linalg.norm(perp) - 1.0) <= 1e-14
+
     def test_schemes_are_complete_and_positive(self, figure_point_problem, walsh_problem):
         # validation happens at construction; reaching here means it passed
         for problem in (figure_point_problem, walsh_problem):
@@ -321,23 +343,12 @@ class TestUnambiguityAcrossSchemes:
 
 class TestMeasurementSchemeValidation:
     def test_rejects_negative_operator(self):
-        proj = np.diag([1.0, 0.0]).astype(complex)
+        # x x^dagger with |x|^2 = 1.5 leaves the remainder eigenvalue -0.5
         with pytest.raises(NumericalError, match="eigenvalue"):
             MeasurementScheme(
                 kind=SchemeKind.SQM1,
                 outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL),
-                operators=(1.5 * proj, np.eye(2) - 1.5 * proj),
-                acting_dimension=2,
-            )
-
-    def test_rejects_incomplete_set(self):
-        proj = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(NumericalError, match="completeness"):
-            MeasurementScheme(
-                kind=SchemeKind.SQM1,
-                outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL),
-                operators=(proj, proj),
-                acting_dimension=2,
+                vectors=(math.sqrt(1.5) * np.eye(2)[0],),
             )
 
     def test_rank_one_vectors_must_fit_the_outcomes(self):
@@ -353,11 +364,19 @@ class TestMeasurementSchemeValidation:
                 outcomes=(Outcome.IS_TARGET, Outcome.FAIL),
                 vectors=np.eye(2)[:1],
             )
-        with pytest.raises(InvalidInputError, match="either operators or rank-one vectors"):
-            MeasurementScheme(
-                kind=SchemeKind.SQM1,
-                outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL),
-                operators=(np.eye(2), np.zeros((2, 2))),
-                acting_dimension=2,
-                vectors=np.eye(2)[:1],
-            )
+
+    def test_vectors_are_the_only_form(self, walsh_problem):
+        outcomes = (Outcome.IS_COMPLEMENT, Outcome.FAIL)
+        for extra in ({"operators": (np.eye(2), np.zeros((2, 2)))},
+                      {"acting_dimension": 2}, {"dilation_dimension": 3}):
+            with pytest.raises(TypeError):
+                MeasurementScheme(
+                    kind=SchemeKind.SQM1, outcomes=outcomes, vectors=np.eye(2)[:1], **extra
+                )
+        sqm1 = projective_scheme(walsh_problem, SchemeKind.SQM1)
+        assert (sqm1.acting_dimension, sqm1.dilation_dimension) == (4, None)
+        model, povm, _ = build_optimal_scheme(walsh_problem)
+        assert (povm.acting_dimension, povm.dilation_dimension) == (4, 5)
+        assert [field.name for field in dataclasses.fields(model)] == [
+            "unitary", "dimension", "success_outputs", "failure_amplitudes", "allocation"
+        ]

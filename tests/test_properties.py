@@ -115,11 +115,6 @@ def _schemes(problem):
         schemes.append(projective_scheme(problem, SchemeKind.SQM2))
     except DegenerateDecompositionError:
         pass
-    except NumericalError:
-        # f within ~1e-6 of 1: the unit perpendicular part is too short to be
-        # normalized orthogonal to the parallel part (the same verdict as
-        # the explicit D x D positivity check)
-        assert decompose_target(problem).parallel_norm_sq > 1.0 - 1e-6
     return schemes
 
 
@@ -136,24 +131,21 @@ def test_rank_one_born_matrix_matches_derived_operators(rows, seed, norm_drift):
     states = [StateVector(row * np.sqrt(1.0 + norm_drift)) for row in problem.state_matrix]
     drifted = np.vstack([s.amplitudes for s in states])
     for scheme in _schemes(problem):
-        assert scheme.vectors is not None
         quadratic = np.stack(
             [np.einsum("ij,jk,ik->i", drifted.conj(), op, drifted).real for op in scheme.operators],
             axis=1,
         )
         assert np.abs(scheme.born_probabilities(drifted) - quadratic).max() <= 1e-12
-        # the explicit-operator form of the same scheme clips and renormalizes alike
-        explicit = MeasurementScheme(
-            kind=scheme.kind,
-            outcomes=scheme.outcomes,
-            operators=scheme.operators,
-            acting_dimension=scheme.acting_dimension,
-        )
-        for state in states:
-            fast = outcome_distribution(scheme, state)
-            slow = outcome_distribution(explicit, state)
-            assert np.abs(fast.probabilities - slow.probabilities).max() <= 1e-12
-            assert fast.renormalized == slow.renormalized
+        # outcome_distribution clips the quadratic forms to [0, 1] and
+        # renormalizes (and flags) a row whose total drifts past 1e-12
+        clipped = np.clip(quadratic, 0.0, 1.0)
+        totals = clipped.sum(axis=1)
+        drifts = np.abs(totals - 1.0) > 1e-12
+        for state, row, total, drift in zip(states, clipped, totals, drifts):
+            dist = outcome_distribution(scheme, state)
+            expected = row / total if drift else row
+            assert np.abs(dist.probabilities - expected).max() <= 1e-12
+            assert dist.renormalized == drift
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -218,8 +218,7 @@ class TestSimulate:
         scheme = MeasurementScheme(
             kind=SchemeKind.SQM2,
             outcomes=(Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL),
-            operators=tuple(np.diag(np.eye(3)[j]) for j in range(3)),
-            acting_dimension=3,
+            vectors=(np.eye(3)[0], np.eye(3)[2]),
         )
         raw = outcome_distribution(scheme, target).probabilities
         assert 0.0 < raw[1] < ZERO_PROB
