@@ -1,13 +1,13 @@
 """Discriminating biased Boolean functions from balanced ones.
 
 An n-bit Boolean function is encoded as the unit vector with amplitudes
-(-1)^f(x) / sqrt(D) over the D = 2^n computational basis states. Balanced
-functions encode into the zero-sum subspace (dimension D-1), for which the
-nonconstant Walsh functions (-1)^(r.x) provide an orthonormal basis whose
-members are themselves encodings of balanced truth tables. The biased family
-treated here consists of the two functions that flip value only on the top
-2^n / 2^k inputs; both encode (up to sign) to the same vector, the filtering
-target.
+(-1)^f(x) / sqrt(D) over the D = 2^n computational basis states. The biased
+family treated here is the two functions that flip value only on the top
+2^n / 2^k inputs; both encode (up to sign) to one vector, the filtering
+target. The balanced complement comes from one cached matrix of sign rows
+(-1)^f(x) per variant: the D-1 nonconstant Walsh functions (-1)^(r.x), an
+orthonormal basis of the zero-sum subspace made of balanced encodings, or all
+C(D, D/2) balanced functions.
 """
 from __future__ import annotations
 
@@ -108,8 +108,6 @@ class WkSpec:
 
 def wk_spec(n: int, k: int) -> WkSpec:
     """Construct the biased pair for bias level k on n bits (1 <= k <= n)."""
-    if n < 1:
-        raise InvalidInputError("bit count n must be >= 1")
     if not 1 <= k <= n:
         raise InvalidInputError(
             f"bias level k={k} must satisfy 1 <= k <= n={n} (the flip boundary "
@@ -139,15 +137,44 @@ def wk_spec(n: int, k: int) -> WkSpec:
     )
 
 
+class ComplementVariant(str, Enum):
+    BASIS = "basis"
+    FULL = "full"
+
+
 @lru_cache(maxsize=None)
-def _walsh_sign_matrix(n: int) -> np.ndarray:
-    """Rows r = 1..D-1 of the D x D sign matrix (-1)^popcount(r & x)."""
-    signs = np.ones((1, 1))
-    for _ in range(n):  # Sylvester doubling: H_2d = [[H, H], [H, -H]]
-        signs = np.block([[signs, signs], [signs, -signs]])
-    rows = signs[1:]
+def _complement_signs(n: int, variant: ComplementVariant) -> np.ndarray:
+    """The read-only (M, D) matrix of complement sign rows (-1)^f(x).
+
+    BASIS: rows r = 1..D-1 of the sign matrix (-1)^popcount(r & x), the Walsh
+    functions; FULL: every balanced truth table, in lexicographic order.
+    """
+    if n < 1:
+        raise InvalidInputError("bit count n must be >= 1")
+    if variant == ComplementVariant.BASIS:
+        signs = np.ones((1, 1))
+        for _ in range(n):  # Sylvester doubling: H_2d = [[H, H], [H, -H]]
+            signs = np.block([[signs, signs], [signs, -signs]])
+        rows = signs[1:]
+    else:
+        if n > FULL_ENUMERATION_MAX_BITS:
+            raise ResourceLimitError(
+                f"full enumeration is capped at n <= {FULL_ENUMERATION_MAX_BITS} "
+                f"(n={n} would enumerate C(2^n, 2^(n-1)) functions); use the "
+                "orthonormal basis variant instead"
+            )
+        # combinations() lists the sets of ones lexicographically; the earlier of
+        # two sets has the 1 at their first difference, so reversed is table order.
+        ones = np.array(list(itertools.combinations(range(2**n), 2 ** (n - 1)))[::-1])
+        rows = np.ones((len(ones), 2**n))
+        np.put_along_axis(rows, ones, -1.0, axis=1)
     rows.setflags(write=False)
     return rows
+
+
+def _functions(n: int, variant: ComplementVariant) -> tuple[BooleanFunction, ...]:
+    """The truth tables of the complement sign rows, f(x) = 1 where the sign is -1."""
+    return tuple(BooleanFunction(n, (row < 0).tolist()) for row in _complement_signs(n, variant))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,15 +188,17 @@ class BalancedBasis:
 
 def walsh_balanced_basis(n: int) -> BalancedBasis:
     """The D-1 nonconstant Walsh vectors, each the encoding of a balanced table."""
-    if n < 1:
-        raise InvalidInputError("bit count n must be >= 1")
-    functions = tuple(BooleanFunction(n, (row < 0).tolist()) for row in _walsh_sign_matrix(n))
-    return BalancedBasis(n=n, vectors=_walsh_vectors(n), functions=functions)
+    functions = _functions(n, ComplementVariant.BASIS)
+    return BalancedBasis(n=n, vectors=tuple(map(dj_encode, functions)), functions=functions)
 
 
-def _walsh_vectors(n: int) -> tuple[StateVector, ...]:
-    """The D-1 nonconstant Walsh vectors, read from the sign matrix rows."""
-    return tuple(StateVector(row) for row in _walsh_sign_matrix(n) / math.sqrt(2**n))
+def enumerate_balanced(n: int) -> list[BooleanFunction]:
+    """Every balanced function on n bits, in truth-table lexicographic order.
+
+    Capped at n <= 4 (12,870 functions); beyond that the orthonormal-basis
+    variant gives the same average overlap without the enumeration.
+    """
+    return list(_functions(n, ComplementVariant.FULL))
 
 
 class OverlapPair(NamedTuple):
@@ -179,13 +208,22 @@ class OverlapPair(NamedTuple):
     enumerated: float
 
 
-def _check_priors_for_overlap(k: int, n: int, eta1: float) -> float:
+def _average_overlap(n: int, k: int, eta1: float, variant: ComplementVariant) -> OverlapPair:
+    """The closed form and the direct sum over the rows of ``variant``; see the wrappers."""
     if not 2 <= k <= n:
         raise InvalidInputError(f"bias level k={k} must satisfy 2 <= k <= n={n}")
     eta1 = float(eta1)
     if not 0.0 < eta1 <= 1.0:
         raise InvalidInputError(f"target prior must lie in (0, 1], got {eta1!r}")
-    return eta1
+    signs = _complement_signs(n, variant)
+    spec = wk_spec(n, k)
+    d = 2**n
+    closed = (1.0 - eta1) * spec.f_k / (d - 1)
+    eta = (1.0 - eta1) / signs.shape[0]
+    direct = float(eta * (np.abs(signs / math.sqrt(d) @ spec.vector.amplitudes) ** 2).sum())
+    if abs(closed - direct) > IDENTITY_TOL:
+        raise NumericalError(f"overlap derivations disagree: {closed!r} vs {direct!r}")
+    return OverlapPair(closed_form=closed, enumerated=direct)
 
 
 def average_overlap_basis(n: int, k: int, eta1: float) -> OverlapPair:
@@ -194,71 +232,16 @@ def average_overlap_basis(n: int, k: int, eta1: float) -> OverlapPair:
     Returns the closed form (1 - eta1) * f_k / (D - 1) together with the
     direct sum over the basis; the two must agree within 1e-12.
     """
-    eta1 = _check_priors_for_overlap(k, n, eta1)
-    spec = wk_spec(n, k)
-    d = 2**n
-    closed = (1.0 - eta1) * spec.f_k / (d - 1)
-    basis = _walsh_sign_matrix(n) / math.sqrt(d)
-    eta = (1.0 - eta1) / (d - 1)
-    direct = float(eta * (np.abs(basis @ spec.vector.amplitudes) ** 2).sum())
-    if abs(closed - direct) > IDENTITY_TOL:
-        raise NumericalError(f"overlap derivations disagree: {closed!r} vs {direct!r}")
-    return OverlapPair(closed_form=closed, enumerated=direct)
-
-
-@lru_cache(maxsize=None)
-def _balanced_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    d = 2**n
-    tables = []
-    for ones in itertools.combinations(range(d), d // 2):
-        table = [0] * d
-        for x in ones:
-            table[x] = 1
-        tables.append(tuple(table))
-    tables.sort()
-    return tuple(tables)
-
-
-def enumerate_balanced(n: int) -> list[BooleanFunction]:
-    """Every balanced function on n bits, in truth-table lexicographic order.
-
-    Capped at n <= 4 (12,870 functions); beyond that the orthonormal-basis
-    variant gives the same average overlap without the enumeration.
-    """
-    if n < 1:
-        raise InvalidInputError("bit count n must be >= 1")
-    if n > FULL_ENUMERATION_MAX_BITS:
-        raise ResourceLimitError(
-            f"full enumeration is capped at n <= {FULL_ENUMERATION_MAX_BITS} "
-            f"(n={n} would enumerate C(2^n, 2^(n-1)) functions); use the "
-            "orthonormal basis variant instead"
-        )
-    return [BooleanFunction(n, t) for t in _balanced_tables(n)]
+    return _average_overlap(n, k, eta1, ComplementVariant.BASIS)
 
 
 def average_overlap_full(n: int, k: int, eta1: float) -> OverlapPair:
     """Average overlap against every balanced function, by brute force.
 
-    The enumerated sum over all C(D, D/2) encodings at uniform complement
-    priors must reproduce the same closed form as the basis variant within
-    1e-12.
+    The direct sum over all C(D, D/2) encodings at uniform complement priors
+    must reproduce the basis variant's closed form within 1e-12.
     """
-    eta1 = _check_priors_for_overlap(k, n, eta1)
-    if n > FULL_ENUMERATION_MAX_BITS:
-        raise ResourceLimitError(
-            f"full enumeration is capped at n <= {FULL_ENUMERATION_MAX_BITS}; "
-            "use the orthonormal basis variant instead"
-        )
-    spec = wk_spec(n, k)
-    d = 2**n
-    closed = (1.0 - eta1) * spec.f_k / (d - 1)
-    tables = np.asarray(_balanced_tables(n), dtype=float)
-    signs = (1.0 - 2.0 * tables) / math.sqrt(d)
-    eta = (1.0 - eta1) / tables.shape[0]
-    enumerated = float(eta * (np.abs(signs @ spec.vector.amplitudes) ** 2).sum())
-    if abs(closed - enumerated) > IDENTITY_TOL:
-        raise NumericalError(f"overlap derivations disagree: {closed!r} vs {enumerated!r}")
-    return OverlapPair(closed_form=closed, enumerated=enumerated)
+    return _average_overlap(n, k, eta1, ComplementVariant.FULL)
 
 
 class PriorMode(str, Enum):
@@ -268,11 +251,6 @@ class PriorMode(str, Enum):
     EQUAL_SETS = "equal-sets"  # eta1 = 1/2
     EQUAL_STATES_FULL = "equal-states-full"  # eta1 = 1/(N+1) for N complements
     CUSTOM = "custom"
-
-
-class ComplementVariant(str, Enum):
-    BASIS = "basis"
-    FULL = "full"
 
 
 def boolean_problem(
@@ -286,32 +264,30 @@ def boolean_problem(
 
     The complement is either the orthonormal Walsh basis or the full balanced
     enumeration; complement priors are always uniform, and the target prior is
-    set by ``prior_mode`` (pass ``eta1`` for CUSTOM).
+    set by ``prior_mode``; ``eta1`` is given with CUSTOM and with no other mode.
     """
     prior_mode = PriorMode(prior_mode)
     variant = ComplementVariant(variant)
+    if (eta1 is None) == (prior_mode == PriorMode.CUSTOM):
+        raise InvalidInputError(
+            f"eta1={eta1!r} with prior mode {prior_mode.value}: custom needs eta1, others take none"
+        )
     spec = wk_spec(n, k)
     if spec.degenerate:
         raise InvalidInputError(
             "k = 1 is degenerate: both biased members are balanced, so the "
             "target cannot be filtered from the balanced set"
         )
-    if variant == ComplementVariant.BASIS:
-        complement = list(_walsh_vectors(n))
-    else:
-        complement = [dj_encode(fn) for fn in enumerate_balanced(n)]
+    complement = _complement_signs(n, variant) / math.sqrt(2**n)
     m = len(complement)
-    d = 2**n
 
     if prior_mode == PriorMode.EQUAL_STATES_BASIS:
-        target_prior = 1.0 / d
+        target_prior = 1.0 / 2**n
     elif prior_mode == PriorMode.EQUAL_SETS:
         target_prior = 0.5
     elif prior_mode == PriorMode.EQUAL_STATES_FULL:
         target_prior = 1.0 / (m + 1)
     else:
-        if eta1 is None:
-            raise InvalidInputError("custom prior mode requires eta1")
         target_prior = float(eta1)
         if not 0.0 < target_prior < 1.0:
             raise InvalidInputError(f"eta1 must lie in (0, 1), got {target_prior!r}")

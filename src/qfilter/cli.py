@@ -128,8 +128,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_boolean(args) -> int:
     mode = PriorMode(args.prior_mode)
     variant = ComplementVariant(args.variant)
-    if mode == PriorMode.CUSTOM and args.eta1 is None:
-        raise InvalidInputError("--prior-mode custom requires --eta1")
     problem = boolean_problem(args.n, args.k, mode, variant, eta1=args.eta1)
     report = optimal_filtering(problem)
     spec = wk_spec(args.n, args.k)
@@ -298,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[m.value for m in PriorMode],
         default=PriorMode.EQUAL_STATES_BASIS.value,
     )
-    p.add_argument("--eta1", type=float, default=None, help="target prior for custom mode")
+    p.add_argument(
+        "--eta1", type=float, default=None, help="target prior; only used with --prior-mode custom"
+    )
     p.add_argument(
         "--variant",
         choices=[v.value for v in ComplementVariant],

@@ -165,30 +165,30 @@ def gram_matrix(problem: FilteringProblem) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
-def _row_basis(rows: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
-    """D x D unitary ``vh`` and ``rank``, the number of singular values above ``tol``.
+def _row_basis(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """D x D unitary ``vh`` and ``rank``, the number of singular values above RANK_TOL.
 
     The first ``rank`` rows of ``vh`` span the rows of the (n, D) matrix ``rows``
     and the rest span the orthogonal complement. Rank-deficient input takes the
-    right singular vectors, dropping directions at or below ``tol``; full-rank
+    right singular vectors, dropping directions at or below RANK_TOL; full-rank
     input takes a Householder QR, whose LAPACK workspace is a fraction of the
     complex SVD's (at D = 256 the SVD adds ~6 MB to a CLI run's peak memory).
     """
     n, d = rows.shape
-    rank = int((np.linalg.svd(rows, compute_uv=False) > tol).sum())
+    rank = int((np.linalg.svd(rows, compute_uv=False) > RANK_TOL).sum())
     if rank < min(n, d):
         return np.linalg.svd(rows, full_matrices=n < d)[2], rank
     return np.linalg.qr(rows.T, mode="complete")[0].T, rank
 
 
-def span_basis(vectors, tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
+def span_basis(vectors) -> tuple[np.ndarray, int]:
     """Orthonormal basis for the span of ``vectors`` plus its rank.
 
-    The rank counts singular values above ``tol``; directions at or below it
+    The rank counts singular values above RANK_TOL; directions at or below it
     contribute no basis element (see ``_row_basis``). Returns (basis, rank)
     with basis rows orthonormal to ~1e-15.
     """
-    vh, rank = _row_basis(_as_rows(vectors), tol)
+    vh, rank = _row_basis(_as_rows(vectors))
     return vh[:rank], rank
 
 

@@ -14,7 +14,9 @@ number of trials, and the counts equal those of a single large draw. Each
 true state draws from its own RNG substream, seeded by the pair (seed, state
 index), which makes per-state simulation order-independent: running states
 separately and merging counts reproduces a single run exactly. A state with
-a single live outcome needs no draws and gets no stream.
+a single live outcome needs no draws and gets no stream; its analytic rate
+there is exactly 1, since the last live outcome of every state is assigned
+the rest of the unit mass.
 """
 from __future__ import annotations
 
@@ -84,8 +86,17 @@ def _substream(seed: int, state_index: int) -> np.random.SeedSequence:
 
 
 def _sampled(probs: np.ndarray) -> np.ndarray:
-    """The distribution the sampler draws from: entries below ZERO_PROB are 0."""
-    return np.where(probs < ZERO_PROB, 0.0, probs)
+    """The distribution the sampler draws from, row by row: entries below
+    ZERO_PROB are 0, and the last live outcome takes the rest of the unit mass,
+    as ``_draw_counts`` gives it every draw at or above the partial sum before it.
+    """
+    p = np.where(probs < ZERO_PROB, 0.0, probs)
+    rows = p.reshape(-1, p.shape[-1])  # a view: 1-D input is one row
+    at = np.arange(len(rows))
+    last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
+    cum = np.cumsum(rows, axis=1)
+    rows[at, last] = 1.0 - np.where(last > 0, cum[at, last - 1], 0.0)
+    return p
 
 
 def _sample_counts(
@@ -165,8 +176,8 @@ def simulate(
     """Sample every state of the ensemble ``trials_per_state`` times.
 
     Deterministic for a fixed (scheme, problem, trials, seed). The analytic
-    rates are those of the sampled distribution, with Born probabilities
-    below ZERO_PROB read as exact zeros; z-scores are
+    rates are those of the sampled distribution (see ``_sampled``), with Born
+    probabilities below ZERO_PROB read as exact zeros; z-scores are
     (empirical - analytic) / sqrt(analytic * (1 - analytic) / trials) per
     (state, outcome) cell, zero where the analytic rate is deterministic and
     matched exactly.

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from qfilter import (
     walsh_balanced_basis,
     wk_spec,
 )
-from qfilter.boolfn import _walsh_sign_matrix
+from qfilter.boolfn import _complement_signs
 
 ROOT3 = math.sqrt(3.0)
 
@@ -137,7 +138,23 @@ class TestWalshSignMatrix:
         expected = np.array(
             [[1.0 - 2.0 * ((r & x).bit_count() & 1) for x in range(d)] for r in range(1, d)]
         )
-        signs = _walsh_sign_matrix(n)
+        signs = _complement_signs(n, ComplementVariant.BASIS)
+        assert signs.dtype == expected.dtype and signs.shape == expected.shape
+        np.testing.assert_array_equal(signs, expected)
+        assert not signs.flags.writeable
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_full_rows_match_sorted_tables(self, n):
+        # the table-by-table construction: one table per set of D/2 ones, sorted
+        d = 2**n
+        tables = []
+        for ones in itertools.combinations(range(d), d // 2):
+            table = [0] * d
+            for x in ones:
+                table[x] = 1
+            tables.append(tuple(table))
+        expected = 1.0 - 2.0 * np.array(sorted(tables), dtype=float)
+        signs = _complement_signs(n, ComplementVariant.FULL)
         assert signs.dtype == expected.dtype and signs.shape == expected.shape
         np.testing.assert_array_equal(signs, expected)
         assert not signs.flags.writeable
@@ -222,6 +239,11 @@ class TestBooleanProblem:
         walsh = np.vstack([v.amplitudes for v in walsh_balanced_basis(n).vectors])
         np.testing.assert_array_equal(boolean_problem(n, 2).state_matrix[1:], walsh)
 
+    def test_full_complement_is_every_balanced_encoding(self):
+        encodings = np.vstack([dj_encode(fn).amplitudes for fn in enumerate_balanced(3)])
+        problem = boolean_problem(3, 2, variant=ComplementVariant.FULL)
+        np.testing.assert_array_equal(problem.state_matrix[1:], encodings)
+
     def test_equal_basis_priors_reach_povm_regime(self):
         report = optimal_filtering(boolean_problem(2, 2))
         assert report.regime is Regime.POVM
@@ -256,6 +278,11 @@ class TestBooleanProblem:
     def test_custom_requires_eta1(self):
         with pytest.raises(InvalidInputError):
             boolean_problem(2, 2, PriorMode.CUSTOM)
+
+    @pytest.mark.parametrize("mode", [m for m in PriorMode if m is not PriorMode.CUSTOM])
+    def test_eta1_rejected_outside_custom_mode(self, mode):
+        with pytest.raises(InvalidInputError, match="eta1=0.3"):
+            boolean_problem(2, 2, mode, eta1=0.3)
 
 
 class TestAdvantage:

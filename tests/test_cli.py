@@ -272,6 +272,11 @@ class TestBooleanCommand:
         code, _, _ = run(capsys, "boolean", "--n", "2", "--k", "2", "--prior-mode", "custom")
         assert code == 2
 
+    def test_eta1_without_custom_mode_rejected(self, capsys):
+        code, out, err = run(capsys, "boolean", "--n", "2", "--k", "2", "--eta1", "0.3")
+        assert code == 2
+        assert out == "" and "custom" in err
+
     def test_export_round_trips(self, capsys, tmp_path):
         export = tmp_path / "walsh.json"
         code, out, _ = run(

@@ -226,7 +226,28 @@ class TestSimulate:
         assert stats.counts[0, 1] == 0
         assert stats.analytic_rates[0, 1] == 0.0
         assert stats.z_scores[0, 1] == 0.0
-        assert stats.analytic_rates[0, 0] == raw[0]
+        assert stats.analytic_rates[0, 0] == 1.0
+
+    def test_last_live_outcome_takes_the_rest_of_the_unit_mass(self):
+        # what the sampler assigns the last live outcome: every draw at or
+        # above the partial sum before it
+        probs = np.array([[0.3, 0.0, 0.7 - 1e-13, 4e-13], [1.0 - 3e-16, 0.0, 0.0, 0.0]])
+        p = _sampled(probs)
+        assert p[0, 2] == 1.0 - 0.3 and p[0, 3] == 0.0
+        np.testing.assert_array_equal(p[1], [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(_sampled(probs[0]), p[0])
+
+    def test_single_outcome_rows_read_exactly_one_with_zero_z(self):
+        # SQM1 fails on the target with Born probability 1 up to rounding; the
+        # row has one live outcome, so it reads analytic 1 and z 0 exactly
+        problem = boolean_problem(3, 2)
+        stats = simulate(projective_scheme(problem, SchemeKind.SQM1), problem, 10**4, 3)
+        fail = stats.outcomes.index(Outcome.FAIL)
+        assert stats.counts[0, fail] == 10**4
+        assert stats.analytic_rates[0, fail] == 1.0
+        single = (stats.analytic_rates > 0).sum(axis=1) == 1
+        assert np.all(stats.analytic_rates[single].max(axis=1) == 1.0)
+        assert np.all(stats.z_scores[single] == 0.0)
 
     def test_merging_per_state_substreams_reproduces_full_run(self, walsh_problem):
         # per-state partitions merge to exactly the same statistics
