@@ -7,7 +7,7 @@ family treated here is the two functions that flip value only on the top
 target. The balanced complement comes from one cached matrix of sign rows
 (-1)^f(x) per variant: the D-1 nonconstant Walsh functions (-1)^(r.x), an
 orthonormal basis of the zero-sum subspace made of balanced encodings, or all
-C(D, D/2) balanced functions.
+C(D, D/2) balanced functions. Closed forms must match direct sums to PROB_TOL.
 """
 from __future__ import annotations
 
@@ -22,9 +22,10 @@ import numpy as np
 
 from .ensemble import FilteringProblem, StateVector
 from .errors import InvalidInputError, NumericalError, ResourceLimitError
+from .strategies import _check_eta1, optimal_filtering
+from .tolerances import PROB_TOL
 
 FULL_ENUMERATION_MAX_BITS = 4  # C(16, 8) = 12,870 functions; larger explodes
-IDENTITY_TOL = 1e-12
 
 
 class FunctionClass(str, Enum):
@@ -42,7 +43,7 @@ class BooleanFunction:
 
     def __post_init__(self):
         if self.n < 1:
-            raise InvalidInputError("bit count n must be >= 1")
+            raise InvalidInputError(f"bit count n must be >= 1, got {self.n!r}")
         table = tuple(int(b) for b in self.truth_table)
         if len(table) != 2**self.n:
             raise InvalidInputError(
@@ -83,7 +84,7 @@ def biased_fraction(k: int) -> float:
     the overlap with the constant direction.
     """
     if k < 1:
-        raise InvalidInputError("bias level k must be >= 1")
+        raise InvalidInputError(f"bias level k must be >= 1, got {k!r}")
     return (2.0**k - 1.0) / 2.0 ** (2 * k - 2)
 
 
@@ -122,9 +123,9 @@ def wk_spec(n: int, k: int) -> WkSpec:
     f_k = biased_fraction(k)
     constant = np.full(d, 1.0 / math.sqrt(d))
     geometric = 1.0 - float(np.real(constant @ vector.amplitudes)) ** 2
-    if abs(geometric - f_k) > IDENTITY_TOL:
+    if not abs(geometric - f_k) <= PROB_TOL:
         raise NumericalError(
-            f"balanced-span weight mismatch: closed form {f_k!r} vs geometric {geometric!r}"
+            f"balanced-span weight {geometric!r} misses the closed form {f_k!r} by over PROB_TOL"
         )
     return WkSpec(
         n=n,
@@ -150,7 +151,7 @@ def _complement_signs(n: int, variant: ComplementVariant) -> np.ndarray:
     functions; FULL: every balanced truth table, in lexicographic order.
     """
     if n < 1:
-        raise InvalidInputError("bit count n must be >= 1")
+        raise InvalidInputError(f"bit count n must be >= 1, got {n!r}")
     if variant == ComplementVariant.BASIS:
         signs = np.ones((1, 1))
         for _ in range(n):  # Sylvester doubling: H_2d = [[H, H], [H, -H]]
@@ -221,8 +222,8 @@ def _average_overlap(n: int, k: int, eta1: float, variant: ComplementVariant) ->
     closed = (1.0 - eta1) * spec.f_k / (d - 1)
     eta = (1.0 - eta1) / signs.shape[0]
     direct = float(eta * (np.abs(signs / math.sqrt(d) @ spec.vector.amplitudes) ** 2).sum())
-    if abs(closed - direct) > IDENTITY_TOL:
-        raise NumericalError(f"overlap derivations disagree: {closed!r} vs {direct!r}")
+    if not abs(closed - direct) <= PROB_TOL:
+        raise NumericalError(f"overlap derivations {closed!r}, {direct!r} differ by over PROB_TOL")
     return OverlapPair(closed_form=closed, enumerated=direct)
 
 
@@ -230,7 +231,7 @@ def average_overlap_basis(n: int, k: int, eta1: float) -> OverlapPair:
     """Average overlap against the Walsh basis at uniform complement priors.
 
     Returns the closed form (1 - eta1) * f_k / (D - 1) together with the
-    direct sum over the basis; the two must agree within 1e-12.
+    direct sum over the basis; the two must agree within PROB_TOL.
     """
     return _average_overlap(n, k, eta1, ComplementVariant.BASIS)
 
@@ -239,7 +240,7 @@ def average_overlap_full(n: int, k: int, eta1: float) -> OverlapPair:
     """Average overlap against every balanced function, by brute force.
 
     The direct sum over all C(D, D/2) encodings at uniform complement priors
-    must reproduce the basis variant's closed form within 1e-12.
+    must reproduce the basis variant's closed form within PROB_TOL.
     """
     return _average_overlap(n, k, eta1, ComplementVariant.FULL)
 
@@ -288,9 +289,7 @@ def boolean_problem(
     elif prior_mode == PriorMode.EQUAL_STATES_FULL:
         target_prior = 1.0 / (m + 1)
     else:
-        target_prior = float(eta1)
-        if not 0.0 < target_prior < 1.0:
-            raise InvalidInputError(f"eta1 must lie in (0, 1), got {target_prior!r}")
+        target_prior = _check_eta1(eta1)
     priors = np.full(m + 1, (1.0 - target_prior) / m)
     priors[0] = target_prior
     return FilteringProblem(states=(spec.vector, *complement), priors=priors)
@@ -309,8 +308,6 @@ def povm_advantage(n: int, k: int) -> AdvantageReport:
     projective ones at eta1 = 1/D on the basis variant, where both projective
     strategies coincide. The large-k approximation is 4 / 2^(k/2).
     """
-    from .strategies import optimal_filtering  # cycle-free local import
-
     report = optimal_filtering(boolean_problem(n, k, PriorMode.EQUAL_STATES_BASIS))
     exact = report.q_povm / report.q_sqm1
     approx = 4.0 / 2.0 ** (k / 2.0)

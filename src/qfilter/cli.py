@@ -210,33 +210,25 @@ def _cmd_simulate(args) -> int:
     empirical_q = aggregate_failure(stats, problem.priors)
 
     if args.format == "json":
+        names = [o.value for o in stats.outcomes]
+        columns = {
+            "counts": stats.counts,
+            "empirical": stats.empirical_rates,
+            "analytic": stats.analytic_rates,
+            "z": stats.z_scores,
+        }
+        per_state = []
+        for i in range(problem.n_states):
+            entry = {"state": i, "prior": float(problem.priors[i])}
+            for key, column in columns.items():
+                entry[key] = dict(zip(names, column[i].tolist()))
+            per_state.append(entry)
         payload = {
             "scheme": stats.scheme_kind.value,
             "trials_per_state": stats.trials_per_state,
             "seed": stats.seed,
-            "outcomes": [o.value for o in stats.outcomes],
-            "per_state": [
-                {
-                    "state": i,
-                    "prior": float(problem.priors[i]),
-                    "counts": {
-                        o.value: int(stats.counts[i, j]) for j, o in enumerate(stats.outcomes)
-                    },
-                    "empirical": {
-                        o.value: float(stats.empirical_rates[i, j])
-                        for j, o in enumerate(stats.outcomes)
-                    },
-                    "analytic": {
-                        o.value: float(stats.analytic_rates[i, j])
-                        for j, o in enumerate(stats.outcomes)
-                    },
-                    "z": {
-                        o.value: float(stats.z_scores[i, j])
-                        for j, o in enumerate(stats.outcomes)
-                    },
-                }
-                for i in range(problem.n_states)
-            ],
+            "outcomes": names,
+            "per_state": per_state,
             "misidentifications": stats.misidentifications,
             "aggregate": {
                 "empirical_Q": empirical_q,

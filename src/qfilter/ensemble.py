@@ -2,10 +2,11 @@
 
 State vectors, priors, Gram matrices, span bases, and the orthogonal
 decomposition of a designated target state against the span of the remaining
-states. Every orthonormal basis of a span in the package comes from one
-helper, ``_row_basis``. Everything here is a pure function of immutable values
-(``FilteringProblem`` caches its overlaps and decomposition on first use), so
-results can be shared freely between concurrent workers.
+states. Input norms and prior sums are checked to NORM_TOL. Every orthonormal
+basis of a span in the package comes from one helper, ``_row_basis``, which
+cuts the span at RANK_TOL. Everything here is a pure function of immutable
+values (``FilteringProblem`` caches its overlaps and decomposition on first
+use), so results can be shared freely between concurrent workers.
 """
 from __future__ import annotations
 
@@ -16,9 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-
-NORM_TOL = 1e-9
-RANK_TOL = 1e-8
+from .tolerances import NORM_TOL, RANK_TOL
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -39,10 +38,8 @@ class StateVector:
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("amplitudes must be finite")
         norm_sq = float(np.real(arr.conj() @ arr))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise InvalidInputError(
-                f"squared norm {norm_sq!r} deviates from 1 beyond tolerance {NORM_TOL:g}"
-            )
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            raise InvalidInputError(f"squared norm {norm_sq!r} deviates from 1 beyond NORM_TOL")
         object.__setattr__(self, "amplitudes", _freeze(arr))
 
     @property
@@ -54,7 +51,7 @@ class StateVector:
         """Build from a list of [re, im] pairs (the JSON interchange form)."""
         arr = np.asarray(pairs, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
-            raise InvalidInputError("amplitudes must be a list of [re, im] pairs")
+            raise InvalidInputError(f"amplitudes of shape {arr.shape} are not [re, im] pairs")
         return cls(arr[:, 0] + 1j * arr[:, 1])
 
     def to_pairs(self) -> list[list[float]]:
@@ -70,7 +67,7 @@ def _as_rows(vectors) -> np.ndarray:
         for v in vectors
     ]
     if not rows:
-        raise InvalidInputError("at least one vector is required")
+        raise InvalidInputError("at least one vector is required, got 0")
     dims = {r.size for r in rows}
     if len(dims) != 1:
         raise InvalidInputError(f"vectors have mixed dimensions {sorted(dims)}")
@@ -105,10 +102,8 @@ class FilteringProblem:
         if not np.all((priors > 0.0) & (priors <= 1.0)):  # NaN fails both
             raise InvalidInputError("priors must lie in (0, 1]")
         total = float(priors.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise InvalidInputError(
-                f"priors sum to {total!r}; they must sum to 1 within {NORM_TOL:g}"
-            )
+        if not abs(total - 1.0) <= NORM_TOL:
+            raise InvalidInputError(f"priors sum to {total!r}; they must sum to 1 within NORM_TOL")
         t = int(self.target_index)
         if not 0 <= t < n:
             raise InvalidInputError(f"target_index {t} out of range for {n} states")

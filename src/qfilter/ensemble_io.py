@@ -35,7 +35,7 @@ def problem_to_dict(problem: FilteringProblem) -> dict:
 
 def problem_from_dict(data) -> FilteringProblem:
     if not isinstance(data, dict):
-        raise InvalidInputError("ensemble file must contain a JSON object")
+        raise InvalidInputError(f"ensemble file must hold a JSON object, not {type(data).__name__}")
     unknown = set(data) - _TOP_KEYS
     if unknown:
         raise InvalidInputError(f"unknown ensemble fields: {sorted(unknown)}")
@@ -52,7 +52,7 @@ def problem_from_dict(data) -> FilteringProblem:
     priors: list[float] = []
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise InvalidInputError(f"state {pos} must be an object")
+            raise InvalidInputError(f"state {pos} must be an object, not {type(entry).__name__}")
         unknown = set(entry) - _STATE_KEYS
         if unknown:
             raise InvalidInputError(f"state {pos} has unknown fields: {sorted(unknown)}")

@@ -10,7 +10,7 @@ with the target's success vector orthogonal to every complement success
 vector, so that a projective measurement of {target direction, ancilla,
 remainder} never misidentifies. U exists iff the success Gram
 G_succ = G - w w^dagger, w_i = sqrt(q_i) e^{-i theta_i}, is positive
-semidefinite; that verdict is checked numerically. U is then built in closed
+semidefinite; that verdict is checked to PSD_TOL. U is then built in closed
 form from its ancilla row (``build_neumark``).
 
 Every scheme is at most two rank-one elements x x^dagger plus the remainder
@@ -22,9 +22,10 @@ nonselective one (``projective_scheme``). Born probabilities for N states
 then cost O(N * D) on one path, and no D x D matrix is formed unless
 ``operators`` is read.
 
-Phase convention: theta_1 = 0 and theta_i = arg<psi_1|psi_i>, which zeroes the
-first row of G_succ exactly and thereby enforces the success-orthogonality
-requirement by construction.
+Phase convention: theta_1 = 0 and theta_i = arg<psi_1|psi_i>. With the product
+rule q1 * q_i = |<psi_1|psi_i>|^2 this zeroes the first row of G_succ, which is
+the success-orthogonality requirement: it holds for ``failure_allocations``
+output, and ``build_neumark`` checks it to DEPENDENCY_TOL for any other.
 """
 from __future__ import annotations
 
@@ -34,20 +35,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensemble import RANK_TOL, FilteringProblem, _freeze, decompose_target, gram_matrix
+from .ensemble import FilteringProblem, _freeze, decompose_target, gram_matrix
 from .errors import (
     DegenerateDecompositionError,
     InfeasibleError,
     InvalidInputError,
     NumericalError,
 )
-
-PSD_TOL = 1e-9  # most negative success-Gram eigenvalue still counted feasible
-DEPENDENCY_TOL = 1e-8  # residual above this means outputs violate input dependencies
-ZERO_TOL = 1e-12
-# Largest positivity, completeness or unitarity defect of a constructed operator
-# still counted as rounding.
-OPERATOR_TOL = 1e-10
+from .tolerances import DEPENDENCY_TOL, OPERATOR_TOL, PROB_TOL, PSD_TOL, SOLVE_RCOND
 
 
 class SchemeKind(str, Enum):
@@ -64,15 +59,19 @@ class Outcome(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class FailureAllocation:
-    """Per-state failure weights q_i and output phases theta_i (target first)."""
+    """Per-state failure weights q_i and phases theta_i (target first), stored as copies."""
 
-    q1: float
     failure_probs: np.ndarray
     phases: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "failure_probs", _freeze(np.asarray(self.failure_probs, float)))
-        object.__setattr__(self, "phases", _freeze(np.asarray(self.phases, float)))
+        object.__setattr__(self, "failure_probs", _freeze(np.array(self.failure_probs, float)))
+        object.__setattr__(self, "phases", _freeze(np.array(self.phases, float)))
+
+    @property
+    def q1(self) -> float:
+        """The target's failure weight, ``failure_probs[0]``."""
+        return float(self.failure_probs[0])
 
 
 def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocation:
@@ -80,13 +79,13 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
 
     The product rule q1 * q_i = |<psi_1|psi_i>|^2 fixes every complement
     weight; q1 itself must lie in [f, 1] where f is the target's parallel
-    squared norm, else no unitary realization exists.
+    squared norm (within PROB_TOL), else no unitary realization exists.
     """
     q1 = float(q1)
     f = decompose_target(problem).parallel_norm_sq
-    if not f - ZERO_TOL <= q1 <= 1.0 + ZERO_TOL:
+    if not f - PROB_TOL <= q1 <= 1.0 + PROB_TOL:
         raise InfeasibleError(
-            f"target failure weight q1={q1!r} must lie in the range [{f!r}, 1]"
+            f"target failure weight q1={q1!r} must lie in the range [{f!r}, 1] within PROB_TOL"
         )
     q1 = min(max(q1, f, 0.0), 1.0)
     overlaps_sq = np.abs(problem._overlaps) ** 2
@@ -96,14 +95,15 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
     if q1 > 0.0:
         q[1:] = overlaps_sq / q1
     else:
-        if overlaps_sq.max(initial=0.0) > ZERO_TOL**2:
+        if not overlaps_sq.max(initial=0.0) <= PROB_TOL**2:
             raise InfeasibleError(
-                "q1 = 0 requires every complement state to be orthogonal to the target"
+                "q1 = 0 requires every complement state to be orthogonal to the target: "
+                f"overlap {np.sqrt(overlaps_sq.max()):.3e} exceeds PROB_TOL"
             )
         q[1:] = 0.0
     q = np.minimum(q, 1.0)
     phases = np.concatenate([[0.0], np.angle(problem._overlaps)])
-    return FailureAllocation(q1=q1, failure_probs=q, phases=phases)
+    return FailureAllocation(failure_probs=q, phases=phases)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +121,7 @@ class SuccessGram:
 def success_gram(problem: FilteringProblem, allocation: FailureAllocation) -> SuccessGram:
     """G_succ = G - w w^dagger with w_i = sqrt(q_i) e^{-i theta_i}.
 
-    Feasible iff the smallest eigenvalue is >= -1e-9 (separating genuine
+    Feasible iff the smallest eigenvalue is >= -PSD_TOL (separating genuine
     infeasibility from floating-point noise at desk-scale dimensions). Under
     the package phase convention the first row and column vanish identically,
     which is the success-orthogonality requirement in Gram form.
@@ -161,20 +161,21 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
 
     The ancilla row u is the minimum-norm solution of M u = a, with the states
     as the rows of M, a_i = sqrt(q_i) e^{i theta_i}, and singular values of M
-    below RANK_TOL times the largest counted as dependencies. With
+    below SOLVE_RCOND times the largest counted as dependencies. With
     r = sqrt(1 - |u|^2) and R = I - conj(u) u^T / (1 + r), R is Hermitian with
     R^2 = I - conj(u) u^T, so U = [[R, -conj(u)], [u^T, r]] is unitary and
     sends each state to R psi_i + a_i |ancilla>.
 
-    Raises InfeasibleError when the success Gram is not positive semidefinite
-    or when a lies outside the range of M: the states are linearly dependent
-    and the amplitudes violate the same dependency.
+    Raises InfeasibleError when the success Gram is not positive semidefinite,
+    when a lies outside the range of M (the states are linearly dependent and
+    the amplitudes violate the same dependency), or when a breaks the product
+    rule conj(a_1) a_i = <psi_1|psi_i>, which success orthogonality needs.
     """
     d = problem.dimension
     sg = success_gram(problem, allocation)
     if not sg.feasible:
         raise InfeasibleError(
-            f"no unitary realization: success Gram has eigenvalue {sg.min_eigenvalue:.3e}"
+            f"no unitary realization: success Gram eigenvalue {sg.min_eigenvalue:.3e} < -PSD_TOL"
         )
 
     m = problem.state_matrix
@@ -182,13 +183,20 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
     # Singular values of near-dependent states (~1e-13) would amplify rounding
     # in the amplitudes past |u| = 1. One refinement step makes M u = a exact
     # to rounding, which is what the FAIL probabilities |u^T psi_i|^2 rest on.
-    u, *_ = np.linalg.lstsq(m, amplitudes, rcond=RANK_TOL)
-    u += np.linalg.lstsq(m, amplitudes - m @ u, rcond=RANK_TOL)[0]
+    u, *_ = np.linalg.lstsq(m, amplitudes, rcond=SOLVE_RCOND)
+    u += np.linalg.lstsq(m, amplitudes - m @ u, rcond=SOLVE_RCOND)[0]
     residual = float(np.abs(m @ u - amplitudes).max())
-    if residual > DEPENDENCY_TOL:
+    if not residual <= DEPENDENCY_TOL:
         raise InfeasibleError(
-            f"failure amplitudes leave residual {residual:.3e} in M u = a: the states are "
-            "linearly dependent but the amplitudes do not satisfy the same dependency"
+            f"failure amplitudes leave residual {residual:.3e} > DEPENDENCY_TOL in M u = a: the "
+            "states are linearly dependent but the amplitudes do not satisfy the same dependency"
+        )
+    # <s_1|s_i> = <psi_1|psi_i> - conj(a_1) a_i: success orthogonality is the product rule.
+    breach = float(np.abs(amplitudes[0].conj() * amplitudes[1:] - problem._overlaps).max())
+    if not breach <= DEPENDENCY_TOL:
+        raise InfeasibleError(
+            f"failure amplitudes breach the product rule conj(a_1) a_i = <psi_1|psi_i> by "
+            f"{breach:.3e} > DEPENDENCY_TOL"
         )
 
     # A feasible allocation has |u| <= 1; at q1 = f and q1 = 1 it is 1 to rounding.
@@ -202,11 +210,11 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
     unitary = np.block([[block, -u.conj()[:, None]], [u, r]])
 
     unitarity = float(np.abs(unitary.conj().T @ unitary - np.eye(d + 1)).max())
-    if unitarity > OPERATOR_TOL:
-        raise NumericalError(f"unitarity defect {unitarity:.3e} exceeds {OPERATOR_TOL:g}")
+    if not unitarity <= OPERATOR_TOL:
+        raise NumericalError(f"unitarity defect {unitarity:.3e} exceeds OPERATOR_TOL")
     mapping = float(np.abs(m @ unitary[d, :d] - amplitudes).max())
-    if mapping > DEPENDENCY_TOL:
-        raise NumericalError(f"constructed unitary misses prescribed outputs by {mapping:.3e}")
+    if not mapping <= DEPENDENCY_TOL:
+        raise NumericalError(f"unitary misses prescribed outputs by {mapping:.3e} > DEPENDENCY_TOL")
 
     return NeumarkModel(
         unitary=unitary,
@@ -226,7 +234,8 @@ class MeasurementScheme:
     plus the remainder I - sum x x^dagger as IS_COMPLEMENT. Completeness then
     holds by construction, and positivity is a check on the small Gram matrix
     X^dagger X of the rows: I - X X^dagger has eigenvalues 1 and
-    1 - eig(X^dagger X), and construction rejects any below -1e-10.
+    1 - eig(X^dagger X), and construction rejects any below -OPERATOR_TOL and
+    any non-finite vector.
 
     ``acting_dimension`` is the length D of the rows, the space states are fed
     into directly; ``dilation_dimension`` is D + 1 for the generalized
@@ -248,13 +257,13 @@ class MeasurementScheme:
                 f"rank-one vectors of shape {x.shape} do not fit {len(self.outcomes)} "
                 "outcomes: one vector per outcome other than IS_COMPLEMENT is required"
             )
+        if not np.isfinite(x).all():
+            raise InvalidInputError("rank-one vectors must be finite")
         # Each x x^dagger is positive; the remainder's smallest eigenvalue is
         # 1 - the largest eigenvalue of the Gram matrix of the vectors.
         min_eig = 1.0 - float(np.linalg.eigvalsh(x.conj() @ x.T).max(initial=0.0))
-        if min_eig < -OPERATOR_TOL:
-            raise NumericalError(
-                f"outcome operator has eigenvalue {min_eig:.3e} < -{OPERATOR_TOL:g}"
-            )
+        if not min_eig >= -OPERATOR_TOL:
+            raise NumericalError(f"outcome operator has eigenvalue {min_eig:.3e} < -OPERATOR_TOL")
         object.__setattr__(self, "vectors", x)
 
     @property
@@ -318,7 +327,7 @@ def povm_elements(model: NeumarkModel) -> MeasurementScheme:
     p1 = float(np.real(np.vdot(target_success, target_success)))
 
     x_f = model.unitary[d, :d].conj()
-    if p1 > ZERO_TOL:
+    if p1 > PROB_TOL:
         # U[:D, :D]^dag s_1 as a vector-matrix product, which copies no D x D block.
         x_t = (target_success.conj() @ model.unitary[:d, :d]).conj() / np.sqrt(p1)
         outcomes = (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)
@@ -361,13 +370,13 @@ def projective_scheme(problem: FilteringProblem, kind: SchemeKind) -> Measuremen
 
     dec = decompose_target(problem)
     f = dec.parallel_norm_sq
-    if f >= 1.0 - ZERO_TOL:
+    if not f < 1.0 - PROB_TOL:
         raise DegenerateDecompositionError(
-            "target lies entirely inside the complement span; "
+            f"target lies inside the complement span (f = {f!r} within PROB_TOL of 1); "
             "the conclusive target outcome of the nonselective strategy is impossible"
         )
     outcomes = (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)
-    if f <= ZERO_TOL:
+    if f <= PROB_TOL:
         return MeasurementScheme(
             kind=SchemeKind.SQM2,
             outcomes=outcomes,

@@ -4,7 +4,7 @@ Born probabilities of every state come from one call,
 ``MeasurementScheme.born_probabilities``: for the rank-one schemes qfilter
 builds that is O(N * D) for N states in dimension D, with no per-state or
 per-operator loop. Outcomes are sampled by inverse-CDF over the scheme's
-ordered outcome list using exact partial sums, with probabilities below 1e-12
+ordered outcome list using exact partial sums, with probabilities below PROB_TOL
 treated as exact zeros, so an outcome with vanishing Born probability can
 never be drawn. Rather than locating each uniform draw among the thresholds,
 the sampler counts, for every live partial sum, how many draws fall below it;
@@ -27,8 +27,8 @@ import numpy as np
 from .ensemble import FilteringProblem, StateVector
 from .errors import InvalidInputError
 from .neumark import MeasurementScheme, Outcome, SchemeKind
+from .tolerances import PROB_TOL
 
-ZERO_PROB = 1e-12
 # Uniform draws per chunk: 64 KiB of doubles, small enough to be served from
 # the heap rather than a fresh mmap on every call.
 _CHUNK = 8192
@@ -56,7 +56,7 @@ def outcome_distribution(scheme: MeasurementScheme, state: StateVector) -> Outco
     """Evaluate <psi|E_k|psi> for every outcome operator, clamped to [0, 1].
 
     The distribution is renormalized (and flagged) only when the total drifts
-    from 1 by more than 1e-12. It is the state's row of the computation
+    from 1 by more than PROB_TOL. It is the state's row of the computation
     ``simulate`` makes for a whole ensemble, value for value.
     """
     psi = state.amplitudes if isinstance(state, StateVector) else np.asarray(state, complex)
@@ -70,12 +70,12 @@ def _born_rates(scheme: MeasurementScheme, rows: np.ndarray) -> tuple[np.ndarray
     """Born probabilities of every row, clamped to [0, 1], and the rows renormalized.
 
     A row is renormalized when its clamped total drifts from 1 by more than
-    1e-12, which also covers states whose squared norm is off by up to the
-    1e-9 input tolerance.
+    PROB_TOL, which also covers states whose squared norm is off by up to
+    NORM_TOL.
     """
     probs = np.clip(scheme.born_probabilities(rows), 0.0, 1.0)
     totals = probs.sum(axis=1)
-    renormalized = np.abs(totals - 1.0) > 1e-12
+    renormalized = np.abs(totals - 1.0) > PROB_TOL
     probs[renormalized] /= totals[renormalized, None]
     return probs, renormalized
 
@@ -87,10 +87,10 @@ def _substream(seed: int, state_index: int) -> np.random.SeedSequence:
 
 def _sampled(probs: np.ndarray) -> np.ndarray:
     """The distribution the sampler draws from, row by row: entries below
-    ZERO_PROB are 0, and the last live outcome takes the rest of the unit mass,
+    PROB_TOL are 0, and the last live outcome takes the rest of the unit mass,
     as ``_draw_counts`` gives it every draw at or above the partial sum before it.
     """
-    p = np.where(probs < ZERO_PROB, 0.0, probs)
+    p = np.where(probs < PROB_TOL, 0.0, probs)
     rows = p.reshape(-1, p.shape[-1])  # a view: 1-D input is one row
     at = np.arange(len(rows))
     last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
@@ -177,7 +177,7 @@ def simulate(
 
     Deterministic for a fixed (scheme, problem, trials, seed). The analytic
     rates are those of the sampled distribution (see ``_sampled``), with Born
-    probabilities below ZERO_PROB read as exact zeros; z-scores are
+    probabilities below PROB_TOL read as exact zeros; z-scores are
     (empirical - analytic) / sqrt(analytic * (1 - analytic) / trials) per
     (state, outcome) cell, zero where the analytic rate is deterministic and
     matched exactly.

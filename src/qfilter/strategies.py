@@ -149,9 +149,7 @@ def optimal_filtering(problem: FilteringProblem) -> StrategyReport:
     via ``failure_allocations`` (q1*q_i = |<psi_1|psi_i>|^2), and reports all
     three strategy values.
     """
-    eta1 = float(problem.priors[0])
-    if not 0.0 < eta1 < 1.0:
-        raise InvalidInputError("target prior must lie strictly inside (0, 1)")
+    eta1 = _check_eta1(problem.priors[0])
     s = average_overlap(problem)
     f = decompose_target(problem).parallel_norm_sq
     qs1, qs2, qp, codes, _ = _closed_forms(eta1, f, np.array([s]))
@@ -244,7 +242,7 @@ def failure_curve(eta1: float, parallel_norm_sq: float, overlap_values) -> Failu
     else:
         s = np.fromiter(overlap_values, dtype=float)
     if s.ndim != 1:
-        raise InvalidInputError("overlap values must form a one-dimensional sequence")
+        raise InvalidInputError(f"overlap values must be one-dimensional, got shape {s.shape}")
     bad = ~(np.isfinite(s) & (s >= 0.0))
     if bad.any():
         _check_overlap(s[np.argmax(bad)])  # raises for the first invalid S

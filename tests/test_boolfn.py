@@ -44,6 +44,16 @@ class TestBooleanFunction:
         with pytest.raises(InvalidInputError):
             BooleanFunction(1, (0, 2))
 
+    def test_bit_count_named(self):
+        with pytest.raises(InvalidInputError, match="n must be >= 1, got 0"):
+            BooleanFunction(0, ())
+        with pytest.raises(InvalidInputError, match="n must be >= 1, got 0"):
+            walsh_balanced_basis(0)
+
+    def test_bias_level_named(self):
+        with pytest.raises(InvalidInputError, match="k must be >= 1, got 0"):
+            biased_fraction(0)
+
 
 class TestEncoding:
     def test_constant_zero(self):
@@ -193,6 +203,11 @@ class TestAverageOverlaps:
         ]
         np.testing.assert_allclose(overlaps_sq, 0.25, atol=1e-15)
 
+    @pytest.mark.parametrize("eta1", (0.0, 1.5, math.nan))
+    def test_prior_range_named(self, eta1):
+        with pytest.raises(InvalidInputError, match=rf"\(0, 1\], got {eta1!r}"):
+            average_overlap_basis(3, 2, eta1)
+
     def test_k_range_validation(self):
         with pytest.raises(InvalidInputError):
             average_overlap_basis(3, 1, 0.5)
@@ -274,6 +289,11 @@ class TestBooleanProblem:
     def test_k1_rejected(self):
         with pytest.raises(InvalidInputError, match="degenerate"):
             boolean_problem(3, 1)
+
+    @pytest.mark.parametrize("eta1", (0.0, 1.0, 1.5, math.nan))
+    def test_custom_eta1_outside_unit_interval_rejected(self, eta1):
+        with pytest.raises(InvalidInputError, match=rf"\(0, 1\), got {eta1!r}"):
+            boolean_problem(2, 2, PriorMode.CUSTOM, eta1=eta1)
 
     def test_custom_requires_eta1(self):
         with pytest.raises(InvalidInputError):

@@ -48,6 +48,12 @@ def degenerate_file(tmp_path, contained_target_problem):
     return path
 
 
+def test_unknown_option_exits_2(capsys):
+    code, out, err = run(capsys, "--bogus")
+    assert code == 2
+    assert out == "" and "qfilter: error:" in err
+
+
 class TestStrategiesCommand:
     def test_json_schema(self, capsys, figure_file):
         code, out, _ = run(capsys, "strategies", "--input", str(figure_file))
@@ -271,6 +277,13 @@ class TestBooleanCommand:
     def test_custom_mode_requires_eta1(self, capsys):
         code, _, _ = run(capsys, "boolean", "--n", "2", "--k", "2", "--prior-mode", "custom")
         assert code == 2
+
+    def test_custom_eta1_outside_unit_interval_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "boolean", "--n", "2", "--k", "2", "--prior-mode", "custom", "--eta1", "1.5"
+        )
+        assert code == 2
+        assert out == "" and "got 1.5" in err
 
     def test_eta1_without_custom_mode_rejected(self, capsys):
         code, out, err = run(capsys, "boolean", "--n", "2", "--k", "2", "--eta1", "0.3")

@@ -32,7 +32,7 @@ class TestStateVector:
             StateVector(np.array([1.0, 1.0]))
 
     def test_rejects_norm_outside_tolerance(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"1\.000000005.* beyond NORM_TOL"):
             StateVector(np.array([math.sqrt(1 + 5e-9), 0.0]))
 
     def test_accepts_norm_within_tolerance(self):
@@ -49,6 +49,10 @@ class TestStateVector:
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
 
+    def test_from_pairs_rejects_other_shapes(self):
+        with pytest.raises(InvalidInputError, match=r"shape \(1, 3\) are not \[re, im\] pairs"):
+            StateVector.from_pairs([[1.0, 0.0, 0.0]])
+
     def test_pairs_round_trip(self):
         s = StateVector.from_pairs([[0.6, 0.0], [0.0, 0.8]])
         assert s.to_pairs() == [[0.6, 0.0], [0.0, 0.8]]
@@ -56,8 +60,12 @@ class TestStateVector:
 
 class TestFilteringProblem:
     def test_prior_sum_enforced(self):
-        with pytest.raises(InvalidInputError, match="sum"):
+        with pytest.raises(InvalidInputError, match=r"sum to 0\.9.*within NORM_TOL"):
             FilteringProblem(states=(ket(0, 2), ket(1, 2)), priors=(0.5, 0.4))
+
+    def test_prior_shape_enforced(self):
+        with pytest.raises(InvalidInputError, match=r"expected 2 priors, got shape \(3,\)"):
+            FilteringProblem(states=(ket(0, 2), ket(1, 2)), priors=(0.5, 0.25, 0.25))
 
     def test_prior_range_enforced(self):
         with pytest.raises(InvalidInputError):
@@ -123,6 +131,14 @@ class TestGramMatrix:
 
 
 class TestSpanBasis:
+    def test_needs_a_vector(self):
+        with pytest.raises(InvalidInputError, match="at least one vector is required, got 0"):
+            span_basis([])
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"mixed dimensions \[2, 3\]"):
+            span_basis([np.eye(2)[0], np.eye(3)[0]])
+
     def test_duplicate_vectors_rank_one(self):
         basis, rank = span_basis([ket(0, 2), ket(0, 2)])
         assert rank == 1

@@ -33,6 +33,16 @@ def valid_payload():
 
 
 class TestParsing:
+    def test_file_must_hold_an_object(self):
+        with pytest.raises(InvalidInputError, match="JSON object, not list"):
+            problem_from_dict([valid_payload()])
+
+    def test_state_must_be_an_object(self):
+        payload = valid_payload()
+        payload["states"][1] = [[1.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(InvalidInputError, match="state 1 must be an object, not list"):
+            problem_from_dict(payload)
+
     def test_valid_payload(self):
         problem = problem_from_dict(valid_payload())
         assert problem.n_states == 2

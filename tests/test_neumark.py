@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qfilter import (
+    Decomposition,
     DegenerateDecompositionError,
     FailureAllocation,
     FilteringProblem,
@@ -29,6 +30,17 @@ ROOT3 = math.sqrt(3.0)
 
 def born(operator, state_row):
     return float(np.real(state_row.conj() @ operator @ state_row))
+
+
+def tiny_overlap_pair():
+    """psi_2 = (1e-7, sqrt(1 - 1e-14)): f = 1e-14 is below PROB_TOL, the overlap 1e-7 is not."""
+    return FilteringProblem(
+        states=(
+            StateVector(np.array([1.0, 0.0])),
+            StateVector(np.array([1e-7, math.sqrt(1.0 - 1e-14)])),
+        ),
+        priors=(0.5, 0.5),
+    )
 
 
 def build_optimal_scheme(problem):
@@ -60,6 +72,36 @@ class TestFailureAllocations:
             failure_allocations(walsh_problem, 0.5)  # below f = 0.75
         with pytest.raises(InfeasibleError, match="range"):
             failure_allocations(walsh_problem, 1.1)
+
+    def test_zero_q1_is_lifted_to_a_positive_f(self):
+        # q1 = 0 lies within PROB_TOL of f = 1e-14, and is lifted to f
+        alloc = failure_allocations(tiny_overlap_pair(), 0.0)
+        np.testing.assert_allclose(alloc.failure_probs, [1e-14, 1.0], rtol=1e-6)
+
+    def test_zero_q1_with_nonorthogonal_complement_rejected(self):
+        # q1 = 0 stays 0 only when f reads exactly 0, which a complement
+        # overlap above PROB_TOL contradicts; the cached split is set to f = 0
+        problem = tiny_overlap_pair()
+        target = problem.state_matrix[0]
+        vars(problem)["_decomposition"] = Decomposition(
+            parallel=np.zeros_like(target), perpendicular=target, parallel_norm_sq=0.0
+        )
+        with pytest.raises(InfeasibleError, match=r"overlap 1\.000e-07 exceeds PROB_TOL"):
+            failure_allocations(problem, 0.0)
+
+    def test_q1_is_the_target_failure_weight(self, figure_point_problem):
+        alloc = failure_allocations(figure_point_problem, 0.5)
+        assert alloc.q1 == alloc.failure_probs[0] == 0.5
+        with pytest.raises(TypeError):
+            FailureAllocation(q1=0.9, failure_probs=[0.2, 0.3], phases=[0.0, 0.0])
+
+    def test_caller_arrays_are_copied(self):
+        q, phases = np.array([0.2, 0.3]), np.zeros(2)
+        alloc = FailureAllocation(failure_probs=q, phases=phases)
+        assert q.flags.writeable and phases.flags.writeable
+        q[0] = 0.9
+        assert alloc.q1 == 0.2
+        assert not alloc.failure_probs.flags.writeable
 
 
 class TestSuccessGram:
@@ -156,13 +198,30 @@ class TestBuildNeumark:
             priors=(0.5, 0.25, 0.25),
         )
         crafted = FailureAllocation(
-            q1=0.5,
             failure_probs=np.array([0.5, 0.0, 4e-10]),
             phases=np.zeros(3),
         )
         assert success_gram(problem, crafted).feasible
         with pytest.raises(InfeasibleError, match="depend"):
             build_neumark(problem, crafted)
+
+    def test_product_rule_breach_rejected(self, symmetric_pair_problem):
+        # q = (0.3, 0.3) passes the success-Gram verdict (eigenvalues 1.0 and
+        # 0.4), but conj(a_1) a_2 = 0.3 != <psi_1|psi_2> = 0.6, so the
+        # complement state would be identified as the target
+        crafted = FailureAllocation(failure_probs=[0.3, 0.3], phases=[0.0, 0.0])
+        sg = success_gram(symmetric_pair_problem, crafted)
+        assert sg.feasible
+        np.testing.assert_allclose(np.linalg.eigvalsh(sg.matrix), [0.4, 1.0], atol=1e-12)
+        with pytest.raises(
+            InfeasibleError, match=r"product rule .* by 3\.000e-01 > DEPENDENCY_TOL"
+        ):
+            build_neumark(symmetric_pair_problem, crafted)
+
+    def test_nonpositive_success_gram_rejected(self):
+        crafted = FailureAllocation(failure_probs=[0.9, 0.9], phases=[0.0, 0.0])
+        with pytest.raises(InfeasibleError, match=r"eigenvalue -8\.000e-01 < -PSD_TOL"):
+            build_neumark(tiny_overlap_pair(), crafted)
 
 
 class TestPovmElements:
@@ -350,6 +409,19 @@ class TestMeasurementSchemeValidation:
                 outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL),
                 vectors=(math.sqrt(1.5) * np.eye(2)[0],),
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_vectors(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            MeasurementScheme(
+                kind=SchemeKind.SQM1,
+                outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL),
+                vectors=[[bad, 0.0]],
+            )
+
+    def test_projective_scheme_rejects_povm_kind(self, walsh_problem):
+        with pytest.raises(InvalidInputError, match="POVM"):
+            projective_scheme(walsh_problem, SchemeKind.POVM)
 
     def test_rank_one_vectors_must_fit_the_outcomes(self):
         with pytest.raises(InvalidInputError, match="one vector per outcome"):

@@ -27,8 +27,8 @@ from qfilter import (
     projective_scheme,
     span_basis,
 )
-from qfilter.ensemble import NORM_TOL, RANK_TOL, _row_basis
-from qfilter.neumark import OPERATOR_TOL, ZERO_TOL
+from qfilter.ensemble import _row_basis
+from qfilter.tolerances import NORM_TOL, OPERATOR_TOL, PROB_TOL, RANK_TOL
 
 # Directions dropped below RANK_TOL leave residuals of at most sqrt(D) * RANK_TOL.
 DROPPED_TOL = 10 * RANK_TOL
@@ -94,11 +94,11 @@ def test_measurement_is_unambiguous_with_prescribed_failures(rows, seed):
             return np.real(np.einsum("ij,jk,ik->i", m.conj(), scheme.operator(outcome), m))
 
         assert np.abs(born(Outcome.FAIL) - allocation.failure_probs).max() <= 1e-9
-        # p_1 <= ZERO_TOL folds the target element into IS_COMPLEMENT.
+        # p_1 <= PROB_TOL folds the target element into IS_COMPLEMENT.
         misidentified = born(Outcome.IS_COMPLEMENT)[0]
         if Outcome.IS_TARGET in scheme.outcomes:
             misidentified = max(misidentified, born(Outcome.IS_TARGET)[1:].max())
-        assert misidentified <= ZERO_TOL
+        assert misidentified <= PROB_TOL
         fail_evals = np.linalg.eigvalsh(scheme.operator(Outcome.FAIL))
         assert fail_evals.size == 1 or fail_evals[-2] <= 1e-10
 

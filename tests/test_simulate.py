@@ -24,7 +24,8 @@ from qfilter import (
     save_problem,
     simulate,
 )
-from qfilter.simulate import _CHUNK, ZERO_PROB, _sample_counts, _sampled, _substream
+from qfilter.simulate import _CHUNK, _sample_counts, _sampled, _substream
+from qfilter.tolerances import PROB_TOL
 
 ROOT3 = math.sqrt(3.0)
 
@@ -89,7 +90,7 @@ def reference_counts(probs, trials, stream_seed):
     """The inverse-CDF sampler written out draw by draw: locate every uniform
     among the partial sums, clamp residual mass onto the last live outcome and
     tally."""
-    p = np.where(probs < ZERO_PROB, 0.0, probs)
+    p = np.where(probs < PROB_TOL, 0.0, probs)
     u = np.random.default_rng(stream_seed).random(trials)
     idx = np.searchsorted(np.cumsum(p), u, side="right")
     np.minimum(idx, np.flatnonzero(p)[-1], out=idx)
@@ -98,7 +99,7 @@ def reference_counts(probs, trials, stream_seed):
 
 @st.composite
 def sampled_distributions(draw):
-    """Probability vectors with exact zeros, entries below ZERO_PROB, zero
+    """Probability vectors with exact zeros, entries below PROB_TOL, zero
     trailing entries and totals within 1e-12 of 1."""
     kinds = draw(st.lists(st.sampled_from(["live", "zero", "tiny"]), min_size=1, max_size=7))
     kinds[draw(st.integers(0, len(kinds) - 1))] = "live"
@@ -107,7 +108,7 @@ def sampled_distributions(draw):
         [draw(st.floats(0.01, 1.0)) if kind == "live" else 0.0 for kind in kinds]
     )
     tiny = np.array(
-        [draw(st.floats(1e-18, 0.999 * ZERO_PROB)) if kind == "tiny" else 0.0 for kind in kinds]
+        [draw(st.floats(1e-18, 0.999 * PROB_TOL)) if kind == "tiny" else 0.0 for kind in kinds]
     )
     drift = draw(st.sampled_from([0.0, -1e-12, -3e-13, 3e-13, 1e-12]))
     live_total = 1.0 + drift - tiny.sum()
@@ -206,7 +207,7 @@ class TestSimulate:
         )
 
     def test_analytic_rates_are_the_sampled_distribution(self):
-        # the target's IS_COMPLEMENT probability 4e-13 is below ZERO_PROB:
+        # the target's IS_COMPLEMENT probability 4e-13 is below PROB_TOL:
         # it is never drawn, so it reads analytic 0 and z 0
         tiny = 4e-13
         target = StateVector(np.array([math.sqrt(1 - tiny), math.sqrt(tiny), 0.0]))
@@ -221,7 +222,7 @@ class TestSimulate:
             vectors=(np.eye(3)[0], np.eye(3)[2]),
         )
         raw = outcome_distribution(scheme, target).probabilities
-        assert 0.0 < raw[1] < ZERO_PROB
+        assert 0.0 < raw[1] < PROB_TOL
         stats = simulate(scheme, problem, 1000, 11)
         assert stats.counts[0, 1] == 0
         assert stats.analytic_rates[0, 1] == 0.0

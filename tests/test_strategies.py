@@ -73,6 +73,14 @@ class TestAverageOverlap:
 
 
 class TestOptimalFiltering:
+    def test_unit_target_prior_rejected(self):
+        # priors (1, 1e-10) sum to 1 within NORM_TOL, but eta1 = 1 leaves no complement
+        problem = FilteringProblem(
+            states=(np.eye(2)[0], np.eye(2)[1]), priors=(1.0, 1e-10)
+        )
+        with pytest.raises(InvalidInputError, match=r"\(0, 1\), got 1\.0"):
+            optimal_filtering(problem)
+
     def test_interior_regime_at_figure_point(self, figure_point_problem):
         report = optimal_filtering(figure_point_problem)
         assert report.regime is Regime.POVM
@@ -176,6 +184,10 @@ class TestFailureCurve:
             failure_curve(0.0, 0.25, [0.1])
         with pytest.raises(InvalidInputError):
             failure_curve(0.4, 0.25, [-0.1])
+
+    def test_rejects_two_dimensional_overlaps(self):
+        with pytest.raises(InvalidInputError, match=r"one-dimensional, got shape \(2, 2\)"):
+            failure_curve(0.4, 0.25, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("bad", (-0.1, math.inf, math.nan))
     def test_first_bad_overlap_named(self, bad):
