@@ -25,6 +25,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _frozen_fields(record, dtype, *names: str) -> None:
+    """Store each named array field of a frozen ``record`` as a read-only view
+    (dtype None keeps the field's dtype). The view is frozen, not the array
+    passed in, so the caller's array keeps its flags, and nothing is copied."""
+    for name in names:
+        object.__setattr__(record, name, _freeze(np.asarray(getattr(record, name), dtype).view()))
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """A unit-norm vector of complex amplitudes over an orthonormal basis."""
@@ -200,10 +208,7 @@ class Decomposition:
     parallel_norm_sq: float
 
     def __post_init__(self):
-        object.__setattr__(self, "parallel", _freeze(np.asarray(self.parallel, np.complex128)))
-        object.__setattr__(
-            self, "perpendicular", _freeze(np.asarray(self.perpendicular, np.complex128))
-        )
+        _frozen_fields(self, np.complex128, "parallel", "perpendicular")
 
 
 def decompose_target(problem: FilteringProblem) -> Decomposition:

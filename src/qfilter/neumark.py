@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensemble import FilteringProblem, _freeze, decompose_target, gram_matrix
+from .ensemble import FilteringProblem, _freeze, _frozen_fields, decompose_target, gram_matrix
 from .errors import (
     DegenerateDecompositionError,
     InfeasibleError,
@@ -59,14 +59,28 @@ class Outcome(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class FailureAllocation:
-    """Per-state failure weights q_i and phases theta_i (target first), stored as copies."""
+    """Per-state failure weights q_i in [0, 1] and finite phases theta_i (target
+    first): 1-D arrays of one length, stored as copies."""
 
     failure_probs: np.ndarray
     phases: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "failure_probs", _freeze(np.array(self.failure_probs, float)))
-        object.__setattr__(self, "phases", _freeze(np.array(self.phases, float)))
+        q = _freeze(np.array(self.failure_probs, float))
+        phases = _freeze(np.array(self.phases, float))
+        if q.ndim != 1 or q.shape != phases.shape:
+            raise InvalidInputError(
+                f"failure weights of shape {q.shape} and phases of shape {phases.shape} "
+                "must be 1-D and of equal length"
+            )
+        outside = ~((q >= 0.0) & (q <= 1.0))  # NaN is outside
+        if outside.any():
+            raise InvalidInputError(f"failure weight {float(q[outside][0])!r} must lie in [0, 1]")
+        nonfinite = ~np.isfinite(phases)
+        if nonfinite.any():
+            raise InvalidInputError(f"phase {float(phases[nonfinite][0])!r} must be finite")
+        object.__setattr__(self, "failure_probs", q)
+        object.__setattr__(self, "phases", phases)
 
     @property
     def q1(self) -> float:
@@ -115,7 +129,7 @@ class SuccessGram:
     feasible: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(np.asarray(self.matrix, np.complex128)))
+        _frozen_fields(self, np.complex128, "matrix")
 
 
 def success_gram(problem: FilteringProblem, allocation: FailureAllocation) -> SuccessGram:
@@ -126,6 +140,11 @@ def success_gram(problem: FilteringProblem, allocation: FailureAllocation) -> Su
     the package phase convention the first row and column vanish identically,
     which is the success-orthogonality requirement in Gram form.
     """
+    if allocation.failure_probs.size != problem.n_states:
+        raise InvalidInputError(
+            f"allocation of length {allocation.failure_probs.size} does not fit "
+            f"{problem.n_states} states"
+        )
     g = gram_matrix(problem)
     w = np.sqrt(allocation.failure_probs) * np.exp(-1j * allocation.phases)
     gs = g - np.outer(w, w.conj())
@@ -152,8 +171,7 @@ class NeumarkModel:
     allocation: FailureAllocation
 
     def __post_init__(self):
-        for name in ("unitary", "success_outputs", "failure_amplitudes"):
-            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), np.complex128)))
+        _frozen_fields(self, np.complex128, "unitary", "success_outputs", "failure_amplitudes")
 
 
 def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> NeumarkModel:

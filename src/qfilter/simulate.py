@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import FilteringProblem, StateVector
+from .ensemble import FilteringProblem, StateVector, _frozen_fields
 from .errors import InvalidInputError
 from .neumark import MeasurementScheme, Outcome, SchemeKind
 from .tolerances import PROB_TOL
@@ -44,9 +44,7 @@ class OutcomeDistribution:
     renormalized: bool
 
     def __post_init__(self):
-        arr = np.asarray(self.probabilities, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "probabilities", arr)
+        _frozen_fields(self, float, "probabilities")
 
     def probability(self, outcome: Outcome) -> float:
         return float(self.probabilities[self.outcomes.index(outcome)])
@@ -57,10 +55,11 @@ def outcome_distribution(scheme: MeasurementScheme, state: StateVector) -> Outco
 
     The distribution is renormalized (and flagged) only when the total drifts
     from 1 by more than PROB_TOL. It is the state's row of the computation
-    ``simulate`` makes for a whole ensemble, value for value.
+    ``simulate`` makes for a whole ensemble, value for value. Raw amplitudes
+    are validated as a ``StateVector`` first.
     """
-    psi = state.amplitudes if isinstance(state, StateVector) else np.asarray(state, complex)
-    probs, renormalized = _born_rates(scheme, psi.reshape(1, -1))
+    state = state if isinstance(state, StateVector) else StateVector(state)
+    probs, renormalized = _born_rates(scheme, state.amplitudes.reshape(1, -1))
     return OutcomeDistribution(
         outcomes=scheme.outcomes, probabilities=probs[0], renormalized=bool(renormalized[0])
     )
@@ -99,32 +98,20 @@ def _sampled(probs: np.ndarray) -> np.ndarray:
     return p
 
 
-def _sample_counts(
-    probs: np.ndarray, trials: int, stream_seed: int | np.random.SeedSequence
+def _draw_counts(
+    p: np.ndarray, trials: int, stream_seed: int | np.random.SeedSequence
 ) -> np.ndarray:
-    """Draw outcome counts via inverse-CDF with exact cumulative thresholds.
+    """Draw outcome counts for a sampled row ``p`` (see ``_sampled``) by inverse CDF.
 
     A draw u lands on the first outcome j whose partial sum cum[j] exceeds u,
     so the number of draws landing on outcomes 0..j is the number with
     u < cum[j]. Those "below" counts are taken at every live outcome but the
-    last; the last live outcome takes the remainder, which includes any
-    residual mass of a total slightly below 1.
-    """
-    p = _sampled(probs)
-    return _draw_counts(p, np.cumsum(p), trials, stream_seed)
-
-
-def _draw_counts(
-    p: np.ndarray, cum: np.ndarray, trials: int, stream_seed: int | np.random.SeedSequence
-) -> np.ndarray:
-    """``_sample_counts`` for a sampled row ``p`` with partial sums ``cum``.
-
-    The uniforms are drawn _CHUNK at a time into one buffer; the generator
-    fills doubles in sequence, so the counts equal those of one draw of
-    ``trials`` uniforms.
+    last; the last live outcome takes the remainder. The uniforms are drawn
+    _CHUNK at a time into one buffer; the generator fills doubles in
+    sequence, so the counts equal those of one draw of ``trials`` uniforms.
     """
     live = np.flatnonzero(p)
-    thresholds = cum[live[:-1]].tolist()
+    thresholds = np.cumsum(p)[live[:-1]].tolist()
     below = [0] * len(thresholds)
     rng = np.random.default_rng(stream_seed)
     buf = np.empty(min(trials, _CHUNK))
@@ -151,10 +138,7 @@ class SimulationStats:
     z_scores: np.ndarray
 
     def __post_init__(self):
-        for name in ("counts", "empirical_rates", "analytic_rates", "z_scores"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _frozen_fields(self, None, "counts", "empirical_rates", "analytic_rates", "z_scores")
 
     @property
     def misidentifications(self) -> int:
@@ -187,13 +171,12 @@ def simulate(
         raise InvalidInputError("trials_per_state must be >= 1")
     probs, _ = _born_rates(scheme, problem.state_matrix)
     analytic = _sampled(probs)
-    cum = np.cumsum(analytic, axis=1)
     drawable = analytic > 0.0
     # A state with one live outcome lands there on every trial, with no draws.
     single = drawable.sum(axis=1) == 1
     counts = np.where(drawable & single[:, None], trials, 0).astype(np.int64)
     for i in np.flatnonzero(~single):
-        counts[i] = _draw_counts(analytic[i], cum[i], trials, _substream(seed, i))
+        counts[i] = _draw_counts(analytic[i], trials, _substream(seed, i))
     empirical = counts / float(trials)
     variance = analytic * (1.0 - analytic) / float(trials)
     z = np.zeros_like(analytic)

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .ensemble import FilteringProblem, decompose_target
+from .ensemble import FilteringProblem, _frozen_fields, decompose_target
 from .errors import InvalidInputError
 from .neumark import failure_allocations
 
@@ -105,7 +105,8 @@ class StrategyReport:
 
     ``per_state_failure[i]`` is the failure weight q_i of state i (target
     first); ``per_state_success`` is its exact complement 1 - q_i.  ``q_povm``
-    is None when the interior optimum is outside its validity window.
+    is None when the interior optimum is outside its validity window. Fields
+    are declared in the key order of ``to_dict``.
     """
 
     q_sqm1: float
@@ -114,32 +115,24 @@ class StrategyReport:
     regime: Regime
     optimal_q1: float
     optimal_Q: float
-    per_state_failure: np.ndarray
-    per_state_success: np.ndarray
     average_success: float
     overlap_S: float
     parallel_norm_f: float
+    per_state_failure: np.ndarray
+    per_state_success: np.ndarray
 
     def __post_init__(self):
-        for name in ("per_state_failure", "per_state_success"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _frozen_fields(self, float, "per_state_failure", "per_state_success")
 
     def to_dict(self) -> dict:
-        return {
-            "q_sqm1": self.q_sqm1,
-            "q_sqm2": self.q_sqm2,
-            "q_povm": self.q_povm,
-            "regime": self.regime.value,
-            "optimal_q1": self.optimal_q1,
-            "optimal_Q": self.optimal_Q,
-            "average_success": self.average_success,
-            "overlap_S": self.overlap_S,
-            "parallel_norm_f": self.parallel_norm_f,
-            "per_state_failure": [float(q) for q in self.per_state_failure],
-            "per_state_success": [float(p) for p in self.per_state_success],
-        }
+        """The report as JSON values, keyed by field name in field order."""
+        out = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            out[field.name] = value.value if isinstance(value, Regime) else value
+        return out
 
 
 def optimal_filtering(problem: FilteringProblem) -> StrategyReport:
@@ -206,8 +199,7 @@ class FailureCurve(Sequence):
     regime_codes: np.ndarray
 
     def __post_init__(self):
-        for name in ("s", "q_sqm1", "q_sqm2", "q_povm", "q_opt", "regime_codes"):
-            getattr(self, name).setflags(write=False)
+        _frozen_fields(self, None, "s", "q_sqm1", "q_sqm2", "q_povm", "q_opt", "regime_codes")
 
     def __len__(self) -> int:
         return self.s.size

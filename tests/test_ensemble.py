@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 
 from qfilter import (
+    Decomposition,
     FilteringProblem,
     InvalidInputError,
+    NeumarkModel,
+    OutcomeDistribution,
+    Regime,
+    SchemeKind,
+    SimulationStats,
     StateVector,
+    StrategyReport,
+    SuccessGram,
     decompose_target,
     gram_matrix,
     span_basis,
     walsh_balanced_basis,
     wk_spec,
 )
+from qfilter.strategies import FailureCurve
 from conftest import random_problem
 
 
@@ -220,3 +229,39 @@ class TestDecomposeTarget:
             dec = decompose_target(p)
             perp_sq = float(np.linalg.norm(dec.perpendicular) ** 2)
             assert dec.parallel_norm_sq + perp_sq == pytest.approx(1.0, abs=1e-10)
+
+
+# (record, dtype of each array field, the other fields)
+RESULT_RECORDS = [
+    (Decomposition, dict.fromkeys(["parallel", "perpendicular"], complex),
+     dict(parallel_norm_sq=0.0)),
+    (SuccessGram, dict(matrix=complex), dict(min_eigenvalue=0.0, feasible=True)),
+    (NeumarkModel,
+     dict.fromkeys(["unitary", "success_outputs", "failure_amplitudes"], complex),
+     dict(dimension=2, allocation=None)),
+    (StrategyReport, dict.fromkeys(["per_state_failure", "per_state_success"], float),
+     dict(q_sqm1=0.5, q_sqm2=0.5, q_povm=None, regime=Regime.SQM1_BOUNDARY, optimal_q1=1.0,
+          optimal_Q=0.5, average_success=0.5, overlap_S=0.0, parallel_norm_f=0.0)),
+    (FailureCurve,
+     {**dict.fromkeys(["s", "q_sqm1", "q_sqm2", "q_povm", "q_opt"], float),
+      "regime_codes": np.int8},
+     {}),
+    (OutcomeDistribution, dict(probabilities=float), dict(outcomes=(), renormalized=False)),
+    (SimulationStats,
+     {"counts": np.int64,
+      **dict.fromkeys(["empirical_rates", "analytic_rates", "z_scores"], float)},
+     dict(scheme_kind=SchemeKind.POVM, outcomes=(), trials_per_state=1, seed=0)),
+]
+
+
+@pytest.mark.parametrize(
+    "record, arrays, scalars", RESULT_RECORDS, ids=[case[0].__name__ for case in RESULT_RECORDS]
+)
+def test_result_records_freeze_a_view_not_the_callers_array(record, arrays, scalars):
+    given = {name: np.zeros(2, dtype) for name, dtype in arrays.items()}
+    built = record(**given, **scalars)
+    for name, array in given.items():
+        stored = getattr(built, name)
+        assert array.flags.writeable
+        assert not stored.flags.writeable
+        assert np.shares_memory(stored, array)  # nothing is copied

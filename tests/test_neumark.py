@@ -17,6 +17,7 @@ from qfilter import (
     SchemeKind,
     StateVector,
     build_neumark,
+    decompose_target,
     failure_allocations,
     optimal_filtering,
     povm_elements,
@@ -102,6 +103,26 @@ class TestFailureAllocations:
         q[0] = 0.9
         assert alloc.q1 == 0.2
         assert not alloc.failure_probs.flags.writeable
+
+    @pytest.mark.parametrize(
+        "q, phases, message",
+        [
+            ([0.6], [0.0], "length 1 does not fit 2 states"),
+            ([0.6, 0.6, 0.6], [0.0, 0.0, 0.0], "length 3 does not fit 2 states"),
+            ([0.6, 0.6], [0.0], r"shape \(2,\) and phases of shape \(1,\)"),
+            ([-0.1, 0.6], [0.0, 0.0], r"weight -0\.1 must lie in \[0, 1\]"),
+            ([np.nan, 0.6], [0.0, 0.0], r"weight nan must lie in \[0, 1\]"),
+            ([0.6, 0.6], [0.0, np.inf], "phase inf must be finite"),
+        ],
+        ids=["one-weight", "three-weights", "unequal-shapes", "negative", "nan", "inf-phase"],
+    )
+    def test_malformed_allocation_rejected(self, q, phases, message):
+        problem = FilteringProblem(
+            states=(StateVector(np.array([1.0, 0.0])), StateVector(np.array([0.6, 0.8]))),
+            priors=(0.5, 0.5),
+        )
+        with pytest.raises(InvalidInputError, match=message):
+            build_neumark(problem, FailureAllocation(failure_probs=q, phases=phases))
 
 
 class TestSuccessGram:
@@ -223,6 +244,34 @@ class TestBuildNeumark:
         with pytest.raises(InfeasibleError, match=r"eigenvalue -8\.000e-01 < -PSD_TOL"):
             build_neumark(tiny_overlap_pair(), crafted)
 
+    def test_failure_row_matches_closed_form(self):
+        # for q1 in [f, 1] and f < 1 the ancilla row is
+        # u = conj(psi_par / sqrt(q1) + (q1 - f) / (sqrt(q1) (1 - f)) psi_perp), so
+        # |u|^2 = f / q1 + (q1 - f)^2 / (q1 (1 - f)), which is at most 1
+        rng = np.random.default_rng(31)
+        built = 0
+        for _ in range(300):
+            problem = random_problem(rng)
+            if problem.n_states > problem.dimension:
+                continue  # the complement spans the space: f = 1
+            d = problem.dimension
+            dec = decompose_target(problem)
+            f = dec.parallel_norm_sq
+            for q1 in (f, 0.5 * (f + 1.0), 1.0, optimal_filtering(problem).optimal_q1):
+                allocation = failure_allocations(problem, q1)
+                q1 = allocation.q1
+                assert q1 > 0.0 and f < 1.0
+                u = build_neumark(problem, allocation).unitary[d, :d]
+                scale = (q1 - f) / (math.sqrt(q1) * (1.0 - f))
+                expected = np.conj(dec.parallel / math.sqrt(q1) + scale * dec.perpendicular)
+                np.testing.assert_allclose(u, expected, rtol=0.0, atol=1e-12)
+                norm_sq = float(np.vdot(u, u).real)
+                closed = f / q1 + (q1 - f) ** 2 / (q1 * (1.0 - f))
+                assert norm_sq == pytest.approx(closed, abs=1e-12)
+                assert norm_sq <= 1.0 + 1e-12
+                built += 1
+        assert built > 400
+
 
 class TestPovmElements:
     def test_orthogonal_pair_elements(self, orthogonal_pair_problem):
@@ -269,8 +318,6 @@ class TestPovmElements:
     def test_whole_failure_weight_window_is_realizable(self):
         # both projective boundaries and the interior point admit a unitary
         rng = np.random.default_rng(29)
-        from qfilter import decompose_target
-
         for _ in range(8):
             problem = random_problem(rng, max_dim=8, max_states=8)
             f = decompose_target(problem).parallel_norm_sq

@@ -24,7 +24,7 @@ from qfilter import (
     save_problem,
     simulate,
 )
-from qfilter.simulate import _CHUNK, _sample_counts, _sampled, _substream
+from qfilter.simulate import _CHUNK, _draw_counts, _sampled, _substream
 from qfilter.tolerances import PROB_TOL
 
 ROOT3 = math.sqrt(3.0)
@@ -66,23 +66,37 @@ class TestOutcomeDistribution:
         with pytest.raises(InvalidInputError, match="measured space"):
             simulate(scheme, symmetric_pair_problem, 10, 1)
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (np.full((2, 2), 0.5), "1-D"),
+            ([3.0, 0.0, 0.0, 0.0], r"squared norm 9\.0 deviates"),
+            (np.zeros(4), r"squared norm 0\.0 deviates"),
+        ],
+        ids=["matrix", "norm-3", "zero"],
+    )
+    def test_raw_amplitudes_are_validated_as_a_state(self, raw, message):
+        scheme = projective_scheme(boolean_problem(2, 2), SchemeKind.SQM1)
+        with pytest.raises(InvalidInputError, match=message):
+            outcome_distribution(scheme, raw)
+
 
 class TestSampling:
     def test_zero_probability_outcomes_never_drawn(self):
         probs = np.array([0.3, 0.0, 0.7])
-        counts = _sample_counts(probs, 50_000, 123)
+        counts = _draw_counts(_sampled(probs), 50_000, 123)
         assert counts[1] == 0
         assert counts.sum() == 50_000
 
     def test_tiny_probabilities_are_exact_zeros(self):
         probs = np.array([0.5, 1e-13, 0.5 - 1e-13])
-        counts = _sample_counts(probs, 20_000, 7)
+        counts = _draw_counts(_sampled(probs), 20_000, 7)
         assert counts[1] == 0
 
     def test_residual_mass_goes_to_last_live_outcome(self):
         # total slightly below 1: every draw must still land on a live outcome
         probs = np.array([0.5, 0.5 - 1e-13, 0.0])
-        counts = _sample_counts(probs, 10_000, 99)
+        counts = _draw_counts(_sampled(probs), 10_000, 99)
         assert counts[2] == 0
 
 
@@ -125,7 +139,7 @@ class TestSamplerOracle:
     )
     def test_counts_match_draw_by_draw_reference(self, probs, trials, seed, state_index):
         stream = seed if state_index is None else _substream(seed, state_index)
-        counts = _sample_counts(probs, trials, stream)
+        counts = _draw_counts(_sampled(probs), trials, stream)
         assert counts.dtype == np.int64
         np.testing.assert_array_equal(counts, reference_counts(probs, trials, stream))
 
@@ -133,7 +147,7 @@ class TestSamplerOracle:
         probs = np.array([0.3, 0.2, 0.5])
         tracemalloc.start()
         try:
-            counts = _sample_counts(probs, 10**7, 5)
+            counts = _draw_counts(_sampled(probs), 10**7, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -145,8 +159,8 @@ class TestSubstreams:
     def test_seed_and_state_do_not_alias(self):
         # (seed 0, state 1) and (seed 1, state 0) must be different streams
         probs = np.array([0.25, 0.25, 0.25, 0.25])
-        a = _sample_counts(probs, 10_000, _substream(0, 1))
-        b = _sample_counts(probs, 10_000, _substream(1, 0))
+        a = _draw_counts(_sampled(probs), 10_000, _substream(0, 1))
+        b = _draw_counts(_sampled(probs), 10_000, _substream(1, 0))
         assert not np.array_equal(a, b)
 
 
@@ -256,7 +270,7 @@ class TestSimulate:
         full = simulate(scheme, walsh_problem, 4000, 77)
         for i, state in enumerate(walsh_problem.states):
             dist = outcome_distribution(scheme, state)
-            part = _sample_counts(dist.probabilities, 4000, _substream(77, i))
+            part = _draw_counts(_sampled(dist.probabilities), 4000, _substream(77, i))
             np.testing.assert_array_equal(full.counts[i], part)
 
     def test_z_scores_mostly_small_across_seeds(self, figure_point_problem, walsh_problem):
@@ -291,7 +305,7 @@ class TestScale:
             probs = outcome_distribution(scheme, state).probabilities
             np.testing.assert_array_equal(stats.analytic_rates[i], _sampled(probs))
             np.testing.assert_array_equal(
-                stats.counts[i], _sample_counts(probs, 3000, _substream(5, i))
+                stats.counts[i], _draw_counts(_sampled(probs), 3000, _substream(5, i))
             )
 
     def test_n10_measurement_forms_no_dense_operator(self):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -100,6 +102,14 @@ class TestOptimalFiltering:
         # cross-check the prior-weighted sum quoted for this problem
         manual = 0.25 * report.optimal_q1 + 3 * 0.25 * (1 / (2 * ROOT3))
         assert report.optimal_Q == pytest.approx(manual, abs=1e-12)
+
+    def test_to_dict_keys_are_the_fields_in_order(self, walsh_problem):
+        report = optimal_filtering(walsh_problem)
+        payload = report.to_dict()
+        assert list(payload) == [field.name for field in dataclasses.fields(report)]
+        assert payload["regime"] == "POVM" and type(payload["regime"]) is str
+        assert payload["per_state_failure"] == report.per_state_failure.tolist()
+        assert json.loads(json.dumps(payload)) == payload
 
     def test_report_consistency_invariants(self):
         rng = np.random.default_rng(31)
