@@ -7,24 +7,15 @@ application to discriminating biased Boolean functions from balanced ones.
 """
 
 from .boolfn import (
-    AdvantageReport,
-    BalancedBasis,
     BooleanFunction,
     ComplementVariant,
-    FunctionClass,
-    OverlapPair,
     PriorMode,
-    WkSpec,
-    approximate_povm_window,
-    average_overlap_basis,
     average_overlap_full,
     biased_fraction,
     boolean_problem,
-    classical_query_count,
     dj_encode,
     enumerate_balanced,
     povm_advantage,
-    walsh_balanced_basis,
     wk_spec,
 )
 from .ensemble import (
@@ -33,9 +24,8 @@ from .ensemble import (
     StateVector,
     decompose_target,
     gram_matrix,
-    span_basis,
 )
-from .ensemble_io import load_problem, problem_from_dict, problem_to_dict, save_problem
+from .ensemble_io import load_problem, save_problem
 from .errors import (
     DegenerateDecompositionError,
     InfeasibleError,
@@ -58,17 +48,13 @@ from .neumark import (
     success_gram,
 )
 from .simulate import (
-    OutcomeDistribution,
     SimulationStats,
     aggregate_failure,
-    outcome_distribution,
     simulate,
 )
 from .strategies import (
     Regime,
     StrategyReport,
-    SweepRow,
-    average_overlap,
     failure_curve,
     optimal_filtering,
     povm_window,
@@ -80,23 +66,18 @@ from .strategies import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdvantageReport",
-    "BalancedBasis",
     "BooleanFunction",
     "ComplementVariant",
     "Decomposition",
     "DegenerateDecompositionError",
     "FailureAllocation",
     "FilteringProblem",
-    "FunctionClass",
     "InfeasibleError",
     "InvalidInputError",
     "MeasurementScheme",
     "NeumarkModel",
     "NumericalError",
     "Outcome",
-    "OutcomeDistribution",
-    "OverlapPair",
     "PriorMode",
     "QFilterError",
     "Regime",
@@ -106,17 +87,11 @@ __all__ = [
     "StateVector",
     "StrategyReport",
     "SuccessGram",
-    "SweepRow",
-    "WkSpec",
     "aggregate_failure",
-    "approximate_povm_window",
-    "average_overlap",
-    "average_overlap_basis",
     "average_overlap_full",
     "biased_fraction",
     "boolean_problem",
     "build_neumark",
-    "classical_query_count",
     "decompose_target",
     "dj_encode",
     "enumerate_balanced",
@@ -125,20 +100,15 @@ __all__ = [
     "gram_matrix",
     "load_problem",
     "optimal_filtering",
-    "outcome_distribution",
     "povm_advantage",
     "povm_elements",
     "povm_window",
-    "problem_from_dict",
-    "problem_to_dict",
     "projective_scheme",
     "q_povm",
     "q_sqm1",
     "q_sqm2",
     "save_problem",
     "simulate",
-    "span_basis",
     "success_gram",
-    "walsh_balanced_basis",
     "wk_spec",
 ]

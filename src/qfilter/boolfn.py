@@ -28,15 +28,9 @@ from .tolerances import PROB_TOL
 FULL_ENUMERATION_MAX_BITS = 4  # C(16, 8) = 12,870 functions; larger explodes
 
 
-class FunctionClass(str, Enum):
-    CONSTANT = "CONSTANT"
-    BALANCED = "BALANCED"
-    BIASED = "BIASED"
-
-
 @dataclass(frozen=True)
 class BooleanFunction:
-    """A truth table of length 2^n with its output-count classification."""
+    """A truth table of length 2^n, stored as a tuple of 0/1 ints."""
 
     n: int
     truth_table: tuple[int, ...]
@@ -44,31 +38,15 @@ class BooleanFunction:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidInputError(f"bit count n must be >= 1, got {self.n!r}")
-        table = tuple(int(b) for b in self.truth_table)
+        table = tuple(self.truth_table)
         if len(table) != 2**self.n:
             raise InvalidInputError(
                 f"truth table length {len(table)} != 2^{self.n}"
             )
-        if any(b not in (0, 1) for b in table):
-            raise InvalidInputError("truth table entries must be 0 or 1")
-        object.__setattr__(self, "truth_table", table)
-
-    @property
-    def ones_count(self) -> int:
-        return sum(self.truth_table)
-
-    @property
-    def zeros_count(self) -> int:
-        return len(self.truth_table) - self.ones_count
-
-    @property
-    def function_class(self) -> FunctionClass:
-        m1 = self.ones_count
-        if m1 == 0 or m1 == len(self.truth_table):
-            return FunctionClass.CONSTANT
-        if 2 * m1 == len(self.truth_table):
-            return FunctionClass.BALANCED
-        return FunctionClass.BIASED
+        bad = [b for b in table if b not in (0, 1)]  # before int() truncates 0.7 or parses "1"
+        if bad:
+            raise InvalidInputError(f"truth table entries must be 0 or 1, got {bad[0]!r}")
+        object.__setattr__(self, "truth_table", tuple(int(b) for b in table))
 
 
 def dj_encode(fn: BooleanFunction) -> StateVector:
@@ -92,19 +70,14 @@ def biased_fraction(k: int) -> float:
 class WkSpec:
     """The two biased functions flipping on the top 2^n/2^k inputs.
 
-    Both members encode, up to a global sign, to ``vector``; ``f_k`` is its
-    squared weight inside the balanced subspace. ``degenerate`` marks k = 1,
-    whose members are themselves balanced (f_1 = 1), so filtering against the
-    full balanced set is impossible.
+    Both members, 0 below ``boundary`` and 1 from it on or the reverse, encode
+    up to a global sign to ``vector`` (+1 amplitudes below ``boundary``);
+    ``f_k`` is its squared weight inside the balanced subspace.
     """
 
-    n: int
-    k: int
     boundary: int
-    member_functions: tuple[BooleanFunction, BooleanFunction]
     vector: StateVector
     f_k: float
-    degenerate: bool
 
 
 def wk_spec(n: int, k: int) -> WkSpec:
@@ -116,9 +89,7 @@ def wk_spec(n: int, k: int) -> WkSpec:
         )
     d = 2**n
     boundary = (2**k - 1) * 2 ** (n - k)  # = (1 - 2^-k) * 2^n, exact integer
-    low_zero = BooleanFunction(n, tuple(0 if x < boundary else 1 for x in range(d)))
-    low_one = BooleanFunction(n, tuple(1 - b for b in low_zero.truth_table))
-    vector = dj_encode(low_zero)  # +1 amplitudes on the low block by convention
+    vector = StateVector(np.where(np.arange(d) < boundary, 1.0, -1.0) / math.sqrt(d))
 
     f_k = biased_fraction(k)
     constant = np.full(d, 1.0 / math.sqrt(d))
@@ -127,15 +98,7 @@ def wk_spec(n: int, k: int) -> WkSpec:
         raise NumericalError(
             f"balanced-span weight {geometric!r} misses the closed form {f_k!r} by over PROB_TOL"
         )
-    return WkSpec(
-        n=n,
-        k=k,
-        boundary=boundary,
-        member_functions=(low_zero, low_one),
-        vector=vector,
-        f_k=f_k,
-        degenerate=(k == 1),
-    )
+    return WkSpec(boundary=boundary, vector=vector, f_k=f_k)
 
 
 class ComplementVariant(str, Enum):
@@ -173,33 +136,16 @@ def _complement_signs(n: int, variant: ComplementVariant) -> np.ndarray:
     return rows
 
 
-def _functions(n: int, variant: ComplementVariant) -> tuple[BooleanFunction, ...]:
-    """The truth tables of the complement sign rows, f(x) = 1 where the sign is -1."""
-    return tuple(BooleanFunction(n, (row < 0).tolist()) for row in _complement_signs(n, variant))
-
-
-@dataclass(frozen=True, eq=False)
-class BalancedBasis:
-    """Orthonormal balanced-function encodings spanning the zero-sum subspace."""
-
-    n: int
-    vectors: tuple[StateVector, ...]
-    functions: tuple[BooleanFunction, ...]
-
-
-def walsh_balanced_basis(n: int) -> BalancedBasis:
-    """The D-1 nonconstant Walsh vectors, each the encoding of a balanced table."""
-    functions = _functions(n, ComplementVariant.BASIS)
-    return BalancedBasis(n=n, vectors=tuple(map(dj_encode, functions)), functions=functions)
-
-
 def enumerate_balanced(n: int) -> list[BooleanFunction]:
     """Every balanced function on n bits, in truth-table lexicographic order.
 
     Capped at n <= 4 (12,870 functions); beyond that the orthonormal-basis
     variant gives the same average overlap without the enumeration.
     """
-    return list(_functions(n, ComplementVariant.FULL))
+    return [
+        BooleanFunction(n, (row < 0).tolist())  # f(x) = 1 where the sign is -1
+        for row in _complement_signs(n, ComplementVariant.FULL)
+    ]
 
 
 class OverlapPair(NamedTuple):
@@ -209,14 +155,18 @@ class OverlapPair(NamedTuple):
     enumerated: float
 
 
-def _average_overlap(n: int, k: int, eta1: float, variant: ComplementVariant) -> OverlapPair:
-    """The closed form and the direct sum over the rows of ``variant``; see the wrappers."""
+def average_overlap_full(n: int, k: int, eta1: float) -> OverlapPair:
+    """Average overlap against every balanced function, by brute force.
+
+    The direct sum over all C(D, D/2) encodings at uniform complement priors
+    must reproduce the closed form (1 - eta1) * f_k / (D - 1) within PROB_TOL.
+    """
     if not 2 <= k <= n:
         raise InvalidInputError(f"bias level k={k} must satisfy 2 <= k <= n={n}")
     eta1 = float(eta1)
     if not 0.0 < eta1 <= 1.0:
         raise InvalidInputError(f"target prior must lie in (0, 1], got {eta1!r}")
-    signs = _complement_signs(n, variant)
+    signs = _complement_signs(n, ComplementVariant.FULL)
     spec = wk_spec(n, k)
     d = 2**n
     closed = (1.0 - eta1) * spec.f_k / (d - 1)
@@ -225,24 +175,6 @@ def _average_overlap(n: int, k: int, eta1: float, variant: ComplementVariant) ->
     if not abs(closed - direct) <= PROB_TOL:
         raise NumericalError(f"overlap derivations {closed!r}, {direct!r} differ by over PROB_TOL")
     return OverlapPair(closed_form=closed, enumerated=direct)
-
-
-def average_overlap_basis(n: int, k: int, eta1: float) -> OverlapPair:
-    """Average overlap against the Walsh basis at uniform complement priors.
-
-    Returns the closed form (1 - eta1) * f_k / (D - 1) together with the
-    direct sum over the basis; the two must agree within PROB_TOL.
-    """
-    return _average_overlap(n, k, eta1, ComplementVariant.BASIS)
-
-
-def average_overlap_full(n: int, k: int, eta1: float) -> OverlapPair:
-    """Average overlap against every balanced function, by brute force.
-
-    The direct sum over all C(D, D/2) encodings at uniform complement priors
-    must reproduce the basis variant's closed form within PROB_TOL.
-    """
-    return _average_overlap(n, k, eta1, ComplementVariant.FULL)
 
 
 class PriorMode(str, Enum):
@@ -274,7 +206,7 @@ def boolean_problem(
             f"eta1={eta1!r} with prior mode {prior_mode.value}: custom needs eta1, others take none"
         )
     spec = wk_spec(n, k)
-    if spec.degenerate:
+    if k == 1:
         raise InvalidInputError(
             "k = 1 is degenerate: both biased members are balanced, so the "
             "target cannot be filtered from the balanced set"

@@ -1,12 +1,14 @@
 """Complex vector-space primitives for state ensembles.
 
-State vectors, priors, Gram matrices, span bases, and the orthogonal
-decomposition of a designated target state against the span of the remaining
-states. Input norms and prior sums are checked to NORM_TOL. Every orthonormal
-basis of a span in the package comes from one helper, ``_row_basis``, which
-cuts the span at RANK_TOL. Everything here is a pure function of immutable
-values (``FilteringProblem`` caches its overlaps and decomposition on first
-use), so results can be shared freely between concurrent workers.
+State vectors, priors, Gram matrices, and the orthogonal decomposition of a
+designated target state against the span of the remaining states. Numeric
+input is read by one helper, ``_numbers``, which rejects what it cannot convert
+without loss. Input norms and prior sums are checked to NORM_TOL. Every
+orthonormal basis of a span in the package comes from one helper,
+``_row_basis``, which cuts the span at RANK_TOL. Everything here is a pure
+function of immutable values (``FilteringProblem`` caches its overlaps and
+decomposition on first use), so results can be shared freely between
+concurrent workers.
 """
 from __future__ import annotations
 
@@ -25,6 +27,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _numbers(value, field: str, dtype=float) -> np.ndarray:
+    """``value`` as a new ``dtype`` array, or InvalidInputError naming ``field``
+    when numpy cannot convert it without loss: a string, a non-number, or a
+    complex entry for a real ``dtype``, whose imaginary part a cast would drop."""
+    try:
+        arr = np.asarray(value)
+        lossless = np.can_cast(arr.dtype, dtype)
+    except ValueError:  # ragged nesting
+        lossless = False
+    if not lossless:
+        kind = "complex" if np.dtype(dtype).kind == "c" else "real"
+        raise InvalidInputError(f"{field} must be {kind} numbers, got {value!r:.80}")
+    return arr.astype(dtype)
+
+
 def _frozen_fields(record, dtype, *names: str) -> None:
     """Store each named array field of a frozen ``record`` as a read-only view
     (dtype None keeps the field's dtype). The view is frozen, not the array
@@ -40,7 +57,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.amplitudes, dtype=np.complex128)
+        arr = _numbers(self.amplitudes, "amplitudes", np.complex128)
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("amplitudes must be a nonempty 1-D sequence")
         if not np.all(np.isfinite(arr)):
@@ -57,29 +74,13 @@ class StateVector:
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "StateVector":
         """Build from a list of [re, im] pairs (the JSON interchange form)."""
-        arr = np.asarray(pairs, dtype=float)
+        arr = _numbers(pairs, "amplitude pairs")
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise InvalidInputError(f"amplitudes of shape {arr.shape} are not [re, im] pairs")
         return cls(arr[:, 0] + 1j * arr[:, 1])
 
     def to_pairs(self) -> list[list[float]]:
         return [[float(a.real), float(a.imag)] for a in self.amplitudes]
-
-
-def _as_rows(vectors) -> np.ndarray:
-    """Stack StateVectors (or raw array-likes) into a (n, D) complex matrix."""
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        return np.asarray(vectors, dtype=np.complex128)
-    rows = [
-        v.amplitudes if isinstance(v, StateVector) else np.asarray(v, dtype=np.complex128)
-        for v in vectors
-    ]
-    if not rows:
-        raise InvalidInputError("at least one vector is required, got 0")
-    dims = {r.size for r in rows}
-    if len(dims) != 1:
-        raise InvalidInputError(f"vectors have mixed dimensions {sorted(dims)}")
-    return np.vstack(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +97,7 @@ class FilteringProblem:
 
     def __post_init__(self):
         states = tuple(
-            s if isinstance(s, StateVector) else StateVector(np.asarray(s)) for s in self.states
+            s if isinstance(s, StateVector) else StateVector(s) for s in self.states
         )
         n = len(states)
         if n < 2:
@@ -104,7 +105,7 @@ class FilteringProblem:
         dims = {s.dimension for s in states}
         if len(dims) != 1:
             raise InvalidInputError(f"states have mixed dimensions {sorted(dims)}")
-        priors = np.array(self.priors, dtype=float)
+        priors = _numbers(self.priors, "priors")
         if priors.shape != (n,):
             raise InvalidInputError(f"expected {n} priors, got shape {priors.shape}")
         if not np.all((priors > 0.0) & (priors <= 1.0)):  # NaN fails both
@@ -150,7 +151,8 @@ class FilteringProblem:
     def _decomposition(self) -> Decomposition:
         """The target split against the complement span; see ``decompose_target``."""
         target = self.state_matrix[0]
-        basis, _ = span_basis(self.state_matrix[1:])
+        vh, rank = _row_basis(self.state_matrix[1:])
+        basis = vh[:rank]
         coef = basis.conj() @ target
         parallel = basis.T @ coef
         norm_sq = float(np.real(coef.conj() @ coef))
@@ -182,17 +184,6 @@ def _row_basis(rows: np.ndarray) -> tuple[np.ndarray, int]:
     if rank < min(n, d):
         return np.linalg.svd(rows, full_matrices=n < d)[2], rank
     return np.linalg.qr(rows.T, mode="complete")[0].T, rank
-
-
-def span_basis(vectors) -> tuple[np.ndarray, int]:
-    """Orthonormal basis for the span of ``vectors`` plus its rank.
-
-    The rank counts singular values above RANK_TOL; directions at or below it
-    contribute no basis element (see ``_row_basis``). Returns (basis, rank)
-    with basis rows orthonormal to ~1e-15.
-    """
-    vh, rank = _row_basis(_as_rows(vectors))
-    return vh[:rank], rank
 
 
 @dataclass(frozen=True, eq=False)

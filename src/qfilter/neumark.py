@@ -35,7 +35,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensemble import FilteringProblem, _freeze, _frozen_fields, decompose_target, gram_matrix
+from .ensemble import (
+    FilteringProblem,
+    _freeze,
+    _frozen_fields,
+    _numbers,
+    decompose_target,
+    gram_matrix,
+)
 from .errors import (
     DegenerateDecompositionError,
     InfeasibleError,
@@ -66,8 +73,8 @@ class FailureAllocation:
     phases: np.ndarray
 
     def __post_init__(self):
-        q = _freeze(np.array(self.failure_probs, float))
-        phases = _freeze(np.array(self.phases, float))
+        q = _freeze(_numbers(self.failure_probs, "failure weights"))
+        phases = _freeze(_numbers(self.phases, "phases"))
         if q.ndim != 1 or q.shape != phases.shape:
             raise InvalidInputError(
                 f"failure weights of shape {q.shape} and phases of shape {phases.shape} "
@@ -268,7 +275,7 @@ class MeasurementScheme:
     warning: str | None = None
 
     def __post_init__(self):
-        x = _freeze(np.array(self.vectors, dtype=np.complex128))
+        x = _freeze(_numbers(self.vectors, "rank-one vectors", np.complex128))
         fits = x.ndim == 2 and len(x) == len(self.outcomes) - 1
         if Outcome.IS_COMPLEMENT not in self.outcomes or not fits:
             raise InvalidInputError(

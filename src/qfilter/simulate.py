@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import FilteringProblem, StateVector, _frozen_fields
+from .ensemble import FilteringProblem, _frozen_fields, _numbers
 from .errors import InvalidInputError
 from .neumark import MeasurementScheme, Outcome, SchemeKind
 from .tolerances import PROB_TOL
@@ -35,38 +35,8 @@ _CHUNK = 8192
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
-    """Born-rule probabilities of a scheme's outcomes for one input state."""
-
-    outcomes: tuple[Outcome, ...]
-    probabilities: np.ndarray
-    renormalized: bool
-
-    def __post_init__(self):
-        _frozen_fields(self, float, "probabilities")
-
-    def probability(self, outcome: Outcome) -> float:
-        return float(self.probabilities[self.outcomes.index(outcome)])
-
-
-def outcome_distribution(scheme: MeasurementScheme, state: StateVector) -> OutcomeDistribution:
-    """Evaluate <psi|E_k|psi> for every outcome operator, clamped to [0, 1].
-
-    The distribution is renormalized (and flagged) only when the total drifts
-    from 1 by more than PROB_TOL. It is the state's row of the computation
-    ``simulate`` makes for a whole ensemble, value for value. Raw amplitudes
-    are validated as a ``StateVector`` first.
-    """
-    state = state if isinstance(state, StateVector) else StateVector(state)
-    probs, renormalized = _born_rates(scheme, state.amplitudes.reshape(1, -1))
-    return OutcomeDistribution(
-        outcomes=scheme.outcomes, probabilities=probs[0], renormalized=bool(renormalized[0])
-    )
-
-
-def _born_rates(scheme: MeasurementScheme, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Born probabilities of every row, clamped to [0, 1], and the rows renormalized.
+def _born_rates(scheme: MeasurementScheme, rows: np.ndarray) -> np.ndarray:
+    """Born probabilities of every row, clamped to [0, 1].
 
     A row is renormalized when its clamped total drifts from 1 by more than
     PROB_TOL, which also covers states whose squared norm is off by up to
@@ -76,7 +46,7 @@ def _born_rates(scheme: MeasurementScheme, rows: np.ndarray) -> tuple[np.ndarray
     totals = probs.sum(axis=1)
     renormalized = np.abs(totals - 1.0) > PROB_TOL
     probs[renormalized] /= totals[renormalized, None]
-    return probs, renormalized
+    return probs
 
 
 def _substream(seed: int, state_index: int) -> np.random.SeedSequence:
@@ -169,7 +139,7 @@ def simulate(
     trials = int(trials_per_state)
     if trials < 1:
         raise InvalidInputError("trials_per_state must be >= 1")
-    probs, _ = _born_rates(scheme, problem.state_matrix)
+    probs = _born_rates(scheme, problem.state_matrix)
     analytic = _sampled(probs)
     drawable = analytic > 0.0
     # A state with one live outcome lands there on every trial, with no draws.
@@ -197,7 +167,7 @@ def simulate(
 
 def aggregate_failure(stats: SimulationStats, priors) -> float:
     """Prior-weighted empirical failure rate across all true states."""
-    pri = np.asarray(priors, dtype=float)
+    pri = _numbers(priors, "priors")
     if pri.shape != (stats.counts.shape[0],):
         raise InvalidInputError("priors must cover every simulated state")
     if Outcome.FAIL not in stats.outcomes:

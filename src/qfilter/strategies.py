@@ -15,13 +15,13 @@ component inside the complement span.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .ensemble import FilteringProblem, _frozen_fields, decompose_target
+from .ensemble import FilteringProblem, _frozen_fields, _numbers, decompose_target
 from .errors import InvalidInputError
 from .neumark import failure_allocations
 
@@ -53,11 +53,6 @@ def _check_fraction(f: float) -> float:
     if not 0.0 <= f <= 1.0:
         raise InvalidInputError(f"parallel squared norm must lie in [0, 1], got {f!r}")
     return f
-
-
-def average_overlap(problem: FilteringProblem) -> float:
-    """Prior-weighted squared overlap S between the target and the complement set."""
-    return float(problem.priors[1:] @ np.abs(problem._overlaps) ** 2)
 
 
 def q_sqm1(eta1: float, overlap: float) -> float:
@@ -143,7 +138,7 @@ def optimal_filtering(problem: FilteringProblem) -> StrategyReport:
     three strategy values.
     """
     eta1 = _check_eta1(problem.priors[0])
-    s = average_overlap(problem)
+    s = float(problem.priors[1:] @ np.abs(problem._overlaps) ** 2)
     f = decompose_target(problem).parallel_norm_sq
     qs1, qs2, qp, codes, _ = _closed_forms(eta1, f, np.array([s]))
     regime = CURVE_REGIMES[codes[0]]
@@ -229,10 +224,9 @@ def failure_curve(eta1: float, parallel_norm_sq: float, overlap_values) -> Failu
     """
     eta1 = _check_eta1(eta1)
     f = _check_fraction(parallel_norm_sq)
-    if isinstance(overlap_values, np.ndarray):
-        s = np.array(overlap_values, dtype=float)
-    else:
-        s = np.fromiter(overlap_values, dtype=float)
+    if isinstance(overlap_values, Iterator):  # np.asarray would not consume it
+        overlap_values = list(overlap_values)
+    s = _numbers(overlap_values, "overlap values")
     if s.ndim != 1:
         raise InvalidInputError(f"overlap values must be one-dimensional, got shape {s.shape}")
     bad = ~(np.isfinite(s) & (s >= 0.0))

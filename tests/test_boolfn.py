@@ -7,48 +7,43 @@ import pytest
 from qfilter import (
     BooleanFunction,
     ComplementVariant,
-    FunctionClass,
     InvalidInputError,
     PriorMode,
     Regime,
     ResourceLimitError,
-    average_overlap_basis,
     average_overlap_full,
     biased_fraction,
     boolean_problem,
-    classical_query_count,
     dj_encode,
     enumerate_balanced,
     optimal_filtering,
     povm_advantage,
-    walsh_balanced_basis,
     wk_spec,
 )
-from qfilter.boolfn import _complement_signs
+from qfilter.boolfn import _complement_signs, classical_query_count
 
 ROOT3 = math.sqrt(3.0)
 
 
 class TestBooleanFunction:
-    def test_classification(self):
-        assert BooleanFunction(2, (0, 0, 0, 0)).function_class is FunctionClass.CONSTANT
-        assert BooleanFunction(2, (1, 1, 1, 1)).function_class is FunctionClass.CONSTANT
-        assert BooleanFunction(2, (0, 1, 1, 0)).function_class is FunctionClass.BALANCED
-        biased = BooleanFunction(2, (0, 0, 0, 1))
-        assert biased.function_class is FunctionClass.BIASED
-        assert (biased.zeros_count, biased.ones_count) == (3, 1)
-
     def test_table_validation(self):
         with pytest.raises(InvalidInputError):
             BooleanFunction(2, (0, 1, 0))
         with pytest.raises(InvalidInputError):
             BooleanFunction(1, (0, 2))
 
+    @pytest.mark.parametrize(
+        "table", [(0.7, 1.9), ("1", 0), ("a", 1)], ids=["fractions", "digit-string", "letter"]
+    )
+    def test_entries_checked_before_conversion(self, table):
+        with pytest.raises(InvalidInputError, match="entries must be 0 or 1"):
+            BooleanFunction(1, table)
+
     def test_bit_count_named(self):
         with pytest.raises(InvalidInputError, match="n must be >= 1, got 0"):
             BooleanFunction(0, ())
         with pytest.raises(InvalidInputError, match="n must be >= 1, got 0"):
-            walsh_balanced_basis(0)
+            _complement_signs(0, ComplementVariant.BASIS)
 
     def test_bias_level_named(self):
         with pytest.raises(InvalidInputError, match="k must be >= 1, got 0"):
@@ -77,14 +72,14 @@ class TestWkSpec:
         spec = wk_spec(2, 2)
         assert spec.boundary == 3
         assert spec.f_k == pytest.approx(0.75, abs=1e-15)
-        assert not spec.degenerate
 
     def test_n4_k3(self):
         assert wk_spec(4, 3).f_k == pytest.approx(7 / 16, abs=1e-15)
 
     def test_k1_degenerate(self):
+        # both members are balanced: the target lies inside the balanced span
         spec = wk_spec(3, 1)
-        assert spec.degenerate
+        assert spec.boundary == 4
         assert spec.f_k == pytest.approx(1.0, abs=1e-15)
 
     def test_k_above_n_rejected(self):
@@ -94,15 +89,18 @@ class TestWkSpec:
     def test_members_encode_to_same_vector_up_to_sign(self):
         for n, k in ((2, 2), (3, 2), (4, 3)):
             spec = wk_spec(n, k)
-            plus = dj_encode(spec.member_functions[0]).amplitudes
-            minus = dj_encode(spec.member_functions[1]).amplitudes
+            low_zero = tuple(int(x >= spec.boundary) for x in range(2**n))
+            plus = dj_encode(BooleanFunction(n, low_zero)).amplitudes
+            minus = dj_encode(BooleanFunction(n, tuple(1 - b for b in low_zero))).amplitudes
             assert np.abs(plus + minus).max() <= 1e-15
-            np.testing.assert_allclose(plus, spec.vector.amplitudes)
+            np.testing.assert_array_equal(plus, spec.vector.amplitudes)
 
     def test_members_are_biased(self):
+        # the top D / 2^k inputs flip: neither constant nor balanced for k >= 2
         for n, k in ((2, 2), (4, 2), (4, 4)):
-            for member in wk_spec(n, k).member_functions:
-                assert member.function_class is FunctionClass.BIASED
+            flipped = 2**n - wk_spec(n, k).boundary
+            assert flipped == 2 ** (n - k)
+            assert 0 < flipped < 2**n and 2 * flipped != 2**n
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_fraction_double_derivation(self, n):
@@ -112,33 +110,33 @@ class TestWkSpec:
             assert closed == pytest.approx(geometric, abs=1e-12)
 
 
+def walsh_vectors(n):
+    """The Walsh basis the BASIS variant uses, as (D - 1, D) encoded rows."""
+    return _complement_signs(n, ComplementVariant.BASIS) / math.sqrt(2**n)
+
+
 class TestWalshBasis:
     def test_n1(self):
-        basis = walsh_balanced_basis(1)
-        assert len(basis.vectors) == 1
-        np.testing.assert_allclose(
-            basis.vectors[0].amplitudes, [1 / math.sqrt(2), -1 / math.sqrt(2)]
-        )
+        rows = walsh_vectors(1)
+        assert len(rows) == 1
+        np.testing.assert_allclose(rows[0], [1 / math.sqrt(2), -1 / math.sqrt(2)])
 
     def test_n2_explicit(self):
-        basis = walsh_balanced_basis(2)
-        rows = np.array([v.amplitudes.real for v in basis.vectors])
         expected = 0.5 * np.array(
             [[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
         )
-        np.testing.assert_allclose(rows, expected)
+        np.testing.assert_allclose(walsh_vectors(2), expected)
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4, 6))
     def test_orthonormal_balanced_zero_sum(self, n):
-        basis = walsh_balanced_basis(n)
-        assert len(basis.vectors) == 2**n - 1
-        rows = np.array([v.amplitudes for v in basis.vectors])
+        rows = walsh_vectors(n)
+        assert len(rows) == 2**n - 1
         np.testing.assert_allclose(
             rows.conj() @ rows.T, np.eye(2**n - 1), atol=1e-12
         )
+        # zero sum: every row is a balanced encoding, with D/2 signs of each kind
         np.testing.assert_allclose(rows.sum(axis=1), 0.0, atol=1e-12)
-        for fn in basis.functions:
-            assert fn.function_class is FunctionClass.BALANCED
+        np.testing.assert_array_equal((rows < 0).sum(axis=1), 2 ** (n - 1))
 
 
 class TestWalshSignMatrix:
@@ -170,29 +168,31 @@ class TestWalshSignMatrix:
         assert not signs.flags.writeable
 
 
+def basis_overlap(n, k, eta1):
+    """The average overlap S of the BASIS-variant problem at target prior eta1."""
+    return optimal_filtering(boolean_problem(n, k, PriorMode.CUSTOM, eta1=eta1)).overlap_S
+
+
 class TestAverageOverlaps:
     def test_basis_value_at_quarter_prior(self):
-        pair = average_overlap_basis(2, 2, 0.25)
-        assert pair.closed_form == pytest.approx(3 / 16, abs=1e-15)
-        assert pair.enumerated == pytest.approx(pair.closed_form, abs=1e-12)
+        assert basis_overlap(2, 2, 0.25) == pytest.approx(3 / 16, abs=1e-15)
+        assert average_overlap_full(2, 2, 0.25).closed_form == pytest.approx(3 / 16, abs=1e-15)
 
     @pytest.mark.parametrize("eta1", (0.1, 0.25, 0.5, 0.9))
     def test_basis_formula_any_prior(self, eta1):
-        pair = average_overlap_basis(2, 2, eta1)
-        assert pair.closed_form == pytest.approx((1 - eta1) / 4, abs=1e-15)
+        assert basis_overlap(2, 2, eta1) == pytest.approx((1 - eta1) / 4, abs=1e-15)
 
     def test_unit_prior_gives_zero(self):
-        assert average_overlap_basis(3, 2, 1.0).closed_form == 0.0
-        assert average_overlap_full(3, 2, 1.0).closed_form == 0.0
+        pair = average_overlap_full(3, 2, 1.0)
+        assert pair.closed_form == 0.0 and pair.enumerated == 0.0
 
     def test_full_matches_basis_everywhere(self):
         for n in range(2, 5):
             for k in range(2, n + 1):
                 for eta1 in (0.1, 1.0 / 2**n, 0.5):
                     full = average_overlap_full(n, k, eta1)
-                    basis = average_overlap_basis(n, k, eta1)
                     assert full.enumerated == pytest.approx(
-                        basis.closed_form, abs=1e-12
+                        basis_overlap(n, k, eta1), abs=1e-12
                     )
 
     def test_full_individual_overlaps_at_n2(self):
@@ -206,11 +206,11 @@ class TestAverageOverlaps:
     @pytest.mark.parametrize("eta1", (0.0, 1.5, math.nan))
     def test_prior_range_named(self, eta1):
         with pytest.raises(InvalidInputError, match=rf"\(0, 1\], got {eta1!r}"):
-            average_overlap_basis(3, 2, eta1)
+            average_overlap_full(3, 2, eta1)
 
     def test_k_range_validation(self):
         with pytest.raises(InvalidInputError):
-            average_overlap_basis(3, 1, 0.5)
+            average_overlap_full(3, 1, 0.5)
         with pytest.raises(InvalidInputError):
             average_overlap_full(3, 4, 0.5)
 
@@ -229,7 +229,7 @@ class TestEnumeration:
 
     def test_all_balanced(self):
         for fn in enumerate_balanced(3):
-            assert fn.function_class is FunctionClass.BALANCED
+            assert sum(fn.truth_table) == 4
 
     def test_encodings_live_in_zero_sum_subspace(self):
         for n in (2, 3):
@@ -251,7 +251,10 @@ class TestEnumeration:
 class TestBooleanProblem:
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_basis_complement_is_the_walsh_basis(self, n):
-        walsh = np.vstack([v.amplitudes for v in walsh_balanced_basis(n).vectors])
+        # the encodings of the parity functions r.x, r = 1..D-1
+        d = 2**n
+        parity = [tuple((r & x).bit_count() & 1 for x in range(d)) for r in range(1, d)]
+        walsh = np.vstack([dj_encode(BooleanFunction(n, table)).amplitudes for table in parity])
         np.testing.assert_array_equal(boolean_problem(n, 2).state_matrix[1:], walsh)
 
     def test_full_complement_is_every_balanced_encoding(self):

@@ -5,10 +5,12 @@ import pytest
 
 from qfilter import (
     Decomposition,
+    FailureAllocation,
     FilteringProblem,
     InvalidInputError,
+    MeasurementScheme,
     NeumarkModel,
-    OutcomeDistribution,
+    Outcome,
     Regime,
     SchemeKind,
     SimulationStats,
@@ -16,11 +18,11 @@ from qfilter import (
     StrategyReport,
     SuccessGram,
     decompose_target,
+    failure_curve,
     gram_matrix,
-    span_basis,
-    walsh_balanced_basis,
     wk_spec,
 )
+from qfilter.ensemble import _row_basis
 from qfilter.strategies import FailureCurve
 from conftest import random_problem
 
@@ -124,7 +126,7 @@ class TestGramMatrix:
     def test_biased_vs_first_walsh_vector(self):
         # hand dot product of (1,1,1,-1)/2 and (1,-1,1,-1)/2
         p = FilteringProblem(
-            states=(wk_spec(2, 2).vector, walsh_balanced_basis(2).vectors[0]),
+            states=(wk_spec(2, 2).vector, np.array([1.0, -1.0, 1.0, -1.0]) / 2),
             priors=(0.5, 0.5),
         )
         g = gram_matrix(p)
@@ -139,17 +141,15 @@ class TestGramMatrix:
             np.testing.assert_allclose(g, g.conj().T, atol=1e-15)
 
 
+def span_basis(rows):
+    """Orthonormal rows spanning ``rows`` and their number, as ``_decomposition`` reads them."""
+    vh, rank = _row_basis(np.asarray(rows, dtype=complex))
+    return vh[:rank], rank
+
+
 class TestSpanBasis:
-    def test_needs_a_vector(self):
-        with pytest.raises(InvalidInputError, match="at least one vector is required, got 0"):
-            span_basis([])
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(InvalidInputError, match=r"mixed dimensions \[2, 3\]"):
-            span_basis([np.eye(2)[0], np.eye(3)[0]])
-
     def test_duplicate_vectors_rank_one(self):
-        basis, rank = span_basis([ket(0, 2), ket(0, 2)])
+        basis, rank = span_basis([ket(0, 2).amplitudes, ket(0, 2).amplitudes])
         assert rank == 1
 
     def test_independent_pair_rank_two(self):
@@ -158,7 +158,8 @@ class TestSpanBasis:
         assert rank == 2
 
     def test_walsh_vectors_rank_three(self):
-        basis, rank = span_basis(walsh_balanced_basis(2).vectors)
+        walsh = 0.5 * np.array([[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+        basis, rank = span_basis(walsh)
         assert rank == 3
 
     def test_orthonormality_and_reconstruction(self):
@@ -246,7 +247,6 @@ RESULT_RECORDS = [
      {**dict.fromkeys(["s", "q_sqm1", "q_sqm2", "q_povm", "q_opt"], float),
       "regime_codes": np.int8},
      {}),
-    (OutcomeDistribution, dict(probabilities=float), dict(outcomes=(), renormalized=False)),
     (SimulationStats,
      {"counts": np.int64,
       **dict.fromkeys(["empirical_rates", "analytic_rates", "z_scores"], float)},
@@ -265,3 +265,37 @@ def test_result_records_freeze_a_view_not_the_callers_array(record, arrays, scal
         assert array.flags.writeable
         assert not stored.flags.writeable
         assert np.shares_memory(stored, array)  # nothing is copied
+
+
+# The field each entry point names when it rejects a value, and whether the
+# field holds complex numbers.
+NUMERIC_INPUTS = {
+    "priors": (lambda v: FilteringProblem(states=(ket(0, 2), ket(1, 2)), priors=v), False),
+    "failure weights": (lambda v: FailureAllocation(failure_probs=v, phases=[0.0, 0.0]), False),
+    "phases": (lambda v: FailureAllocation(failure_probs=[0.5, 0.5], phases=v), False),
+    "overlap values": (lambda v: failure_curve(0.4, 0.25, v), False),
+    "amplitudes": (StateVector, True),
+    "amplitude pairs": (lambda v: StateVector.from_pairs([v]), False),
+    "rank-one vectors": (
+        lambda v: MeasurementScheme(
+            kind=SchemeKind.SQM1, outcomes=(Outcome.IS_TARGET, Outcome.IS_COMPLEMENT), vectors=[v]
+        ),
+        True,
+    ),
+}
+NOT_REAL = {
+    "complex-array": np.array([0.5 + 0.2j, 0.5]),
+    "complex-list": [0.5 + 0.2j, 0.5],
+    "string": "ab",
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param(field, value, id=f"{field}-{name}")
+    for field, (_, holds_complex) in NUMERIC_INPUTS.items()
+    for name, value in NOT_REAL.items()
+    if name == "string" or not holds_complex
+])
+def test_numeric_input_converted_without_loss_or_rejected_by_name(field, value):
+    with pytest.raises(InvalidInputError, match=f"^{field} must be"):
+        NUMERIC_INPUTS[field][0](value)

@@ -13,10 +13,9 @@ from qfilter import (
     boolean_problem,
     load_problem,
     optimal_filtering,
-    problem_from_dict,
-    problem_to_dict,
     save_problem,
 )
+from qfilter.ensemble_io import problem_from_dict, problem_to_dict
 from conftest import random_problem
 
 

@@ -22,12 +22,11 @@ from qfilter import (
     decompose_target,
     failure_allocations,
     optimal_filtering,
-    outcome_distribution,
     povm_elements,
     projective_scheme,
-    span_basis,
 )
 from qfilter.ensemble import _row_basis
+from qfilter.simulate import _born_rates
 from qfilter.tolerances import NORM_TOL, OPERATOR_TOL, PROB_TOL, RANK_TOL
 
 # Directions dropped below RANK_TOL leave residuals of at most sqrt(D) * RANK_TOL.
@@ -60,9 +59,6 @@ def test_row_basis_spans_rows_and_complement(rows):
     span = vh[:rank]
     residual = rows - (rows @ span.conj().T) @ span
     assert np.abs(residual).max() <= DROPPED_TOL
-    basis, span_rank = span_basis(rows)
-    assert span_rank == rank
-    np.testing.assert_array_equal(basis, span)
 
 
 @PROPERTY_SETTINGS
@@ -136,16 +132,13 @@ def test_rank_one_born_matrix_matches_derived_operators(rows, seed, norm_drift):
             axis=1,
         )
         assert np.abs(scheme.born_probabilities(drifted) - quadratic).max() <= 1e-12
-        # outcome_distribution clips the quadratic forms to [0, 1] and
-        # renormalizes (and flags) a row whose total drifts past 1e-12
+        # the simulated rates clip the quadratic forms to [0, 1] and
+        # renormalize a row whose total drifts past 1e-12
         clipped = np.clip(quadratic, 0.0, 1.0)
         totals = clipped.sum(axis=1)
         drifts = np.abs(totals - 1.0) > 1e-12
-        for state, row, total, drift in zip(states, clipped, totals, drifts):
-            dist = outcome_distribution(scheme, state)
-            expected = row / total if drift else row
-            assert np.abs(dist.probabilities - expected).max() <= 1e-12
-            assert dist.renormalized == drift
+        expected = np.where(drifts[:, None], clipped / totals[:, None], clipped)
+        assert np.abs(_born_rates(scheme, drifted) - expected).max() <= 1e-12
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

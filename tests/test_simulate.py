@@ -18,13 +18,12 @@ from qfilter import (
     failure_allocations,
     load_problem,
     optimal_filtering,
-    outcome_distribution,
     povm_elements,
     projective_scheme,
     save_problem,
     simulate,
 )
-from qfilter.simulate import _CHUNK, _draw_counts, _sampled, _substream
+from qfilter.simulate import _CHUNK, _born_rates, _draw_counts, _sampled, _substream
 from qfilter.tolerances import PROB_TOL
 
 ROOT3 = math.sqrt(3.0)
@@ -36,33 +35,42 @@ def optimal_scheme(problem):
     return povm_elements(build_neumark(problem, allocation)), report
 
 
+def born(scheme, state):
+    """One state's Born probabilities, in outcome order, as ``simulate`` computes them."""
+    return _born_rates(scheme, state.amplitudes.reshape(1, -1))[0]
+
+
+def born_by_outcome(scheme, state):
+    return dict(zip(scheme.outcomes, born(scheme, state)))
+
+
 class TestOutcomeDistribution:
     def test_sqm1_on_target_always_fails(self, figure_point_problem):
         scheme = projective_scheme(figure_point_problem, SchemeKind.SQM1)
-        dist = outcome_distribution(scheme, figure_point_problem.target)
-        assert dist.probability(Outcome.FAIL) == pytest.approx(1.0, abs=1e-12)
-        assert dist.probability(Outcome.IS_COMPLEMENT) == pytest.approx(0.0, abs=1e-12)
+        dist = born_by_outcome(scheme, figure_point_problem.target)
+        assert dist[Outcome.FAIL] == pytest.approx(1.0, abs=1e-12)
+        assert dist[Outcome.IS_COMPLEMENT] == pytest.approx(0.0, abs=1e-12)
 
     def test_povm_on_biased_target(self, walsh_problem):
         scheme, _ = optimal_scheme(walsh_problem)
-        dist = outcome_distribution(scheme, walsh_problem.target)
-        assert dist.probability(Outcome.IS_TARGET) == pytest.approx(1 - ROOT3 / 2, abs=1e-10)
-        assert dist.probability(Outcome.FAIL) == pytest.approx(ROOT3 / 2, abs=1e-10)
-        assert dist.probability(Outcome.IS_COMPLEMENT) <= 1e-10
+        dist = born_by_outcome(scheme, walsh_problem.target)
+        assert dist[Outcome.IS_TARGET] == pytest.approx(1 - ROOT3 / 2, abs=1e-10)
+        assert dist[Outcome.FAIL] == pytest.approx(ROOT3 / 2, abs=1e-10)
+        assert dist[Outcome.IS_COMPLEMENT] <= 1e-10
 
     def test_povm_on_balanced_basis_vector(self, walsh_problem):
         scheme, _ = optimal_scheme(walsh_problem)
-        dist = outcome_distribution(scheme, walsh_problem.states[1])
-        assert dist.probability(Outcome.FAIL) == pytest.approx(1 / (2 * ROOT3), abs=1e-10)
-        assert dist.probability(Outcome.IS_TARGET) <= 1e-10
-        assert dist.probability(Outcome.IS_COMPLEMENT) == pytest.approx(
+        dist = born_by_outcome(scheme, walsh_problem.states[1])
+        assert dist[Outcome.FAIL] == pytest.approx(1 / (2 * ROOT3), abs=1e-10)
+        assert dist[Outcome.IS_TARGET] <= 1e-10
+        assert dist[Outcome.IS_COMPLEMENT] == pytest.approx(
             1 - 1 / (2 * ROOT3), abs=1e-10
         )
 
     def test_dimension_mismatch_rejected(self, walsh_problem, symmetric_pair_problem):
         scheme, _ = optimal_scheme(walsh_problem)
         with pytest.raises(InvalidInputError, match="dimension"):
-            outcome_distribution(scheme, StateVector(np.array([1.0, 0.0])))
+            born(scheme, StateVector(np.array([1.0, 0.0])))
         with pytest.raises(InvalidInputError, match="measured space"):
             simulate(scheme, symmetric_pair_problem, 10, 1)
 
@@ -76,9 +84,9 @@ class TestOutcomeDistribution:
         ids=["matrix", "norm-3", "zero"],
     )
     def test_raw_amplitudes_are_validated_as_a_state(self, raw, message):
-        scheme = projective_scheme(boolean_problem(2, 2), SchemeKind.SQM1)
+        # raw amplitudes reach a scheme only as a StateVector or a problem's rows
         with pytest.raises(InvalidInputError, match=message):
-            outcome_distribution(scheme, raw)
+            StateVector(raw)
 
 
 class TestSampling:
@@ -235,7 +243,7 @@ class TestSimulate:
             outcomes=(Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL),
             vectors=(np.eye(3)[0], np.eye(3)[2]),
         )
-        raw = outcome_distribution(scheme, target).probabilities
+        raw = born(scheme, target)
         assert 0.0 < raw[1] < PROB_TOL
         stats = simulate(scheme, problem, 1000, 11)
         assert stats.counts[0, 1] == 0
@@ -269,8 +277,7 @@ class TestSimulate:
         scheme, _ = optimal_scheme(walsh_problem)
         full = simulate(scheme, walsh_problem, 4000, 77)
         for i, state in enumerate(walsh_problem.states):
-            dist = outcome_distribution(scheme, state)
-            part = _draw_counts(_sampled(dist.probabilities), 4000, _substream(77, i))
+            part = _draw_counts(_sampled(born(scheme, state)), 4000, _substream(77, i))
             np.testing.assert_array_equal(full.counts[i], part)
 
     def test_z_scores_mostly_small_across_seeds(self, figure_point_problem, walsh_problem):
@@ -302,7 +309,7 @@ class TestScale:
         single = (stats.analytic_rates > 0).sum(axis=1) == 1
         assert int(single.sum()) == 248
         for i, state in enumerate(problem.states):
-            probs = outcome_distribution(scheme, state).probabilities
+            probs = born(scheme, state)
             np.testing.assert_array_equal(stats.analytic_rates[i], _sampled(probs))
             np.testing.assert_array_equal(
                 stats.counts[i], _draw_counts(_sampled(probs), 3000, _substream(5, i))
@@ -335,7 +342,7 @@ class TestAggregateFailure:
         scheme, report = optimal_scheme(walsh_problem)
         fail_col = scheme.outcomes.index(Outcome.FAIL)
         analytic = [
-            outcome_distribution(scheme, s).probabilities[fail_col]
+            born(scheme, s)[fail_col]
             for s in walsh_problem.states
         ]
         q = float(np.asarray(walsh_problem.priors) @ analytic)

@@ -9,7 +9,6 @@ from qfilter import (
     FilteringProblem,
     InvalidInputError,
     Regime,
-    average_overlap,
     failure_curve,
     optimal_filtering,
     povm_window,
@@ -57,20 +56,20 @@ class TestClosedForms:
 
 class TestAverageOverlap:
     def test_orthogonal_complement(self, orthogonal_pair_problem):
-        assert average_overlap(orthogonal_pair_problem) == 0.0
+        assert optimal_filtering(orthogonal_pair_problem).overlap_S == 0.0
 
     def test_figure_point(self, figure_point_problem):
-        assert average_overlap(figure_point_problem) == pytest.approx(0.1, abs=1e-12)
+        assert optimal_filtering(figure_point_problem).overlap_S == pytest.approx(0.1, abs=1e-12)
 
     def test_walsh_problem(self, walsh_problem):
         # three overlaps of squared magnitude 1/4 at prior 1/4 each
-        assert average_overlap(walsh_problem) == pytest.approx(3 / 16, abs=1e-15)
+        assert optimal_filtering(walsh_problem).overlap_S == pytest.approx(3 / 16, abs=1e-15)
 
     def test_bounded_by_complement_weight(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             p = random_problem(rng, max_dim=6, max_states=8)
-            s = average_overlap(p)
+            s = optimal_filtering(p).overlap_S
             assert 0.0 <= s <= 1.0 - float(p.priors[0]) + 1e-12
 
 
