@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import FilteringProblem, StateVector
+from .ensemble import FilteringProblem, StateVector, _integer
 from .errors import InvalidInputError, NumericalError, ResourceLimitError
-from .strategies import _check_eta1, optimal_filtering
+from .strategies import _check_eta1, _real, optimal_filtering
 from .tolerances import PROB_TOL
 
 FULL_ENUMERATION_MAX_BITS = 4  # C(16, 8) = 12,870 functions; larger explodes
@@ -82,6 +82,7 @@ class WkSpec:
 
 def wk_spec(n: int, k: int) -> WkSpec:
     """Construct the biased pair for bias level k on n bits (1 <= k <= n)."""
+    n, k = _integer(n, "bit count n"), _integer(k, "bias level k")
     if not 1 <= k <= n:
         raise InvalidInputError(
             f"bias level k={k} must satisfy 1 <= k <= n={n} (the flip boundary "
@@ -161,13 +162,13 @@ def average_overlap_full(n: int, k: int, eta1: float) -> OverlapPair:
     The direct sum over all C(D, D/2) encodings at uniform complement priors
     must reproduce the closed form (1 - eta1) * f_k / (D - 1) within PROB_TOL.
     """
+    spec = wk_spec(n, k)  # reads n and k as integers
     if not 2 <= k <= n:
         raise InvalidInputError(f"bias level k={k} must satisfy 2 <= k <= n={n}")
-    eta1 = float(eta1)
+    eta1 = _real(eta1, "target prior eta1")
     if not 0.0 < eta1 <= 1.0:
         raise InvalidInputError(f"target prior must lie in (0, 1], got {eta1!r}")
     signs = _complement_signs(n, ComplementVariant.FULL)
-    spec = wk_spec(n, k)
     d = 2**n
     closed = (1.0 - eta1) * spec.f_k / (d - 1)
     eta = (1.0 - eta1) / signs.shape[0]
@@ -256,7 +257,7 @@ def classical_query_count(n: int, k: int) -> tuple[int, int]:
     Returns (balanced vs constant, biased-pair vs balanced):
     2^(n-1) + 1 and 2^n * (1/2 + 1/2^k) + 1, both exact integers.
     """
-    if not 1 <= k <= n:
+    if not 1 <= _integer(k, "bias level k") <= _integer(n, "bit count n"):
         raise InvalidInputError(f"k={k} must satisfy 1 <= k <= n={n}")
     return 2 ** (n - 1) + 1, 2 ** (n - 1) + 2 ** (n - k) + 1
 
@@ -270,5 +271,5 @@ def approximate_povm_window(n: int, k: int, eta1: float) -> tuple[float, float, 
     """
     low = 2.0 ** -(k - 2)
     high = 2.0 ** (k - 2)
-    scaled = 2**n * float(eta1)
+    scaled = 2**n * _real(eta1, "target prior eta1")
     return low, high, low <= scaled <= high

@@ -2,16 +2,17 @@
 
 State vectors, priors, Gram matrices, and the orthogonal decomposition of a
 designated target state against the span of the remaining states. Numeric
-input is read by one helper, ``_numbers``, which rejects what it cannot convert
-without loss. Input norms and prior sums are checked to NORM_TOL. Every
-orthonormal basis of a span in the package comes from one helper,
-``_row_basis``, which cuts the span at RANK_TOL. Everything here is a pure
-function of immutable values (``FilteringProblem`` caches its overlaps and
-decomposition on first use), so results can be shared freely between
-concurrent workers.
+input is read by two helpers, ``_numbers`` for arrays and ``_integer`` for
+counts and indices, which reject what they cannot convert without loss. Input
+norms and prior sums are checked to NORM_TOL. Every orthonormal basis of a
+span in the package comes from one helper, ``_row_basis``, which cuts the span
+at RANK_TOL. Everything here is a pure function of immutable values
+(``FilteringProblem`` caches its overlaps and decomposition on first use), so
+results can be shared freely between concurrent workers.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -40,6 +41,17 @@ def _numbers(value, field: str, dtype=float) -> np.ndarray:
         kind = "complex" if np.dtype(dtype).kind == "c" else "real"
         raise InvalidInputError(f"{field} must be {kind} numbers, got {value!r:.80}")
     return arr.astype(dtype)
+
+
+def _integer(value, field: str) -> int:
+    """``value`` as a Python int, or InvalidInputError naming ``field`` when it is
+    not an integer type: a float (even 2.0), a string, a bool or a non-number."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise InvalidInputError(f"{field} must be an integer, got {value!r:.80}")
 
 
 def _frozen_fields(record, dtype, *names: str) -> None:
@@ -113,7 +125,7 @@ class FilteringProblem:
         total = float(priors.sum())
         if not abs(total - 1.0) <= NORM_TOL:
             raise InvalidInputError(f"priors sum to {total!r}; they must sum to 1 within NORM_TOL")
-        t = int(self.target_index)
+        t = _integer(self.target_index, "target_index")
         if not 0 <= t < n:
             raise InvalidInputError(f"target_index {t} out of range for {n} states")
         if t != 0:

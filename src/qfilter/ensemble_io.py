@@ -84,8 +84,6 @@ def problem_from_dict(data) -> FilteringProblem:
             raise InvalidInputError(f"state {pos}: {exc}") from exc
         priors.append(float(prior))
     target = data["target_index"]
-    if isinstance(target, bool) or not isinstance(target, int):
-        raise InvalidInputError("target_index must be an integer")
     return FilteringProblem(states=tuple(states), priors=priors, target_index=target)
 
 

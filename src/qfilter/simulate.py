@@ -3,20 +3,16 @@
 Born probabilities of every state come from one call,
 ``MeasurementScheme.born_probabilities``: for the rank-one schemes qfilter
 builds that is O(N * D) for N states in dimension D, with no per-state or
-per-operator loop. Outcomes are sampled by inverse-CDF over the scheme's
-ordered outcome list using exact partial sums, with probabilities below PROB_TOL
-treated as exact zeros, so an outcome with vanishing Born probability can
-never be drawn. Rather than locating each uniform draw among the thresholds,
-the sampler counts, for every live partial sum, how many draws fall below it;
-adjacent differences of those counts are the outcome counts. Draws are made in
-fixed-size chunks into one reused buffer, so memory does not grow with the
-number of trials, and the counts equal those of a single large draw. Each
-true state draws from its own RNG substream, seeded by the pair (seed, state
-index), which makes per-state simulation order-independent: running states
-separately and merging counts reproduces a single run exactly. A state with
-a single live outcome needs no draws and gets no stream; its analytic rate
-there is exactly 1, since the last live outcome of every state is assigned
-the rest of the unit mass.
+per-operator loop. Probabilities below PROB_TOL are treated as exact zeros,
+so an outcome with vanishing Born probability can never be drawn, and the
+last live outcome of every state takes the rest of the unit mass. A state's
+outcome counts are one multinomial draw over its live outcomes, so the cost
+per state is O(outcomes) and neither time nor memory grows with the number
+of trials. Each true state draws from its own RNG substream, seeded by the
+pair (seed, state index), which makes per-state simulation
+order-independent: running states separately and merging counts reproduces
+a single run exactly. A state with a single live outcome needs no draw and
+gets no stream; its analytic rate there is exactly 1.
 """
 from __future__ import annotations
 
@@ -24,14 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import FilteringProblem, _frozen_fields, _numbers
+from .ensemble import FilteringProblem, _frozen_fields, _integer, _numbers
 from .errors import InvalidInputError
 from .neumark import MeasurementScheme, Outcome, SchemeKind
 from .tolerances import PROB_TOL
 
-# Uniform draws per chunk: 64 KiB of doubles, small enough to be served from
-# the heap rather than a fresh mmap on every call.
-_CHUNK = 8192
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 
@@ -51,13 +44,13 @@ def _born_rates(scheme: MeasurementScheme, rows: np.ndarray) -> np.ndarray:
 
 def _substream(seed: int, state_index: int) -> np.random.SeedSequence:
     """The RNG stream of one true state: distinct for every (seed, state) pair."""
-    return np.random.SeedSequence([int(seed) & _SEED_MASK, state_index])
+    return np.random.SeedSequence([seed & _SEED_MASK, state_index])
 
 
 def _sampled(probs: np.ndarray) -> np.ndarray:
     """The distribution the sampler draws from, row by row: entries below
     PROB_TOL are 0, and the last live outcome takes the rest of the unit mass,
-    as ``_draw_counts`` gives it every draw at or above the partial sum before it.
+    as ``_draw_counts`` gives it every trial the outcomes before it do not take.
     """
     p = np.where(probs < PROB_TOL, 0.0, probs)
     rows = p.reshape(-1, p.shape[-1])  # a view: 1-D input is one row
@@ -71,26 +64,13 @@ def _sampled(probs: np.ndarray) -> np.ndarray:
 def _draw_counts(
     p: np.ndarray, trials: int, stream_seed: int | np.random.SeedSequence
 ) -> np.ndarray:
-    """Draw outcome counts for a sampled row ``p`` (see ``_sampled``) by inverse CDF.
-
-    A draw u lands on the first outcome j whose partial sum cum[j] exceeds u,
-    so the number of draws landing on outcomes 0..j is the number with
-    u < cum[j]. Those "below" counts are taken at every live outcome but the
-    last; the last live outcome takes the remainder. The uniforms are drawn
-    _CHUNK at a time into one buffer; the generator fills doubles in
-    sequence, so the counts equal those of one draw of ``trials`` uniforms.
+    """Draw outcome counts for a sampled row ``p`` (see ``_sampled``): one
+    multinomial draw over its live outcomes, the last of which takes the
+    remainder of the trials; outcomes with p = 0 are never drawn.
     """
     live = np.flatnonzero(p)
-    thresholds = np.cumsum(p)[live[:-1]].tolist()
-    below = [0] * len(thresholds)
-    rng = np.random.default_rng(stream_seed)
-    buf = np.empty(min(trials, _CHUNK))
-    for start in range(0, trials, _CHUNK):
-        u = rng.random(out=buf[: min(_CHUNK, trials - start)])
-        for j, t in enumerate(thresholds):
-            below[j] += np.count_nonzero(u < t)
     counts = np.zeros(p.size, dtype=np.int64)
-    counts[live] = np.diff([0, *below, trials])
+    counts[live] = np.random.default_rng(stream_seed).multinomial(trials, p[live])
     return counts
 
 
@@ -134,11 +114,12 @@ def simulate(
     probabilities below PROB_TOL read as exact zeros; z-scores are
     (empirical - analytic) / sqrt(analytic * (1 - analytic) / trials) per
     (state, outcome) cell, zero where the analytic rate is deterministic and
-    matched exactly.
+    matched exactly. Trials and seed are integers, trials at most 2**63 - 1.
     """
-    trials = int(trials_per_state)
-    if trials < 1:
-        raise InvalidInputError("trials_per_state must be >= 1")
+    trials = _integer(trials_per_state, "trials_per_state")
+    seed = _integer(seed, "seed")
+    if not 1 <= trials <= np.iinfo(np.int64).max:
+        raise InvalidInputError(f"trials_per_state must lie in [1, 2**63 - 1], got {trials}")
     probs = _born_rates(scheme, problem.state_matrix)
     analytic = _sampled(probs)
     drawable = analytic > 0.0
@@ -157,7 +138,7 @@ def simulate(
         scheme_kind=scheme.kind,
         outcomes=scheme.outcomes,
         trials_per_state=trials,
-        seed=int(seed),
+        seed=seed,
         counts=counts,
         empirical_rates=empirical,
         analytic_rates=analytic,

@@ -34,22 +34,30 @@ class Regime(str, Enum):
     SQM2_BOUNDARY = "SQM2_BOUNDARY"
 
 
+def _real(value, field: str) -> float:
+    """One real number, read losslessly by ``_numbers``."""
+    arr = _numbers(value, field)
+    if arr.ndim:
+        raise InvalidInputError(f"{field} must be one number, got shape {arr.shape}")
+    return float(arr)
+
+
 def _check_eta1(eta1: float) -> float:
-    eta1 = float(eta1)
+    eta1 = _real(eta1, "target prior eta1")
     if not 0.0 < eta1 < 1.0:
         raise InvalidInputError(f"target prior must lie in (0, 1), got {eta1!r}")
     return eta1
 
 
 def _check_overlap(s: float) -> float:
-    s = float(s)
+    s = _real(s, "average overlap S")
     if not (np.isfinite(s) and s >= 0.0):
         raise InvalidInputError(f"average overlap must be finite and >= 0, got {s!r}")
     return s
 
 
 def _check_fraction(f: float) -> float:
-    f = float(f)
+    f = _real(f, "parallel squared norm f")
     if not 0.0 <= f <= 1.0:
         raise InvalidInputError(f"parallel squared norm must lie in [0, 1], got {f!r}")
     return f

@@ -20,7 +20,7 @@ from qfilter import (
     povm_advantage,
     wk_spec,
 )
-from qfilter.boolfn import _complement_signs, classical_query_count
+from qfilter.boolfn import _complement_signs, approximate_povm_window, classical_query_count
 
 ROOT3 = math.sqrt(3.0)
 
@@ -85,6 +85,32 @@ class TestWkSpec:
     def test_k_above_n_rejected(self):
         with pytest.raises(InvalidInputError):
             wk_spec(2, 3)
+
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            (lambda: wk_spec(2.5, 2), "bit count n"),
+            (lambda: wk_spec(3, 2.0), "bias level k"),
+            (lambda: boolean_problem(3.0, 2), "bit count n"),
+            (lambda: boolean_problem(3, "2"), "bias level k"),
+            (lambda: average_overlap_full(3.0, 2, 0.5), "bit count n"),
+            (lambda: classical_query_count(2.5, 2), "bit count n"),
+        ],
+        ids=["wk-float-n", "wk-float-k", "problem-float-n", "problem-str-k", "full-float-n",
+             "queries-float-n"],
+    )
+    def test_non_integer_bit_counts_rejected(self, call, field):
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: average_overlap_full(3, 2, "0.3"), lambda: approximate_povm_window(3, 2, 0.1j)],
+        ids=["full-str-eta1", "window-complex-eta1"],
+    )
+    def test_eta1_read_losslessly(self, call):
+        with pytest.raises(InvalidInputError, match="target prior eta1 must be real numbers"):
+            call()
 
     def test_members_encode_to_same_vector_up_to_sign(self):
         for n, k in ((2, 2), (3, 2), (4, 3)):

@@ -102,6 +102,12 @@ class TestFilteringProblem:
         with pytest.raises(InvalidInputError):
             FilteringProblem(states=(ket(0, 2), ket(1, 2)), priors=(0.5, 0.5), target_index=2)
 
+    @pytest.mark.parametrize("bad", [1.7, 1.0, "1", True])
+    def test_target_index_must_be_an_integer(self, bad):
+        # int() would read 1.7 as 1 and True as 1
+        with pytest.raises(InvalidInputError, match="target_index must be an integer"):
+            FilteringProblem(states=(ket(0, 2), ket(1, 2)), priors=(0.5, 0.5), target_index=bad)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_prior_rejected(self, bad):
         with pytest.raises(InvalidInputError, match="priors must lie in"):

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from qfilter import (
     save_problem,
     simulate,
 )
-from qfilter.simulate import _CHUNK, _born_rates, _draw_counts, _sampled, _substream
+from qfilter.simulate import _born_rates, _draw_counts, _sampled, _substream
 from qfilter.tolerances import PROB_TOL
 
 ROOT3 = math.sqrt(3.0)
@@ -109,14 +110,14 @@ class TestSampling:
 
 
 def reference_counts(probs, trials, stream_seed):
-    """The inverse-CDF sampler written out draw by draw: locate every uniform
-    among the partial sums, clamp residual mass onto the last live outcome and
-    tally."""
-    p = np.where(probs < PROB_TOL, 0.0, probs)
-    u = np.random.default_rng(stream_seed).random(trials)
-    idx = np.searchsorted(np.cumsum(p), u, side="right")
-    np.minimum(idx, np.flatnonzero(p)[-1], out=idx)
-    return np.bincount(idx, minlength=p.size)
+    """One multinomial draw over the outcomes at or above PROB_TOL, written
+    directly, with the last of them given the residual mass."""
+    live = np.flatnonzero(probs >= PROB_TOL)
+    pvals = probs[live]
+    pvals[-1] = max(0.0, 1.0 - pvals[:-1].sum())
+    counts = np.zeros(probs.size, dtype=np.int64)
+    counts[live] = np.random.default_rng(stream_seed).multinomial(trials, pvals)
+    return counts
 
 
 @st.composite
@@ -141,11 +142,11 @@ class TestSamplerOracle:
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
         probs=sampled_distributions(),
-        trials=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 10**5 + 3]),
+        trials=st.sampled_from([1, 2, 8_193, 10**5 + 3, 10**12]),
         seed=st.integers(0, 2**64 - 1),
         state_index=st.none() | st.integers(0, 10**6),
     )
-    def test_counts_match_draw_by_draw_reference(self, probs, trials, seed, state_index):
+    def test_counts_match_multinomial_reference(self, probs, trials, seed, state_index):
         stream = seed if state_index is None else _substream(seed, state_index)
         counts = _draw_counts(_sampled(probs), trials, stream)
         assert counts.dtype == np.int64
@@ -197,6 +198,26 @@ class TestSimulate:
         with pytest.raises(InvalidInputError):
             simulate(scheme, walsh_problem, 0, 1)
 
+    @pytest.mark.parametrize(
+        "trials, seed, field",
+        [(2.9, 1, "trials_per_state"), ("10", 1, "trials_per_state"),
+         (True, 1, "trials_per_state"), (10, 1.7, "seed"), (10, "1", "seed")],
+        ids=["float-trials", "string-trials", "bool-trials", "float-seed", "string-seed"],
+    )
+    def test_non_integer_trials_and_seed_rejected(self, walsh_problem, trials, seed, field):
+        # int() would run 2 trials for 2.9 and seed 1 for 1.7
+        scheme, _ = optimal_scheme(walsh_problem)
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+            simulate(scheme, walsh_problem, trials, seed)
+
+    def test_trials_beyond_one_multinomial_draw_rejected(self, walsh_problem):
+        scheme, _ = optimal_scheme(walsh_problem)
+        bound = r"trials_per_state must lie in \[1, 2\*\*63 - 1\]"
+        with pytest.raises(InvalidInputError, match=bound):
+            simulate(scheme, walsh_problem, 2**63, 1)
+        counts = simulate(scheme, walsh_problem, 2**63 - 1, 1).counts
+        np.testing.assert_array_equal(counts.sum(axis=1), 2**63 - 1)
+
     def test_biased_target_fail_rate_within_three_sigma(self, walsh_problem):
         scheme, _ = optimal_scheme(walsh_problem)
         stats = simulate(scheme, walsh_problem, 100_000, 42)
@@ -217,15 +238,16 @@ class TestSimulate:
 
     def test_seeded_counts_are_pinned(self, walsh_problem, figure_point_problem):
         # counts published from these runs must not move with the sampler
+        # (recorded from the one-multinomial-draw-per-state sampler)
         scheme, _ = optimal_scheme(walsh_problem)
         np.testing.assert_array_equal(
             simulate(scheme, walsh_problem, 100_000, 42).counts,
-            [[13348, 0, 86652], [0, 71189, 28811], [0, 71351, 28649], [0, 71184, 28816]],
+            [[13199, 0, 86801], [0, 71163, 28837], [0, 71310, 28690], [0, 71216, 28784]],
         )
         sqm2 = projective_scheme(figure_point_problem, SchemeKind.SQM2)
         np.testing.assert_array_equal(
             simulate(sqm2, figure_point_problem, 100_000, 42).counts,
-            [[75035, 0, 24965], [0, 0, 100000], [0, 66890, 33110]],
+            [[75253, 0, 24747], [0, 0, 100000], [0, 66851, 33149]],
         )
 
     def test_analytic_rates_are_the_sampled_distribution(self):
@@ -298,6 +320,18 @@ class TestSimulate:
 
 
 class TestScale:
+    def test_trillion_trials_per_state_in_one_draw(self, walsh_problem):
+        # each state's counts are one multinomial draw, so 10^12 trials cost
+        # what 10 do; at 10^12 the FAIL rate's standard error is 3.4e-7
+        scheme, _ = optimal_scheme(walsh_problem)
+        started = time.perf_counter()
+        stats = simulate(scheme, walsh_problem, 10**12, 42)
+        assert time.perf_counter() - started < 1.0
+        np.testing.assert_array_equal(stats.counts.sum(axis=1), 10**12)
+        assert stats.misidentifications == 0
+        fail = stats.outcomes.index(Outcome.FAIL)
+        assert abs(stats.empirical_rates[0, fail] - ROOT3 / 2) <= 1e-5
+
     def test_walsh_export_counts_match_per_state_sampler(self, tmp_path):
         # the n = 8 export has 248 states with one live outcome: they take
         # every trial without a stream, and every other row is its own draw

@@ -53,6 +53,24 @@ class TestClosedForms:
         with pytest.raises(InvalidInputError):
             q_sqm2(0.4, 1.5, 0.1)
 
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            (lambda: q_sqm1("0.3", 0.1), "target prior eta1"),
+            (lambda: q_povm(0.3 + 0j, 0.1), "target prior eta1"),
+            (lambda: q_sqm1(0.3, "0.1"), "average overlap S"),
+            (lambda: q_povm(0.3, 0.1 + 0j), "average overlap S"),
+            (lambda: q_sqm2(0.4, "0.25", 0.1), "parallel squared norm f"),
+            (lambda: q_sqm2(0.4, 0.25 + 0j, 0.1), "parallel squared norm f"),
+            (lambda: q_sqm1([0.3], 0.1), "target prior eta1"),
+        ],
+        ids=["str-eta1", "complex-eta1", "str-S", "complex-S", "str-f", "complex-f", "list-eta1"],
+    )
+    def test_scalars_are_read_losslessly(self, call, field):
+        # float() would read "0.3" as 0.3 and raise a bare TypeError for a complex
+        with pytest.raises(InvalidInputError, match=field):
+            call()
+
 
 class TestAverageOverlap:
     def test_orthogonal_complement(self, orthogonal_pair_problem):
