@@ -61,7 +61,7 @@ def biased_fraction(k: int) -> float:
     Closed form (2^k - 1) / 2^(2k - 2); equivalently 1 - (1 - 2^(1-k))^2 from
     the overlap with the constant direction.
     """
-    if k < 1:
+    if _integer(k, "bias level k") < 1:
         raise InvalidInputError(f"bias level k must be >= 1, got {k!r}")
     return (2.0**k - 1.0) / 2.0 ** (2 * k - 2)
 
@@ -187,6 +187,15 @@ class PriorMode(str, Enum):
     CUSTOM = "custom"
 
 
+def _member(enum: type[Enum], value, field: str):
+    """``value`` as a member of ``enum``, or InvalidInputError naming ``field``."""
+    try:
+        return enum(value)
+    except ValueError:
+        choices = ", ".join(member.value for member in enum)
+        raise InvalidInputError(f"{field} must be one of {choices}, got {value!r:.80}") from None
+
+
 def boolean_problem(
     n: int,
     k: int,
@@ -200,8 +209,8 @@ def boolean_problem(
     enumeration; complement priors are always uniform, and the target prior is
     set by ``prior_mode``; ``eta1`` is given with CUSTOM and with no other mode.
     """
-    prior_mode = PriorMode(prior_mode)
-    variant = ComplementVariant(variant)
+    prior_mode = _member(PriorMode, prior_mode, "prior_mode")
+    variant = _member(ComplementVariant, variant, "variant")
     if (eta1 is None) == (prior_mode == PriorMode.CUSTOM):
         raise InvalidInputError(
             f"eta1={eta1!r} with prior mode {prior_mode.value}: custom needs eta1, others take none"
@@ -269,6 +278,7 @@ def approximate_povm_window(n: int, k: int, eta1: float) -> tuple[float, float, 
     low = 1/2^(k-2), high = 2^(k-2). Informational only; the exact window is
     the one optimal_filtering applies.
     """
+    n, k = _integer(n, "bit count n"), _integer(k, "bias level k")
     low = 2.0 ** -(k - 2)
     high = 2.0 ** (k - 2)
     scaled = 2**n * _real(eta1, "target prior eta1")

@@ -11,7 +11,7 @@ vector, so that a projective measurement of {target direction, ancilla,
 remainder} never misidentifies. U exists iff the success Gram
 G_succ = G - w w^dagger, w_i = sqrt(q_i) e^{-i theta_i}, is positive
 semidefinite; that verdict is checked to PSD_TOL. U is then built in closed
-form from its ancilla row (``build_neumark``).
+form from its ancilla row, read off the cached target split (``build_neumark``).
 
 Every scheme is at most two rank-one elements x x^dagger plus the remainder
 I - sum x x^dagger, and is stored as those vectors and nothing else
@@ -49,7 +49,7 @@ from .errors import (
     InvalidInputError,
     NumericalError,
 )
-from .tolerances import DEPENDENCY_TOL, OPERATOR_TOL, PROB_TOL, PSD_TOL, SOLVE_RCOND
+from .tolerances import DEPENDENCY_TOL, OPERATOR_TOL, PROB_TOL, PSD_TOL
 
 
 class SchemeKind(str, Enum):
@@ -184,38 +184,26 @@ class NeumarkModel:
 def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> NeumarkModel:
     """Construct the dilated unitary for the given failure allocation.
 
-    The ancilla row u is the minimum-norm solution of M u = a, with the states
-    as the rows of M, a_i = sqrt(q_i) e^{i theta_i}, and singular values of M
-    below SOLVE_RCOND times the largest counted as dependencies. With
-    r = sqrt(1 - |u|^2) and R = I - conj(u) u^T / (1 + r), R is Hermitian with
-    R^2 = I - conj(u) u^T, so U = [[R, -conj(u)], [u^T, r]] is unitary and
-    sends each state to R psi_i + a_i |ancilla>.
+    The ancilla row u solves M u = a (states as the rows of M,
+    a_i = sqrt(q_i) e^{i theta_i}). Under the product rule it is a closed form
+    in the cached target split, not a solve (Bergou, Herzog & Hillery, PRA 71,
+    042314 (2005)): u = e^{i theta_1} conj(x_f), the minimum-norm solution, with
+    x_f = (psi_par + (q1 - f) / (1 - f) psi_perp) / sqrt(q1), psi_1 at f = 1
+    and 0 at q1 = 0. With r = sqrt(1 - |u|^2) and R = I - conj(u) u^T / (1 + r),
+    R is Hermitian with R^2 = I - conj(u) u^T, so U = [[R, -conj(u)], [u^T, r]]
+    is unitary and sends each state to R psi_i + a_i |ancilla>.
 
-    Raises InfeasibleError when the success Gram is not positive semidefinite,
-    when a lies outside the range of M (the states are linearly dependent and
-    the amplitudes violate the same dependency), or when a breaks the product
-    rule conj(a_1) a_i = <psi_1|psi_i>, which success orthogonality needs.
+    Raises InfeasibleError when the success Gram is not positive semidefinite
+    or a breaks the product rule conj(a_1) a_i = <psi_1|psi_i>; NumericalError
+    when M u misses a by more than DEPENDENCY_TOL or U is not unitary.
     """
-    d = problem.dimension
+    d, m = problem.dimension, problem.state_matrix
     sg = success_gram(problem, allocation)
     if not sg.feasible:
         raise InfeasibleError(
             f"no unitary realization: success Gram eigenvalue {sg.min_eigenvalue:.3e} < -PSD_TOL"
         )
-
-    m = problem.state_matrix
     amplitudes = np.sqrt(allocation.failure_probs) * np.exp(1j * allocation.phases)
-    # Singular values of near-dependent states (~1e-13) would amplify rounding
-    # in the amplitudes past |u| = 1. One refinement step makes M u = a exact
-    # to rounding, which is what the FAIL probabilities |u^T psi_i|^2 rest on.
-    u, *_ = np.linalg.lstsq(m, amplitudes, rcond=SOLVE_RCOND)
-    u += np.linalg.lstsq(m, amplitudes - m @ u, rcond=SOLVE_RCOND)[0]
-    residual = float(np.abs(m @ u - amplitudes).max())
-    if not residual <= DEPENDENCY_TOL:
-        raise InfeasibleError(
-            f"failure amplitudes leave residual {residual:.3e} > DEPENDENCY_TOL in M u = a: the "
-            "states are linearly dependent but the amplitudes do not satisfy the same dependency"
-        )
     # <s_1|s_i> = <psi_1|psi_i> - conj(a_1) a_i: success orthogonality is the product rule.
     breach = float(np.abs(amplitudes[0].conj() * amplitudes[1:] - problem._overlaps).max())
     if not breach <= DEPENDENCY_TOL:
@@ -224,27 +212,38 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
             f"{breach:.3e} > DEPENDENCY_TOL"
         )
 
+    dec = decompose_target(problem)
+    f, q1 = dec.parallel_norm_sq, allocation.q1
+    t = (q1 - f) / (1.0 - f) if f < 1.0 else 1.0  # at f = 1, x_f = psi_1
+    x_f = (dec.parallel + t * dec.perpendicular) / np.sqrt(q1) if q1 > 0.0 else np.zeros(d)
+    u = np.exp(1j * allocation.phases[0]) * x_f.conj()
     # A feasible allocation has |u| <= 1; at q1 = f and q1 = 1 it is 1 to rounding.
     norm_sq = float(np.real(np.vdot(u, u)))
     if norm_sq > 1.0:
-        u = u / np.sqrt(norm_sq)
-        norm_sq = 1.0
+        u, norm_sq = u / np.sqrt(norm_sq), 1.0
+    images = m @ u
+    residual = float(np.abs(images - amplitudes).max())
+    if not residual <= DEPENDENCY_TOL:
+        raise NumericalError(
+            f"failure row misses M u = a by {residual:.3e} > DEPENDENCY_TOL: the span cut at "
+            "RANK_TOL dropped a direction the states carry, or a_1 = 0 with some a_i != 0"
+        )
+
     r = np.sqrt(1.0 - norm_sq)
     # (1 - r) / |u|^2 = 1 / (1 + r), which needs no branch at u = 0.
-    block = np.eye(d, dtype=np.complex128) - np.outer(u.conj(), u) / (1.0 + r)
-    unitary = np.block([[block, -u.conj()[:, None]], [u, r]])
-
+    unitary = np.empty((d + 1, d + 1), dtype=np.complex128)
+    block = np.multiply.outer(u.conj(), u, out=unitary[:d, :d])
+    block /= -(1.0 + r)
+    block[np.arange(d), np.arange(d)] += 1.0
+    unitary[:d, d], unitary[d, :d], unitary[d, d] = -u.conj(), u, r
     unitarity = float(np.abs(unitary.conj().T @ unitary - np.eye(d + 1)).max())
     if not unitarity <= OPERATOR_TOL:
         raise NumericalError(f"unitarity defect {unitarity:.3e} exceeds OPERATOR_TOL")
-    mapping = float(np.abs(m @ unitary[d, :d] - amplitudes).max())
-    if not mapping <= DEPENDENCY_TOL:
-        raise NumericalError(f"unitary misses prescribed outputs by {mapping:.3e} > DEPENDENCY_TOL")
 
     return NeumarkModel(
         unitary=unitary,
         dimension=d,
-        success_outputs=m @ block.T,
+        success_outputs=m - np.outer(images, u.conj() / (1.0 + r)),  # M R^T at O(N * D)
         failure_amplitudes=amplitudes,
         allocation=allocation,
     )

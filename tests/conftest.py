@@ -75,3 +75,20 @@ def random_problem(rng, max_dim=16, max_states=16, min_states=2):
     return FilteringProblem(
         states=tuple(StateVector(row) for row in raw), priors=priors
     )
+
+
+def band_problem(d):
+    """psi_1 = e1, psi_2 = (d, sqrt(1 - d^2), 0), psi_3 = e2 at priors (0.5, 0.25, 0.25).
+
+    For d of about 1e-9 to 1.4e-8 the complement's second singular value,
+    about d / sqrt(2), falls below RANK_TOL, so the span cut drops the
+    direction that carries psi_1 and f reads ~0 where it is 1.
+    """
+    return FilteringProblem(
+        states=(
+            StateVector(np.array([1.0, 0.0, 0.0])),
+            StateVector(np.array([d, math.sqrt(1.0 - d * d), 0.0])),
+            StateVector(np.array([0.0, 1.0, 0.0])),
+        ),
+        priors=(0.5, 0.25, 0.25),
+    )

@@ -95,9 +95,12 @@ class TestWkSpec:
             (lambda: boolean_problem(3, "2"), "bias level k"),
             (lambda: average_overlap_full(3.0, 2, 0.5), "bit count n"),
             (lambda: classical_query_count(2.5, 2), "bit count n"),
+            (lambda: approximate_povm_window(2.5, 2, 0.1), "bit count n"),
+            (lambda: approximate_povm_window(3, 2.0, 0.1), "bias level k"),
+            (lambda: biased_fraction(2.5), "bias level k"),
         ],
         ids=["wk-float-n", "wk-float-k", "problem-float-n", "problem-str-k", "full-float-n",
-             "queries-float-n"],
+             "queries-float-n", "window-float-n", "window-float-k", "fraction-float-k"],
     )
     def test_non_integer_bit_counts_rejected(self, call, field):
         with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
@@ -332,6 +335,18 @@ class TestBooleanProblem:
     def test_eta1_rejected_outside_custom_mode(self, mode):
         with pytest.raises(InvalidInputError, match="eta1=0.3"):
             boolean_problem(2, 2, mode, eta1=0.3)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"variant": "bogus"}, "variant must be one of basis, full, got 'bogus'"),
+            ({"prior_mode": "nope"}, "prior_mode must be one of equal-states-basis, .*'nope'"),
+        ],
+        ids=["variant", "prior-mode"],
+    )
+    def test_unknown_choice_named(self, kwargs, message):
+        with pytest.raises(InvalidInputError, match=message):
+            boolean_problem(3, 2, **kwargs)
 
 
 class TestAdvantage:

@@ -17,6 +17,7 @@ from qfilter import (
 )
 from qfilter.cli import SWEEP_HEADER, main
 from qfilter.errors import NumericalError
+from conftest import band_problem
 
 ROOT3 = math.sqrt(3.0)
 
@@ -121,6 +122,14 @@ class TestStrategiesCommand:
         path.write_text("{not json")
         code, _, _ = run(capsys, "strategies", "--input", str(path))
         assert code == 2
+
+    def test_rank_cut_band_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "band.json"
+        save_problem(band_problem(9e-9), path)
+        code, out, err = run(capsys, "strategies", "--input", str(path))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical failure:") and "RANK_TOL" in err
 
 
 class TestSweepCommand:

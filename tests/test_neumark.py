@@ -209,7 +209,8 @@ class TestBuildNeumark:
 
     def test_inconsistent_dependency_rejected(self):
         # identical complement states prescribed different failure amplitudes:
-        # the success Gram stays inside the PSD tolerance but no unitary exists
+        # the success Gram stays inside the PSD tolerance but no unitary exists,
+        # and conj(a_1) a_3 = sqrt(2e-10) breaks the product rule <psi_1|psi_3> = 0
         problem = FilteringProblem(
             states=(
                 StateVector(np.array([1.0, 0.0], dtype=complex)),
@@ -223,7 +224,7 @@ class TestBuildNeumark:
             phases=np.zeros(3),
         )
         assert success_gram(problem, crafted).feasible
-        with pytest.raises(InfeasibleError, match="depend"):
+        with pytest.raises(InfeasibleError, match=r"product rule .* by 1\.414e-05"):
             build_neumark(problem, crafted)
 
     def test_product_rule_breach_rejected(self, symmetric_pair_problem):
@@ -271,6 +272,68 @@ class TestBuildNeumark:
                 assert norm_sq <= 1.0 + 1e-12
                 built += 1
         assert built > 400
+
+
+def assert_minimum_norm_row(problem, allocation):
+    """The ancilla row equals lstsq's minimum-norm solution of M u = a."""
+    d = problem.dimension
+    u = build_neumark(problem, allocation).unitary[d, :d]
+    amplitudes = np.sqrt(allocation.failure_probs) * np.exp(1j * allocation.phases)
+    oracle = np.linalg.lstsq(problem.state_matrix, amplitudes, rcond=None)[0]
+    np.testing.assert_allclose(u, oracle, rtol=0.0, atol=1e-12)
+
+
+class TestFailureRowOracle:
+    def test_random_ensembles_tall_and_wide(self):
+        rng = np.random.default_rng(41)
+        tall = 0
+        for shape in ({"max_dim": 16}, {"max_dim": 4, "min_states": 6, "max_states": 12}):
+            for _ in range(100):
+                problem = random_problem(rng, **shape)
+                tall += problem.n_states > problem.dimension
+                f = decompose_target(problem).parallel_norm_sq
+                for q1 in (f, 0.5 * (f + 1.0), 1.0, optimal_filtering(problem).optimal_q1):
+                    assert_minimum_norm_row(problem, failure_allocations(problem, q1))
+        assert tall >= 100
+
+    def test_duplicate_complement_states(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            base = random_problem(rng, max_dim=6, max_states=5)
+            rows = base.state_matrix
+            problem = FilteringProblem(
+                states=tuple(np.vstack([rows, rows[1:], rows[1:2]])),
+                priors=np.full(2 * len(rows), 1.0 / (2 * len(rows))),
+            )
+            assert np.linalg.matrix_rank(problem.state_matrix) < problem.n_states
+            report = optimal_filtering(problem)
+            assert_minimum_norm_row(problem, failure_allocations(problem, report.optimal_q1))
+
+    def test_shifted_phases_keep_the_product_rule(self):
+        # adding one phase to every theta_i keeps conj(a_1) a_i, so theta_1 != 0
+        # is allowed, and u turns by e^{i theta_1}
+        rng = np.random.default_rng(47)
+        for shift in (0.7, -2.0, math.pi):
+            problem = random_problem(rng, max_dim=8, max_states=8)
+            d = problem.dimension
+            allocation = failure_allocations(problem, optimal_filtering(problem).optimal_q1)
+            shifted = FailureAllocation(
+                failure_probs=allocation.failure_probs, phases=allocation.phases + shift
+            )
+            assert shifted.phases[0] != 0.0
+            assert_minimum_norm_row(problem, shifted)
+            u = build_neumark(problem, allocation).unitary[d, :d]
+            turned = build_neumark(problem, shifted).unitary[d, :d]
+            np.testing.assert_allclose(turned, np.exp(1j * shift) * u, rtol=0.0, atol=1e-14)
+
+    def test_no_least_squares_solve(self, monkeypatch, walsh_problem):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_neumark called np.linalg.lstsq")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        model, scheme, _ = build_optimal_scheme(walsh_problem)
+        assert Outcome.IS_TARGET in scheme.outcomes
+        assert model.unitary.shape == (5, 5)
 
 
 class TestPovmElements:

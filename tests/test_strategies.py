@@ -8,6 +8,7 @@ import pytest
 from qfilter import (
     FilteringProblem,
     InvalidInputError,
+    NumericalError,
     Regime,
     failure_curve,
     optimal_filtering,
@@ -16,7 +17,7 @@ from qfilter import (
     q_sqm1,
     q_sqm2,
 )
-from conftest import random_problem
+from conftest import band_problem, random_problem
 
 ROOT3 = math.sqrt(3.0)
 
@@ -148,6 +149,20 @@ class TestOptimalFiltering:
             if report.q_povm is not None:
                 assert report.q_povm <= report.q_sqm1 + 1e-12
                 assert report.q_povm <= report.q_sqm2 + 1e-12
+
+    @pytest.mark.parametrize(
+        "d, value", [(5e-9, "4.204e-05"), (9e-9, "5.641e-05"), (1.3e-8, "6.780e-05")]
+    )
+    def test_rank_cut_band_raises_a_typed_error(self, d, value):
+        # The span cut drops the direction d carries, so f reads ~0 and the
+        # report would be the POVM at q1 = 0.707 d, which no build realizes.
+        with pytest.raises(NumericalError, match=rf"keep {value} > DEPENDENCY_TOL .* RANK_TOL"):
+            optimal_filtering(band_problem(d))
+
+    def test_rank_cut_band_ends_where_the_direction_is_kept(self):
+        report = optimal_filtering(band_problem(2e-8))
+        assert report.parallel_norm_f == pytest.approx(1.0, abs=1e-12)
+        assert report.regime is Regime.SQM2_BOUNDARY
 
     def test_grid_oracle_small(self):
         rng = np.random.default_rng(41)

@@ -1,4 +1,4 @@
-"""The tolerance table: seven names, defined in one module and nowhere else."""
+"""The tolerance table: six names, defined in one module and nowhere else."""
 import ast
 from pathlib import Path
 
@@ -8,15 +8,12 @@ from qfilter import tolerances
 PACKAGE = Path(qfilter.__file__).parent
 
 
-def test_table_holds_exactly_the_seven_tolerances():
+def test_table_holds_exactly_the_six_tolerances():
     names = {name for name in vars(tolerances) if name.isupper()}
     assert names == {
-        "NORM_TOL", "RANK_TOL", "SOLVE_RCOND", "DEPENDENCY_TOL", "PSD_TOL", "OPERATOR_TOL",
-        "PROB_TOL",
+        "NORM_TOL", "RANK_TOL", "DEPENDENCY_TOL", "PSD_TOL", "OPERATOR_TOL", "PROB_TOL",
     }
-    assert (tolerances.NORM_TOL, tolerances.RANK_TOL, tolerances.SOLVE_RCOND) == (
-        1e-9, 1e-8, 1e-8
-    )
+    assert (tolerances.NORM_TOL, tolerances.RANK_TOL) == (1e-9, 1e-8)
     assert (tolerances.DEPENDENCY_TOL, tolerances.PSD_TOL, tolerances.OPERATOR_TOL) == (
         1e-8, 1e-9, 1e-10
     )
@@ -37,7 +34,7 @@ def test_no_tolerance_literal_outside_the_table():
 
 
 def test_retired_names_are_gone():
-    for module in ("ensemble", "neumark", "simulate", "boolfn"):
+    for module in ("ensemble", "neumark", "simulate", "boolfn", "tolerances"):
         namespace = vars(getattr(qfilter, module))
-        for name in ("ZERO_TOL", "ZERO_PROB", "IDENTITY_TOL"):
+        for name in ("ZERO_TOL", "ZERO_PROB", "IDENTITY_TOL", "SOLVE_RCOND"):
             assert name not in namespace, f"{module}.{name}"
