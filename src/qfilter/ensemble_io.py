@@ -33,6 +33,59 @@ def problem_to_dict(problem: FilteringProblem) -> dict:
     }
 
 
+def _pair_array(pairs: list) -> np.ndarray | None:
+    """``pairs`` as a (k, 2) array, or None unless it lists [re, im] pairs of
+    numbers. JSON true/false are not numbers, although numpy reads them as 1/0."""
+    try:
+        arr = np.array(pairs)
+    except ValueError:  # ragged nesting
+        return None
+    if (
+        arr.dtype.kind not in _NUMBER_KINDS
+        or arr.ndim != 2
+        or arr.shape[1] != 2
+        or bool in set(map(type, chain.from_iterable(pairs)))
+    ):
+        return None
+    return arr
+
+
+class _LoadedPairs:
+    """Amplitude pairs ``load_problem`` already turned into an array.
+
+    Only ``problem_from_dict`` accepts this type in place of a list, so a
+    caller's dict holding an array is still rejected. The repr is the parsed
+    list's, so a message that quotes the value reads as it would without it.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __repr__(self) -> str:
+        return repr(self.array.tolist())
+
+
+def _load_amplitudes(obj: dict) -> dict:
+    """``json.load`` object hook: swap a valid ``amplitudes`` list for its array
+    as soon as the parser closes the object, so a load holds one state's
+    Python lists at a time. It never rejects; ``problem_from_dict`` does."""
+    pairs = obj.get("amplitudes")
+    if type(pairs) is list:
+        arr = _pair_array(pairs)
+        # numpy reads [1, 0.5] as floats, so the repr would spell that 1 as 1.0
+        exact = arr is not None and (
+            arr.dtype.kind != "f" or int not in map(type, chain.from_iterable(pairs))
+        )
+        if exact:
+            obj["amplitudes"] = _LoadedPairs(arr)
+    return obj
+
+
 def problem_from_dict(data) -> FilteringProblem:
     if not isinstance(data, dict):
         raise InvalidInputError(f"ensemble file must hold a JSON object, not {type(data).__name__}")
@@ -60,20 +113,12 @@ def problem_from_dict(data) -> FilteringProblem:
         if missing:
             raise InvalidInputError(f"state {pos} is missing fields: {sorted(missing)}")
         pairs = entry["amplitudes"]
-        if not isinstance(pairs, list) or len(pairs) != dimension:
+        if not isinstance(pairs, (list, _LoadedPairs)) or len(pairs) != dimension:
             raise InvalidInputError(
                 f"state {pos} must list exactly {dimension} [re, im] amplitude pairs"
             )
-        try:
-            amplitudes = np.array(pairs)
-        except ValueError:  # ragged nesting
-            amplitudes = None
-        if (
-            amplitudes is None
-            or amplitudes.dtype.kind not in _NUMBER_KINDS
-            or amplitudes.shape != (dimension, 2)
-            or bool in set(map(type, chain.from_iterable(pairs)))  # numpy casts true to 1
-        ):
+        amplitudes = pairs.array if isinstance(pairs, _LoadedPairs) else _pair_array(pairs)
+        if amplitudes is None:
             raise InvalidInputError(f"state {pos} amplitudes must be [re, im] number pairs")
         prior = entry["prior"]
         if isinstance(prior, bool) or not isinstance(prior, (int, float)):
@@ -82,17 +127,22 @@ def problem_from_dict(data) -> FilteringProblem:
             states.append(StateVector.from_pairs(amplitudes))
         except InvalidInputError as exc:
             raise InvalidInputError(f"state {pos}: {exc}") from exc
-        priors.append(float(prior))
+        try:
+            priors.append(float(prior))
+        except OverflowError:  # an integer beyond the float range
+            raise InvalidInputError(f"state {pos} prior is too large for a float") from None
     target = data["target_index"]
     return FilteringProblem(states=tuple(states), priors=priors, target_index=target)
 
 
 def load_problem(path: str | PathLike) -> FilteringProblem:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"invalid JSON in {path}: {exc}") from exc
+    """Read an ensemble file. Each state's amplitudes become an array when the
+    parser closes that state, so the load never holds the whole file as lists."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh, object_hook=_load_amplitudes)
+        except ValueError as exc:  # also a non-UTF-8 byte or an over-long integer
+            raise InvalidInputError(f"invalid JSON in {path}: {exc}") from exc
     return problem_from_dict(data)
 
 

@@ -123,6 +123,34 @@ class TestStrategiesCommand:
         code, _, _ = run(capsys, "strategies", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"dimension": 2, "states": "\xff"}',
+            # over the interpreter's 4,300-digit limit for int() of a string
+            b'{"dimension": 1' + b"0" * 5000 + b"}",
+        ],
+        ids=["non-utf8", "over-long-integer"],
+    )
+    def test_undecodable_file_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "strategies", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: invalid JSON in {path}: ")
+
+    def test_huge_integer_prior_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge-prior.json"
+        path.write_text(
+            '{"dimension": 1, "target_index": 0, "states": ['
+            '{"amplitudes": [[1.0, 0.0]], "prior": 1' + "0" * 400 + "}]}"
+        )
+        code, out, err = run(capsys, "strategies", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: state 0 prior is too large for a float\n"
+
     def test_rank_cut_band_exits_4(self, capsys, tmp_path):
         path = tmp_path / "band.json"
         save_problem(band_problem(9e-9), path)

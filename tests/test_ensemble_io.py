@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,31 @@ def valid_payload():
     }
 
 
+# (mutation of valid_payload(), message the error must match)
+SCHEMA_CASES = [
+    (lambda p: p.pop("dimension"), "missing"),
+    (lambda p: p.update(extra=1), "unknown"),
+    (lambda p: p["states"][0].update(label="x"), "unknown"),
+    (lambda p: p["states"][0].pop("prior"), "missing"),
+    (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0]]), "pairs"),
+    (lambda p: p["states"][0].update(amplitudes=[[1.0], [0.0]]), "pairs"),
+    (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [0.0]]), "pairs"),
+    (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [0.0, 0.0, 0.0]]), "pairs"),
+    (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], "ab"]), "pairs"),
+    (lambda p: p["states"][0].update(amplitudes=["ab", "cd"]), "pairs"),
+    (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [0.0, None]]), "pairs"),
+    (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [0.0, "0"]]), "pairs"),
+    (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [[0.0], [0.0]]]), "pairs"),
+    (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], {"re": 0.0}]), "pairs"),
+    (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [0.0, 10**400]]), "pairs"),
+    (lambda p: p.update(states=[]), "nonempty"),
+    (lambda p: p.update(target_index="0"), "integer"),
+    (lambda p: p.update(dimension=0), "positive"),
+    # an integer beyond the float range; float() would raise OverflowError
+    (lambda p: p["states"][0].update(prior=10**400), "state 0 prior is too large"),
+]
+
+
 class TestParsing:
     def test_file_must_hold_an_object(self):
         with pytest.raises(InvalidInputError, match="JSON object, not list"):
@@ -54,29 +80,7 @@ class TestParsing:
         s = 1 / math.sqrt(2)
         np.testing.assert_allclose(problem.target.amplitudes, [s, s])
 
-    @pytest.mark.parametrize(
-        "mutate,message",
-        [
-            (lambda p: p.pop("dimension"), "missing"),
-            (lambda p: p.update(extra=1), "unknown"),
-            (lambda p: p["states"][0].update(label="x"), "unknown"),
-            (lambda p: p["states"][0].pop("prior"), "missing"),
-            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0]]), "pairs"),
-            (lambda p: p["states"][0].update(amplitudes=[[1.0], [0.0]]), "pairs"),
-            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [0.0]]), "pairs"),
-            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [0.0, 0.0, 0.0]]), "pairs"),
-            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], "ab"]), "pairs"),
-            (lambda p: p["states"][0].update(amplitudes=["ab", "cd"]), "pairs"),
-            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [0.0, None]]), "pairs"),
-            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [0.0, "0"]]), "pairs"),
-            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [[0.0], [0.0]]]), "pairs"),
-            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], {"re": 0.0}]), "pairs"),
-            (lambda p: p["states"][0].update(amplitudes=[[1.0, 0.0], [0.0, 10**400]]), "pairs"),
-            (lambda p: p.update(states=[]), "nonempty"),
-            (lambda p: p.update(target_index="0"), "integer"),
-            (lambda p: p.update(dimension=0), "positive"),
-        ],
-    )
+    @pytest.mark.parametrize("mutate,message", SCHEMA_CASES)
     def test_schema_violations(self, mutate, message):
         payload = valid_payload()
         mutate(payload)
@@ -149,21 +153,21 @@ class TestWriter:
         assert os.path.exists(os.devnull)
 
 
+BOOLEAN_CASES = [
+    (lambda p: p["states"][0].update(amplitudes=[[True, False], [False, False]]), "pairs"),
+    (lambda p: p["states"][0].update(amplitudes=[[True, 0.0], [0.0, 0.0]]), "pairs"),
+    (lambda p: p["states"][0].update(amplitudes=[[1, 0], [0, False]]), "pairs"),
+    (lambda p: p.update(dimension=True), "positive"),
+    (lambda p: p.update(target_index=True), "integer"),
+    (lambda p: p["states"][0].update(prior=True), "number"),
+]
+BOOLEAN_IDS = ["amplitudes", "mixed-float", "mixed-int", "dimension", "target_index", "prior"]
+
+
 class TestJsonBooleansRejected:
     """JSON true/false are not numbers here, although Python and numpy treat them as 1/0."""
 
-    @pytest.mark.parametrize(
-        "mutate,message",
-        [
-            (lambda p: p["states"][0].update(amplitudes=[[True, False], [False, False]]), "pairs"),
-            (lambda p: p["states"][0].update(amplitudes=[[True, 0.0], [0.0, 0.0]]), "pairs"),
-            (lambda p: p["states"][0].update(amplitudes=[[1, 0], [0, False]]), "pairs"),
-            (lambda p: p.update(dimension=True), "positive"),
-            (lambda p: p.update(target_index=True), "integer"),
-            (lambda p: p["states"][0].update(prior=True), "number"),
-        ],
-        ids=["amplitudes", "mixed-float", "mixed-int", "dimension", "target_index", "prior"],
-    )
+    @pytest.mark.parametrize("mutate,message", BOOLEAN_CASES, ids=BOOLEAN_IDS)
     def test_boolean_rejected(self, mutate, message):
         payload = valid_payload()
         mutate(payload)
@@ -177,3 +181,58 @@ class TestJsonBooleansRejected:
         path.write_text(json.dumps(payload))
         with pytest.raises(InvalidInputError, match="state 0 amplitudes"):
             load_problem(path)
+
+
+class TestLoadPathsAgree:
+    """load_problem converts amplitudes while parsing but leaves every verdict to
+    problem_from_dict, so a file and its dict fail with the same message."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [mutate for mutate, _ in SCHEMA_CASES + BOOLEAN_CASES]
+        + [
+            lambda p: p["states"][1].update(amplitudes=[[1.0, 0.0], [1.0, 0.0]]),
+            # the message quotes target_index: float pairs are converted, while
+            # ints that numpy reads as floats (past int64, or beside a float) are not
+            lambda p: p.update(target_index={"amplitudes": [[1.0, 0.5], [0.0, -0.0]]}),
+            lambda p: p.update(target_index={"amplitudes": [[1, 0], [0, 2**63]]}),
+            lambda p: p.update(target_index={"amplitudes": [[1, 0.5], [0, 0]]}),
+        ],
+    )
+    def test_same_message(self, tmp_path, mutate):
+        payload = valid_payload()
+        mutate(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidInputError) as from_dict:
+            problem_from_dict(payload)
+        with pytest.raises(InvalidInputError) as loaded:
+            load_problem(path)
+        assert str(loaded.value) == str(from_dict.value)
+
+    def test_array_amplitudes_in_a_dict_rejected(self):
+        payload = valid_payload()
+        payload["states"][0]["amplitudes"] = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="state 0 must list exactly 2"):
+            problem_from_dict(payload)
+
+    def test_mixed_number_pairs_load(self, tmp_path):
+        payload = valid_payload()
+        payload["states"][0]["amplitudes"] = [[1, 0.0], [0, 0]]
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(payload))
+        np.testing.assert_array_equal(load_problem(path).target.amplitudes, [1.0, 0.0])
+
+
+def test_load_peak_memory(tmp_path):
+    """A load holds the file text and the arrays, not one Python float per number."""
+    path = tmp_path / "n8k3.json"
+    save_problem(boolean_problem(8, 3), path)
+    tracemalloc.start()
+    try:
+        problem = load_problem(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (problem.n_states, problem.dimension) == (256, 256)
+    assert peak < 2 * (path.stat().st_size + problem.n_states * problem.dimension * 16)
