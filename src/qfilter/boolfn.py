@@ -208,6 +208,8 @@ def boolean_problem(
     The complement is either the orthonormal Walsh basis or the full balanced
     enumeration; complement priors are always uniform, and the target prior is
     set by ``prior_mode``; ``eta1`` is given with CUSTOM and with no other mode.
+    A call repeating the last one's n, k, variant and target prior returns the
+    same immutable problem, whose decomposition is then computed only once.
     """
     prior_mode = _member(PriorMode, prior_mode, "prior_mode")
     variant = _member(ComplementVariant, variant, "variant")
@@ -215,14 +217,14 @@ def boolean_problem(
         raise InvalidInputError(
             f"eta1={eta1!r} with prior mode {prior_mode.value}: custom needs eta1, others take none"
         )
-    spec = wk_spec(n, k)
+    n, k = _integer(n, "bit count n"), _integer(k, "bias level k")
+    wk_spec(n, k)  # checks 1 <= k <= n
     if k == 1:
         raise InvalidInputError(
             "k = 1 is degenerate: both biased members are balanced, so the "
             "target cannot be filtered from the balanced set"
         )
-    complement = _complement_signs(n, variant) / math.sqrt(2**n)
-    m = len(complement)
+    m = len(_complement_signs(n, variant))
 
     if prior_mode == PriorMode.EQUAL_STATES_BASIS:
         target_prior = 1.0 / 2**n
@@ -232,9 +234,16 @@ def boolean_problem(
         target_prior = 1.0 / (m + 1)
     else:
         target_prior = _check_eta1(eta1)
-    priors = np.full(m + 1, (1.0 - target_prior) / m)
-    priors[0] = target_prior
-    return FilteringProblem(states=(spec.vector, *complement), priors=priors)
+    return _boolean_problem(n, k, variant, target_prior)
+
+
+@lru_cache(maxsize=1)
+def _boolean_problem(n: int, k: int, variant: ComplementVariant, eta1: float) -> FilteringProblem:
+    complement = _complement_signs(n, variant) / math.sqrt(2**n)
+    m = len(complement)
+    priors = np.full(m + 1, (1.0 - eta1) / m)
+    priors[0] = eta1
+    return FilteringProblem(states=(wk_spec(n, k).vector, *complement), priors=priors)
 
 
 class AdvantageReport(NamedTuple):

@@ -37,12 +37,17 @@ from .neumark import (
     projective_scheme,
 )
 from .simulate import aggregate_failure, simulate
-from .strategies import CURVE_REGIMES, StrategyReport, failure_curve, optimal_filtering
+from .strategies import CURVE_REGIMES, Regime, StrategyReport, failure_curve, optimal_filtering
 
 SWEEP_HEADER = "S,Q_sqm1,Q_sqm2,Q_povm,Q_opt,regime"
-# CSV rows in _fmt's format; the Q_povm cell is empty outside the POVM window.
-_SWEEP_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,POVM\n"
-_SWEEP_ROW_NO_POVM = "%.12g,%.12g,%.12g,,%.12g,%s\n"
+# Per CURVE_REGIMES code, a CSV row in _fmt's format and the curve columns it
+# prints; the Q_povm cell is empty outside the POVM window.
+_SWEEP_ROWS = tuple(
+    ("%.12g,%.12g,%.12g,%.12g,%.12g,POVM\n", ("s", "q_sqm1", "q_sqm2", "q_povm", "q_opt"))
+    if r is Regime.POVM
+    else (f"%.12g,%.12g,%.12g,,%.12g,{r.value}\n", ("s", "q_sqm1", "q_sqm2", "q_opt"))
+    for r in CURVE_REGIMES
+)
 _SWEEP_CHUNK = 4096
 
 
@@ -104,23 +109,16 @@ def _cmd_sweep(args) -> int:
         raise InvalidInputError("need 0 <= smin < smax")
     grid = np.linspace(args.smin, args.smax, args.steps)
     curve = failure_curve(args.eta1, args.f, grid)
-    names = np.array([r.value for r in CURVE_REGIMES])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for start in range(0, len(curve), _SWEEP_CHUNK):
-            part = slice(start, start + _SWEEP_CHUNK)
-            fh.write("".join(
-                _SWEEP_ROW % (s, q1, q2, qp, qo) if regime == "POVM"
-                else _SWEEP_ROW_NO_POVM % (s, q1, q2, qo, regime)
-                for s, q1, q2, qp, qo, regime in zip(
-                    curve.s[part].tolist(),
-                    curve.q_sqm1[part].tolist(),
-                    curve.q_sqm2[part].tolist(),
-                    curve.q_povm[part].tolist(),
-                    curve.q_opt[part].tolist(),
-                    names[curve.regime_codes[part]].tolist(),
-                )
-            ))
+            codes = curve.regime_codes[start:start + _SWEEP_CHUNK]
+            cuts = [0, *(np.flatnonzero(np.diff(codes)) + 1).tolist(), len(codes)]
+            for lo, hi in zip(cuts, cuts[1:]):  # one % call per run of one regime
+                row, names = _SWEEP_ROWS[codes[lo]]
+                rows = slice(start + lo, start + hi)
+                values = np.column_stack([getattr(curve, n)[rows] for n in names]).ravel()
+                fh.write((row * (hi - lo)) % tuple(values.tolist()))
     print(f"wrote {len(curve)} rows to {args.out}")
     return 0
 

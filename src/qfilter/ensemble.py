@@ -89,7 +89,7 @@ class StateVector:
         arr = _numbers(pairs, "amplitude pairs")
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise InvalidInputError(f"amplitudes of shape {arr.shape} are not [re, im] pairs")
-        return cls(arr[:, 0] + 1j * arr[:, 1])
+        return cls(np.ascontiguousarray(arr).view(np.complex128)[:, 0])  # copied once, by cls
 
     def to_pairs(self) -> list[list[float]]:
         return [[float(a.real), float(a.imag)] for a in self.amplitudes]

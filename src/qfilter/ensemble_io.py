@@ -76,12 +76,15 @@ def _load_amplitudes(obj: dict) -> dict:
     Python lists at a time. It never rejects; ``problem_from_dict`` does."""
     pairs = obj.get("amplitudes")
     if type(pairs) is list:
+        if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
+            flat = list(chain.from_iterable(pairs))
+            if set(map(type, flat)) == {float}:  # the layout save_problem writes
+                obj["amplitudes"] = _LoadedPairs(np.array(flat).reshape(-1, 2))
+                return obj
         arr = _pair_array(pairs)
-        # numpy reads [1, 0.5] as floats, so the repr would spell that 1 as 1.0
-        exact = arr is not None and (
-            arr.dtype.kind != "f" or int not in map(type, chain.from_iterable(pairs))
-        )
-        if exact:
+        # float pairs took the branch above, so numpy read an int here as a float
+        # ([1, 0.5], or past int64) and the repr would spell that 1 as 1.0
+        if arr is not None and arr.dtype.kind != "f":
             obj["amplitudes"] = _LoadedPairs(arr)
     return obj
 
@@ -161,14 +164,10 @@ def save_problem(problem: FilteringProblem, path: str | PathLike) -> None:
     followed by a newline; amplitudes and priors are finite, so ``%r`` spells
     each float as the JSON encoder does.
     """
+    state = _AMPLITUDES_OPEN + ",\n".join([_PAIR] * problem.dimension) + _STATE_CLOSE
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_FILE_OPEN % problem.dimension)
-        for pos, (state, prior) in enumerate(zip(problem.states, problem.priors)):
-            pairs = zip(state.amplitudes.real.tolist(), state.amplitudes.imag.tolist())
-            fh.write(
-                (",\n" if pos else "")
-                + _AMPLITUDES_OPEN
-                + ",\n".join(_PAIR % pair for pair in pairs)
-                + _STATE_CLOSE % float(prior)
-            )
+        for pos, (vector, prior) in enumerate(zip(problem.states, problem.priors)):
+            values = (*vector.amplitudes.view(np.float64).tolist(), float(prior))
+            fh.write((",\n" if pos else "") + state % values)
         fh.write(_FILE_CLOSE)

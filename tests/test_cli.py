@@ -15,6 +15,8 @@ from qfilter import (
     q_sqm2,
     save_problem,
 )
+from qfilter import boolfn as boolfn_module
+from qfilter import ensemble as ensemble_module
 from qfilter.cli import SWEEP_HEADER, main
 from qfilter.errors import NumericalError
 from conftest import band_problem
@@ -248,6 +250,13 @@ class TestSweepCommand:
             (0.4, 0.25, 0.6, 10_001),  # spans several write chunks
             (0.00390625, 0.0, 0.01, 2001),  # f = 0: the Q_sqm2 column is inf
             (0.00390625, 1.0, 0.01, 501),  # f = 1: the window closes to S = eta1
+            # S = i / 8192 exactly, against the writer's 4,096-row chunks and one
+            # % call per run of one regime: SQM1 starts on row 4,096, which opens
+            # the second chunk; at f = 1 the POVM run is the one row S = eta1,
+            # row 4,095 closing the first chunk or row 100 inside it
+            (4095 / 8192, 0.25, 1.0, 8193),
+            (4095 / 8192, 1.0, 1.0, 8193),
+            (100 / 8192, 1.0, 1.0, 8193),
         ],
     )
     def test_csv_matches_scalar_closed_forms(self, capsys, tmp_path, eta1, f, smax, steps):
@@ -336,6 +345,26 @@ class TestBooleanCommand:
         problem = load_problem(export)
         assert problem.n_states == 4
         np.testing.assert_allclose(problem.priors, 0.25)
+
+    def test_boolean_decomposes_once(self, capsys, monkeypatch):
+        """povm_advantage reuses the problem the command built, with its
+        cached decomposition, so the command decomposes once, not twice."""
+        calls = []
+
+        def counted(rows):
+            calls.append(rows.shape)
+            return original(rows)
+
+        original = ensemble_module._row_basis
+        monkeypatch.setattr(ensemble_module, "_row_basis", counted)
+        boolfn_module._boolean_problem.cache_clear()  # drop a problem decomposed earlier
+        code, _, _ = run(capsys, "boolean", "--n", "6", "--k", "3")
+        assert code == 0
+        assert calls == [(63, 64)]
+        shared = boolean_problem(6, 3)
+        assert boolean_problem(n=6, k=3) is shared
+        assert not shared.state_matrix.flags.writeable
+        assert not shared.priors.flags.writeable
 
 
 class TestSimulateCommand:

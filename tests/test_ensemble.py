@@ -64,6 +64,16 @@ class TestStateVector:
         with pytest.raises(InvalidInputError, match=r"shape \(1, 3\) are not \[re, im\] pairs"):
             StateVector.from_pairs([[1.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "layout",
+        [np.ascontiguousarray, np.asfortranarray, lambda a: np.repeat(a, 2, axis=0)[::2]],
+        ids=["c-order", "fortran-order", "strided"],
+    )
+    def test_from_pairs_reads_any_array_layout(self, layout):
+        pairs = np.array([[0.6, -0.0], [0.0, 0.8], [5e-324, -0.0]])
+        amplitudes = StateVector.from_pairs(layout(pairs)).amplitudes
+        assert amplitudes.view(np.float64).tobytes() == pairs.tobytes()
+
     def test_pairs_round_trip(self):
         s = StateVector.from_pairs([[0.6, 0.0], [0.0, 0.8]])
         assert s.to_pairs() == [[0.6, 0.0], [0.0, 0.8]]

@@ -16,7 +16,7 @@ from qfilter import (
     optimal_filtering,
     save_problem,
 )
-from qfilter.ensemble_io import problem_from_dict, problem_to_dict
+from qfilter.ensemble_io import _load_amplitudes, problem_from_dict, problem_to_dict
 from conftest import random_problem
 
 
@@ -222,6 +222,29 @@ class TestLoadPathsAgree:
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(payload))
         np.testing.assert_array_equal(load_problem(path).target.amplitudes, [1.0, 0.0])
+
+
+class TestFloatPairsFastPath:
+    """Float-only pairs, the layout save_problem writes, skip the nested
+    np.array read; the array must hold the same bits."""
+
+    EXTREMES = [[-0.0, 5e-324], [1.7976931348623157e308, -5e-324], [0.0, -1.7976931348623157e308]]
+
+    def test_hook_keeps_every_bit(self):
+        parsed = json.loads(json.dumps({"amplitudes": self.EXTREMES}), object_hook=_load_amplitudes)
+        assert parsed["amplitudes"].array.tobytes() == np.array(self.EXTREMES).tobytes()
+        assert repr(parsed["amplitudes"]) == repr(self.EXTREMES)
+
+    def test_loaded_state_keeps_every_bit(self, tmp_path):
+        pairs = [[1.0, -0.0], [5e-324, -0.0], [-0.0, 5e-324]]
+        payload = valid_payload()
+        payload["dimension"] = 3
+        payload["states"][0]["amplitudes"] = pairs
+        payload["states"][1]["amplitudes"] = [[0.6, 0.0], [0.0, 0.8], [-0.0, -0.0]]
+        path = tmp_path / "extremes.json"
+        path.write_text(json.dumps(payload))
+        loaded = load_problem(path).target.amplitudes
+        assert loaded.view(np.float64).tobytes() == np.array(pairs).tobytes()
 
 
 def test_load_peak_memory(tmp_path):
