@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -196,6 +197,81 @@ def _build_scheme(problem: FilteringProblem, strategy: str):
     return projective_scheme(problem, kind)
 
 
+def _json_float(x: float) -> str:
+    """``x`` as ``_emit_json`` spells it: rounded to 12 digits, non-finite as ``json`` does."""
+    r = float(_fmt(x))
+    return repr(r) if math.isfinite(r) else json.dumps(r)
+
+
+def _simulate_json(stats, priors, empirical_q: float, analytic_q: float, optimal_q: float):
+    """Head, per-state entries and end of the report ``_emit_json`` would print.
+
+    The keys before and after ``per_state`` are encoded by ``json`` itself;
+    each state's entry fills a fixed template at the same indentation, so no
+    whole-report payload or string is built.
+    """
+    names = [o.value for o in stats.outcomes]
+    head = {
+        "scheme": stats.scheme_kind.value,
+        "trials_per_state": stats.trials_per_state,
+        "seed": stats.seed,
+        "outcomes": names,
+    }
+    columns = ("counts", "empirical", "analytic", "z")
+    cells = ",\n".join(f"        {json.dumps(n)}: %s" for n in names)
+    template = '    {\n      "state": %d,\n      "prior": %s,\n' + ",\n".join(
+        f"      {json.dumps(key)}: {{\n{cells}\n      }}" for key in columns
+    ) + "\n    }"
+    rates = (stats.empirical_rates, stats.analytic_rates, stats.z_scores)
+    tail = {
+        "misidentifications": stats.misidentifications,
+        "aggregate": {
+            "empirical_Q": empirical_q,
+            "analytic_Q": analytic_q,
+            "optimal_Q": optimal_q,
+        },
+    }
+
+    def state(i: int) -> str:
+        values = [i, _json_float(priors[i]), *stats.counts[i].tolist()]
+        for column in rates:
+            values += map(_json_float, column[i].tolist())
+        return (",\n" if i else "") + template % tuple(values)
+
+    # A top-level dict dumps as "{\n" + its keys + "\n}"; the report splices the
+    # per_state list between the two halves.
+    return (
+        json.dumps(_round12(head), indent=2)[:-2] + ',\n  "per_state": [\n',
+        state,
+        "\n  ],\n" + json.dumps(_round12(tail), indent=2)[2:] + "\n",
+    )
+
+
+def _simulate_table(stats, empirical_q: float, analytic_q: float):
+    """Head, per-state rows and end of the ``--format table`` report."""
+    head = (
+        f"scheme {stats.scheme_kind.value}  trials {stats.trials_per_state}  "
+        f"seed {stats.seed}\n"
+        f"{'state':>5}  {'outcome':<13} {'count':>9}  {'empirical':>14}  "
+        f"{'analytic':>14}  {'z':>8}\n"
+    )
+
+    def state(i: int) -> str:
+        return "".join(
+            f"{i:>5}  {outcome.value:<13} {int(stats.counts[i, j]):>9}  "
+            f"{stats.empirical_rates[i, j]:>14.6g}  "
+            f"{stats.analytic_rates[i, j]:>14.6g}  "
+            f"{stats.z_scores[i, j]:>8.3f}\n"
+            for j, outcome in enumerate(stats.outcomes)
+        )
+
+    tail = (
+        f"aggregate empirical Q {_fmt(empirical_q)}  analytic Q {_fmt(analytic_q)}  "
+        f"misidentifications {stats.misidentifications}\n"
+    )
+    return head, state, tail
+
+
 def _cmd_simulate(args) -> int:
     if args.trials < 1:
         raise InvalidInputError("trials must be >= 1")
@@ -208,52 +284,16 @@ def _cmd_simulate(args) -> int:
     empirical_q = aggregate_failure(stats, problem.priors)
 
     if args.format == "json":
-        names = [o.value for o in stats.outcomes]
-        columns = {
-            "counts": stats.counts,
-            "empirical": stats.empirical_rates,
-            "analytic": stats.analytic_rates,
-            "z": stats.z_scores,
-        }
-        per_state = []
-        for i in range(problem.n_states):
-            entry = {"state": i, "prior": float(problem.priors[i])}
-            for key, column in columns.items():
-                entry[key] = dict(zip(names, column[i].tolist()))
-            per_state.append(entry)
-        payload = {
-            "scheme": stats.scheme_kind.value,
-            "trials_per_state": stats.trials_per_state,
-            "seed": stats.seed,
-            "outcomes": names,
-            "per_state": per_state,
-            "misidentifications": stats.misidentifications,
-            "aggregate": {
-                "empirical_Q": empirical_q,
-                "analytic_Q": analytic_q,
-                "optimal_Q": report.optimal_Q,
-            },
-        }
-        _emit_json(payload)
+        parts = _simulate_json(stats, problem.priors, empirical_q, analytic_q, report.optimal_Q)
     else:
-        print(
-            f"scheme {stats.scheme_kind.value}  trials {stats.trials_per_state}  "
-            f"seed {stats.seed}"
-        )
-        print(f"{'state':>5}  {'outcome':<13} {'count':>9}  {'empirical':>14}  "
-              f"{'analytic':>14}  {'z':>8}")
-        for i in range(problem.n_states):
-            for j, outcome in enumerate(stats.outcomes):
-                print(
-                    f"{i:>5}  {outcome.value:<13} {int(stats.counts[i, j]):>9}  "
-                    f"{stats.empirical_rates[i, j]:>14.6g}  "
-                    f"{stats.analytic_rates[i, j]:>14.6g}  "
-                    f"{stats.z_scores[i, j]:>8.3f}"
-                )
-        print(
-            f"aggregate empirical Q {_fmt(empirical_q)}  analytic Q {_fmt(analytic_q)}  "
-            f"misidentifications {stats.misidentifications}"
-        )
+        parts = _simulate_table(stats, empirical_q, analytic_q)
+    head, state, end = parts
+    # The report is written as it is produced, one state at a time.
+    out = sys.stdout
+    out.write(head)
+    for i in range(problem.n_states):
+        out.write(state(i))
+    out.write(end)
     return 0
 
 

@@ -189,9 +189,11 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
     in the cached target split, not a solve (Bergou, Herzog & Hillery, PRA 71,
     042314 (2005)): u = e^{i theta_1} conj(x_f), the minimum-norm solution, with
     x_f = (psi_par + (q1 - f) / (1 - f) psi_perp) / sqrt(q1), psi_1 at f = 1
-    and 0 at q1 = 0. With r = sqrt(1 - |u|^2) and R = I - conj(u) u^T / (1 + r),
-    R is Hermitian with R^2 = I - conj(u) u^T, so U = [[R, -conj(u)], [u^T, r]]
-    is unitary and sends each state to R psi_i + a_i |ancilla>.
+    and 0 at q1 = 0. The one solve is at q1 = 0 with some a_i != 0, where u is
+    the minimum-norm solution of M[1:] u = a[1:]. With r = sqrt(1 - |u|^2) and
+    R = I - conj(u) u^T / (1 + r), R is Hermitian with R^2 = I - conj(u) u^T,
+    so U = [[R, -conj(u)], [u^T, r]] is unitary and sends each state to
+    R psi_i + a_i |ancilla>.
 
     Raises InfeasibleError when the success Gram is not positive semidefinite
     or a breaks the product rule conj(a_1) a_i = <psi_1|psi_i>; NumericalError
@@ -217,6 +219,11 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
     t = (q1 - f) / (1.0 - f) if f < 1.0 else 1.0  # at f = 1, x_f = psi_1
     x_f = (dec.parallel + t * dec.perpendicular) / np.sqrt(q1) if q1 > 0.0 else np.zeros(d)
     u = np.exp(1j * allocation.phases[0]) * x_f.conj()
+    if q1 == 0.0 and amplitudes.any():
+        # a_1 = 0 leaves the complement amplitudes free of the target split. Then
+        # every overlap <psi_1|psi_i> is 0, so the minimum-norm solution of
+        # M[1:] u = a[1:] is orthogonal to psi_1 as well.
+        u = np.linalg.lstsq(m[1:], amplitudes[1:], rcond=None)[0]
     # A feasible allocation has |u| <= 1; at q1 = f and q1 = 1 it is 1 to rounding.
     norm_sq = float(np.real(np.vdot(u, u)))
     if norm_sq > 1.0:
@@ -226,7 +233,7 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
     if not residual <= DEPENDENCY_TOL:
         raise NumericalError(
             f"failure row misses M u = a by {residual:.3e} > DEPENDENCY_TOL: the span cut at "
-            "RANK_TOL dropped a direction the states carry, or a_1 = 0 with some a_i != 0"
+            "RANK_TOL dropped a direction the states carry"
         )
 
     r = np.sqrt(1.0 - norm_sq)

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -7,8 +9,11 @@ import pytest
 
 from qfilter import (
     FilteringProblem,
+    Outcome,
+    aggregate_failure,
     boolean_problem,
     load_problem,
+    optimal_filtering,
     povm_window,
     q_povm,
     q_sqm1,
@@ -16,6 +21,7 @@ from qfilter import (
     save_problem,
 )
 from qfilter import boolfn as boolfn_module
+from qfilter import cli as cli_module
 from qfilter import ensemble as ensemble_module
 from qfilter.cli import SWEEP_HEADER, main
 from qfilter.errors import NumericalError
@@ -452,6 +458,112 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert err == "error: out of memory: Unable to allocate 2.47 GiB for an array\n"
+
+
+class TestSimulateJsonReport:
+    """``simulate --format json`` is written one state at a time; its bytes are
+    those of the whole report dumped at once."""
+
+    @staticmethod
+    def reference(path, strategy, trials, seed):
+        problem = load_problem(path)
+        stats = cli_module.simulate(
+            cli_module._build_scheme(problem, strategy), problem, trials, seed
+        )
+        names = [o.value for o in stats.outcomes]
+        columns = {
+            "counts": stats.counts,
+            "empirical": stats.empirical_rates,
+            "analytic": stats.analytic_rates,
+            "z": stats.z_scores,
+        }
+        per_state = [
+            {"state": i, "prior": float(problem.priors[i])}
+            | {key: dict(zip(names, column[i].tolist())) for key, column in columns.items()}
+            for i in range(problem.n_states)
+        ]
+        fail = stats.outcomes.index(Outcome.FAIL)
+        payload = {
+            "scheme": stats.scheme_kind.value,
+            "trials_per_state": stats.trials_per_state,
+            "seed": stats.seed,
+            "outcomes": names,
+            "per_state": per_state,
+            "misidentifications": stats.misidentifications,
+            "aggregate": {
+                "empirical_Q": aggregate_failure(stats, problem.priors),
+                "analytic_Q": float(problem.priors @ stats.analytic_rates[:, fail]),
+                "optimal_Q": optimal_filtering(problem).optimal_Q,
+            },
+        }
+        return json.dumps(cli_module._round12(payload), indent=2) + "\n"
+
+    def check(self, capsys, path, strategy, trials=1000, seed=3):
+        code, out, err = run(
+            capsys, "simulate", "--input", str(path), "--strategy", strategy,
+            "--trials", str(trials), "--seed", str(seed), "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert out == self.reference(path, strategy, trials, seed)
+        return json.loads(out)
+
+    def test_povm_walsh(self, capsys, walsh_file):
+        assert len(self.check(capsys, walsh_file, "povm")["per_state"]) == 4
+
+    def test_povm_contained_target(self, capsys, degenerate_file):
+        # p1 = 0: two outcomes, and the scheme carries a warning
+        payload = self.check(capsys, degenerate_file, "povm")
+        assert payload["outcomes"] == ["IS_COMPLEMENT", "FAIL"]
+
+    @pytest.mark.parametrize("strategy", ["sqm1", "sqm2"])
+    def test_projective_figure(self, capsys, figure_file, strategy):
+        self.check(capsys, figure_file, strategy)
+
+    def test_sqm2_perfect(self, capsys, tmp_path, orthogonal_pair_problem):
+        # f = 0: SQM2 filters perfectly
+        path = tmp_path / "orthogonal.json"
+        save_problem(orthogonal_pair_problem, path)
+        assert self.check(capsys, path, "sqm2")["aggregate"]["optimal_Q"] == 0.0
+
+    def test_non_finite_and_signed_zero_cells(self, capsys, figure_file, monkeypatch):
+        simulate = cli_module.simulate
+
+        def odd_cells(*args):
+            stats = simulate(*args)
+            z = stats.z_scores.copy()
+            z[0, :3] = np.inf, -np.inf, -0.0
+            z[1, 0] = np.nan
+            return dataclasses.replace(stats, z_scores=z)
+
+        monkeypatch.setattr(cli_module, "simulate", odd_cells)
+        self.check(capsys, figure_file, "sqm2")
+
+    @pytest.mark.parametrize("x", [0.1, 1 / 3, 1.0, -0.0, 1e-300, 2.5e20, math.inf, -math.inf])
+    def test_float_spelling(self, x):
+        assert cli_module._json_float(x) == json.dumps(cli_module._round12(x))
+
+    def test_peak_memory_near_the_table(self, tmp_path):
+        # N = 4,096, D = 4: the report is 1.7 MB of text; dumped whole it
+        # peaked at 24 MiB of Python objects
+        rng = np.random.default_rng(17)
+        n, d = 4096, 4
+        raw = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        raw /= np.linalg.norm(raw, axis=1)[:, None]
+        path = tmp_path / "tall.json"
+        save_problem(FilteringProblem(states=tuple(raw), priors=np.full(n, 1.0 / n)), path)
+        peaks = {}
+        for fmt in ("table", "json"):
+            args = ["simulate", "--input", str(path), "--strategy", "sqm1",
+                    "--trials", "1000", "--format", fmt]
+            with open(tmp_path / f"out.{fmt}", "w") as sink, contextlib.redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    assert main(args) == 0
+                    peaks[fmt] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert len(json.loads((tmp_path / "out.json").read_text())["per_state"]) == n
+        assert peaks["json"] <= peaks["table"] + 2**20
 
 
 class TestRoundTrip:

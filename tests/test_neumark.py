@@ -335,6 +335,17 @@ class TestFailureRowOracle:
         assert Outcome.IS_TARGET in scheme.outcomes
         assert model.unitary.shape == (5, 5)
 
+    def test_zero_target_weight_with_complement_weight(self, orthogonal_pair_problem):
+        # a_1 = 0 leaves a_2 free; the closed-form row is 0 there, so the row
+        # is the minimum-norm solution over the complement states
+        allocation = FailureAllocation([0.0, 0.5], [0.0, 0.0])
+        assert_minimum_norm_row(orthogonal_pair_problem, allocation)
+        scheme = povm_elements(build_neumark(orthogonal_pair_problem, allocation))
+        rates = scheme.born_probabilities(orthogonal_pair_problem.state_matrix)
+        np.testing.assert_allclose(
+            rates[:, scheme.outcomes.index(Outcome.FAIL)], [0.0, 0.5], rtol=0.0, atol=1e-15
+        )
+
 
 class TestPovmElements:
     def test_orthogonal_pair_elements(self, orthogonal_pair_problem):
