@@ -217,10 +217,9 @@ def _simulate_json(stats, priors, empirical_q: float, analytic_q: float, optimal
         "seed": stats.seed,
         "outcomes": names,
     }
-    columns = ("counts", "empirical", "analytic", "z")
     cells = ",\n".join(f"        {json.dumps(n)}: %s" for n in names)
     template = '    {\n      "state": %d,\n      "prior": %s,\n' + ",\n".join(
-        f"      {json.dumps(key)}: {{\n{cells}\n      }}" for key in columns
+        f'      "{key}": {{\n{cells}\n      }}' for key in ("counts", "empirical", "analytic", "z")
     ) + "\n    }"
     rates = (stats.empirical_rates, stats.analytic_rates, stats.z_scores)
     tail = {
@@ -284,16 +283,17 @@ def _cmd_simulate(args) -> int:
     empirical_q = aggregate_failure(stats, problem.priors)
 
     if args.format == "json":
-        parts = _simulate_json(stats, problem.priors, empirical_q, analytic_q, report.optimal_Q)
+        head, state, end = _simulate_json(
+            stats, problem.priors, empirical_q, analytic_q, report.optimal_Q
+        )
     else:
-        parts = _simulate_table(stats, empirical_q, analytic_q)
-    head, state, end = parts
+        head, state, end = _simulate_table(stats, empirical_q, analytic_q)
     # The report is written as it is produced, one state at a time.
-    out = sys.stdout
-    out.write(head)
+    write = sys.stdout.write
+    write(head)
     for i in range(problem.n_states):
-        out.write(state(i))
-    out.write(end)
+        write(state(i))
+    write(end)
     return 0
 
 
