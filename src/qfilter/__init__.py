@@ -57,10 +57,6 @@ from .strategies import (
     StrategyReport,
     failure_curve,
     optimal_filtering,
-    povm_window,
-    q_povm,
-    q_sqm1,
-    q_sqm2,
 )
 
 __version__ = "0.1.0"
@@ -102,11 +98,7 @@ __all__ = [
     "optimal_filtering",
     "povm_advantage",
     "povm_elements",
-    "povm_window",
     "projective_scheme",
-    "q_povm",
-    "q_sqm1",
-    "q_sqm2",
     "save_problem",
     "simulate",
     "success_gram",

@@ -107,7 +107,7 @@ class ComplementVariant(str, Enum):
     FULL = "full"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _complement_signs(n: int, variant: ComplementVariant) -> np.ndarray:
     """The read-only (M, D) matrix of complement sign rows (-1)^f(x).
 

@@ -25,8 +25,6 @@ from .errors import InvalidInputError
 from .neumark import MeasurementScheme, Outcome, SchemeKind
 from .tolerances import PROB_TOL
 
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
-
 
 def _born_rates(scheme: MeasurementScheme, rows: np.ndarray) -> np.ndarray:
     """Born probabilities of every row, clamped to [0, 1].
@@ -44,7 +42,7 @@ def _born_rates(scheme: MeasurementScheme, rows: np.ndarray) -> np.ndarray:
 
 def _substream(seed: int, state_index: int) -> np.random.SeedSequence:
     """The RNG stream of one true state: distinct for every (seed, state) pair."""
-    return np.random.SeedSequence([seed & _SEED_MASK, state_index])
+    return np.random.SeedSequence([seed, state_index])
 
 
 def _sampled(probs: np.ndarray) -> np.ndarray:
@@ -114,12 +112,15 @@ def simulate(
     probabilities below PROB_TOL read as exact zeros; z-scores are
     (empirical - analytic) / sqrt(analytic * (1 - analytic) / trials) per
     (state, outcome) cell, zero where the analytic rate is deterministic and
-    matched exactly. Trials and seed are integers, trials at most 2**63 - 1.
+    matched exactly. Trials and seed are integers, trials in [1, 2**63 - 1]
+    and seed in [0, 2**64 - 1].
     """
     trials = _integer(trials_per_state, "trials_per_state")
     seed = _integer(seed, "seed")
     if not 1 <= trials <= np.iinfo(np.int64).max:
         raise InvalidInputError(f"trials_per_state must lie in [1, 2**63 - 1], got {trials}")
+    if not 0 <= seed <= np.iinfo(np.uint64).max:
+        raise InvalidInputError(f"seed must lie in [0, 2**64 - 1], got {seed}")
     probs = _born_rates(scheme, problem.state_matrix)
     analytic = _sampled(probs)
     drawable = analytic > 0.0

@@ -50,59 +50,6 @@ def _check_eta1(eta1: float) -> float:
     return eta1
 
 
-def _check_overlap(s: float) -> float:
-    s = _real(s, "average overlap S")
-    if not (np.isfinite(s) and s >= 0.0):
-        raise InvalidInputError(f"average overlap must be finite and >= 0, got {s!r}")
-    return s
-
-
-def _check_fraction(f: float) -> float:
-    f = _real(f, "parallel squared norm f")
-    if not 0.0 <= f <= 1.0:
-        raise InvalidInputError(f"parallel squared norm must lie in [0, 1], got {f!r}")
-    return f
-
-
-def q_sqm1(eta1: float, overlap: float) -> float:
-    """Failure probability of the selective projection: eta1 + S."""
-    return _check_eta1(eta1) + _check_overlap(overlap)
-
-
-def q_sqm2(eta1: float, parallel_norm_sq: float, overlap: float) -> float:
-    """Failure probability of the nonselective projection: eta1*f + S/f.
-
-    f = 0 with S = 0 means the target is orthogonal to the complement span and
-    filtering is perfect; f = 0 with S > 0 is mathematically impossible and
-    signals inconsistent inputs.
-    """
-    eta1 = _check_eta1(eta1)
-    f = _check_fraction(parallel_norm_sq)
-    s = _check_overlap(overlap)
-    if f == 0.0:
-        if s == 0.0:
-            return 0.0
-        raise InvalidInputError(
-            "overlap S > 0 with zero parallel component is inconsistent: "
-            "a nonzero overlap forces the target to have weight inside the complement span"
-        )
-    return eta1 * f + s / f
-
-
-def q_povm(eta1: float, overlap: float) -> float:
-    """Interior-minimum failure probability 2*sqrt(eta1*S).
-
-    Callers must gate by ``povm_window``: the value is only the optimum when
-    eta1*f**2 <= S <= eta1.
-    """
-    return 2.0 * math.sqrt(_check_eta1(eta1) * _check_overlap(overlap))
-
-
-def povm_window(eta1: float, parallel_norm_sq: float, overlap: float) -> bool:
-    """True when the interior optimum is admissible (ties at the edges included)."""
-    return eta1 * parallel_norm_sq**2 <= overlap <= eta1
-
-
 @dataclass(frozen=True, eq=False)
 class StrategyReport:
     """Failure probabilities and per-state allocations for one ensemble.
@@ -241,12 +188,12 @@ def failure_curve(eta1: float, parallel_norm_sq: float, overlap_values) -> Failu
 
     (eta1, f, S) are treated as free parameters here, matching a parametric
     sweep; the POVM column is reported only inside its validity window, and
-    q_opt is the piecewise minimum. Each column applies the scalar closed
-    forms' floating-point operations elementwise, so every value equals
-    what ``q_sqm1``, ``q_sqm2`` and ``q_povm`` return for that S.
+    q_opt is the piecewise minimum. Q_sqm2 is inf where f = 0 and S > 0.
     """
     eta1 = _check_eta1(eta1)
-    f = _check_fraction(parallel_norm_sq)
+    f = _real(parallel_norm_sq, "parallel squared norm f")
+    if not 0.0 <= f <= 1.0:
+        raise InvalidInputError(f"parallel squared norm must lie in [0, 1], got {f!r}")
     if isinstance(overlap_values, Iterator):  # np.asarray would not consume it
         overlap_values = list(overlap_values)
     s = _numbers(overlap_values, "overlap values")
@@ -254,7 +201,8 @@ def failure_curve(eta1: float, parallel_norm_sq: float, overlap_values) -> Failu
         raise InvalidInputError(f"overlap values must be one-dimensional, got shape {s.shape}")
     bad = ~(np.isfinite(s) & (s >= 0.0))
     if bad.any():
-        _check_overlap(s[np.argmax(bad)])  # raises for the first invalid S
+        first = float(s[np.argmax(bad)])
+        raise InvalidInputError(f"average overlap must be finite and >= 0, got {first!r}")
     qs1, qs2, qp, codes, q_opt = _closed_forms(eta1, f, s)
     return FailureCurve(
         s=s, q_sqm1=qs1, q_sqm2=qs2, q_povm=qp, q_opt=q_opt, regime_codes=codes

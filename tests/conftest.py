@@ -80,9 +80,12 @@ def random_problem(rng, max_dim=16, max_states=16, min_states=2):
 def band_problem(d):
     """psi_1 = e1, psi_2 = (d, sqrt(1 - d^2), 0), psi_3 = e2 at priors (0.5, 0.25, 0.25).
 
-    For d of about 1e-9 to 1.4e-8 the complement's second singular value,
-    about d / sqrt(2), falls below RANK_TOL, so the span cut drops the
-    direction that carries psi_1 and f reads ~0 where it is 1.
+    For d up to 1.4e-8 the complement's second singular value, about
+    d / sqrt(2), falls below RANK_TOL, so the span cut drops the direction
+    that carries psi_1 and f reads ~0 where it is 1. ``optimal_filtering``
+    raises NumericalError for d from 8e-17 to 1.4e-8 (at 2e-16 the rounding
+    happens to pass its span-leak check); at 7e-17 and below it reports the
+    POVM with f = 0, and from 1.45e-8 up the SQM2 boundary with f = 1.
     """
     return FilteringProblem(
         states=(

@@ -52,11 +52,7 @@ PUBLIC_API = [
     "optimal_filtering",
     "povm_advantage",
     "povm_elements",
-    "povm_window",
     "projective_scheme",
-    "q_povm",
-    "q_sqm1",
-    "q_sqm2",
     "save_problem",
     "simulate",
     "success_gram",

@@ -196,6 +196,13 @@ class TestWalshSignMatrix:
         np.testing.assert_array_equal(signs, expected)
         assert not signs.flags.writeable
 
+    def test_cache_holds_one_matrix(self):
+        # every kept matrix would stay for the process's life: 134 MB at n = 12
+        for n in (3, 5, 2, 6):
+            _complement_signs(n, ComplementVariant.BASIS)
+        _complement_signs(2, ComplementVariant.FULL)
+        assert _complement_signs.cache_info().currsize <= 1
+
 
 def basis_overlap(n, k, eta1):
     """The average overlap S of the BASIS-variant problem at target prior eta1."""

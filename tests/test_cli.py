@@ -14,10 +14,6 @@ from qfilter import (
     boolean_problem,
     load_problem,
     optimal_filtering,
-    povm_window,
-    q_povm,
-    q_sqm1,
-    q_sqm2,
     save_problem,
 )
 from qfilter import boolfn as boolfn_module
@@ -233,14 +229,14 @@ class TestSweepCommand:
 
     @staticmethod
     def reference_csv(eta1, f, grid):
-        """The CSV built row by row from the scalar closed forms."""
+        """The CSV built row by row from the paper's closed forms, in scalar floats."""
         lines = [SWEEP_HEADER]
         for s in grid.tolist():
-            qs1 = q_sqm1(eta1, s)
-            qs2 = q_sqm2(eta1, f, s) if f > 0.0 or s == 0.0 else math.inf
+            qs1 = eta1 + s
+            qs2 = eta1 * f + s / f if f > 0.0 else (0.0 if s == 0.0 else math.inf)
             povm = ""
-            if povm_window(eta1, f, s):
-                regime, q_opt = "POVM", q_povm(eta1, s)
+            if eta1 * f**2 <= s <= eta1:
+                regime, q_opt = "POVM", 2.0 * math.sqrt(eta1 * s)
                 povm = f"{q_opt:.12g}"
             elif s > eta1:
                 regime, q_opt = "SQM1_BOUNDARY", qs1
@@ -380,6 +376,15 @@ class TestSimulateCommand:
             "--strategy", "povm", "--trials", "0", "--seed", "1",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("seed", ("-1", str(2**64)))
+    def test_seed_outside_sixty_four_bits_exits_2(self, capsys, walsh_file, seed):
+        code, out, err = run(
+            capsys, "simulate", "--input", str(walsh_file),
+            "--strategy", "povm", "--trials", "10", "--seed", seed,
+        )
+        assert code == 2 and out == ""
+        assert "seed must lie in [0, 2**64 - 1]" in err
 
     def test_fixed_seed_byte_identical(self, capsys, walsh_file):
         args = (

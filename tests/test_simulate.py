@@ -218,6 +218,16 @@ class TestSimulate:
         counts = simulate(scheme, walsh_problem, 2**63 - 1, 1).counts
         np.testing.assert_array_equal(counts.sum(axis=1), 2**63 - 1)
 
+    def test_seed_outside_sixty_four_bits_rejected(self, walsh_problem):
+        # masking to 64 bits would give -1 the draws of 2**64 - 1, and 2**64 those of 0
+        scheme, _ = optimal_scheme(walsh_problem)
+        for seed in (-1, 2**64):
+            with pytest.raises(InvalidInputError, match=r"seed must lie in \[0, 2\*\*64 - 1\]"):
+                simulate(scheme, walsh_problem, 10, seed)
+        stats = simulate(scheme, walsh_problem, 10, 2**64 - 1)
+        assert stats.seed == 2**64 - 1
+        np.testing.assert_array_equal(stats.counts.sum(axis=1), 10)
+
     def test_biased_target_fail_rate_within_three_sigma(self, walsh_problem):
         scheme, _ = optimal_scheme(walsh_problem)
         stats = simulate(scheme, walsh_problem, 100_000, 42)

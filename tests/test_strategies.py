@@ -12,65 +12,72 @@ from qfilter import (
     Regime,
     failure_curve,
     optimal_filtering,
-    povm_window,
-    q_povm,
-    q_sqm1,
-    q_sqm2,
 )
 from conftest import band_problem, random_problem
 
 ROOT3 = math.sqrt(3.0)
 
 
+def point(eta1, f, s):
+    """The sweep row of one (eta1, f, S) point."""
+    return failure_curve(eta1, f, [s])[0]
+
+
 class TestClosedForms:
     def test_q_sqm1_values(self):
-        assert q_sqm1(0.4, 0.1) == pytest.approx(0.5, abs=1e-15)
-        assert q_sqm1(0.3, 0.0) == 0.3
-        assert q_sqm1(0.25, 3 / 16) == pytest.approx(7 / 16, abs=1e-15)
+        assert point(0.4, 0.25, 0.1).q_sqm1 == pytest.approx(0.5, abs=1e-15)
+        assert point(0.3, 0.25, 0.0).q_sqm1 == 0.3
+        assert point(0.25, 0.75, 3 / 16).q_sqm1 == pytest.approx(7 / 16, abs=1e-15)
 
     def test_q_sqm2_values(self):
-        assert q_sqm2(0.4, 0.25, 0.1) == pytest.approx(0.5, abs=1e-15)
+        assert point(0.4, 0.25, 0.1).q_sqm2 == pytest.approx(0.5, abs=1e-15)
         # boundary equality with the generalized measurement at S = eta1 * f^2
-        assert q_sqm2(0.4, 0.25, 0.025) == pytest.approx(0.2, abs=1e-15)
-        assert q_sqm2(0.25, 0.75, 3 / 16) == pytest.approx(7 / 16, abs=1e-15)
+        assert point(0.4, 0.25, 0.025).q_sqm2 == pytest.approx(0.2, abs=1e-15)
+        assert point(0.25, 0.75, 3 / 16).q_sqm2 == pytest.approx(7 / 16, abs=1e-15)
 
     def test_q_sqm2_degenerate_parallel_norm(self):
-        assert q_sqm2(0.4, 0.0, 0.0) == 0.0
-        with pytest.raises(InvalidInputError, match="inconsistent"):
-            q_sqm2(0.4, 0.0, 0.1)
+        # f = 0: perfect filtering at S = 0; above it S / f has no finite value,
+        # the one f = 0 rule shared by the report and the sweep
+        zero, above = failure_curve(0.4, 0.0, [0.0, 0.1])
+        assert zero.q_sqm2 == 0.0
+        assert zero.regime is Regime.POVM and zero.q_opt == 0.0
+        assert above.q_sqm2 == math.inf
 
     def test_q_povm_values(self):
-        assert q_povm(0.4, 0.1) == pytest.approx(0.4, abs=1e-15)
-        assert q_povm(0.7, 0.0) == 0.0
-        assert q_povm(0.4, 0.4) == pytest.approx(0.8, abs=1e-15)  # = q_sqm1 at S = eta1
+        assert point(0.4, 0.25, 0.1).q_povm == pytest.approx(0.4, abs=1e-15)
+        assert point(0.7, 0.0, 0.0).q_povm == 0.0
+        # = q_sqm1 at S = eta1
+        assert point(0.4, 0.25, 0.4).q_povm == pytest.approx(0.8, abs=1e-15)
 
     def test_input_validation(self):
-        with pytest.raises(InvalidInputError):
-            q_sqm1(0.0, 0.1)
-        with pytest.raises(InvalidInputError):
-            q_sqm1(1.0, 0.1)
-        with pytest.raises(InvalidInputError):
-            q_povm(0.4, -0.1)
-        with pytest.raises(InvalidInputError):
-            q_sqm2(0.4, 1.5, 0.1)
+        # eta1 = 0 and S < 0: TestFailureCurve.test_rejects_bad_inputs
+        with pytest.raises(InvalidInputError, match="target prior"):
+            failure_curve(1.0, 0.25, [0.1])
+        with pytest.raises(InvalidInputError, match="parallel squared norm"):
+            failure_curve(0.4, 1.5, [0.1])
 
     @pytest.mark.parametrize(
-        "call, field",
+        "args, field",
         [
-            (lambda: q_sqm1("0.3", 0.1), "target prior eta1"),
-            (lambda: q_povm(0.3 + 0j, 0.1), "target prior eta1"),
-            (lambda: q_sqm1(0.3, "0.1"), "average overlap S"),
-            (lambda: q_povm(0.3, 0.1 + 0j), "average overlap S"),
-            (lambda: q_sqm2(0.4, "0.25", 0.1), "parallel squared norm f"),
-            (lambda: q_sqm2(0.4, 0.25 + 0j, 0.1), "parallel squared norm f"),
-            (lambda: q_sqm1([0.3], 0.1), "target prior eta1"),
+            (("0.3", 0.25, [0.1]), "target prior eta1"),
+            ((0.3 + 0j, 0.25, [0.1]), "target prior eta1"),
+            ((0.3, 0.25, ["0.1"]), "overlap values"),
+            ((0.3, 0.25, [0.1 + 0j]), "overlap values"),
+            ((0.4, "0.25", [0.1]), "parallel squared norm f"),
+            ((0.4, 0.25 + 0j, [0.1]), "parallel squared norm f"),
+            (([0.3], 0.25, [0.1]), "target prior eta1"),
+            ((0.4, [0.25], [0.1]), "parallel squared norm f"),
+            ((0.4, 0.25, [[0.1]]), "overlap values"),
         ],
-        ids=["str-eta1", "complex-eta1", "str-S", "complex-S", "str-f", "complex-f", "list-eta1"],
+        ids=[
+            "str-eta1", "complex-eta1", "str-S", "complex-S", "str-f", "complex-f",
+            "list-eta1", "list-f", "list-S",
+        ],
     )
-    def test_scalars_are_read_losslessly(self, call, field):
+    def test_scalars_are_read_losslessly(self, args, field):
         # float() would read "0.3" as 0.3 and raise a bare TypeError for a complex
         with pytest.raises(InvalidInputError, match=field):
-            call()
+            failure_curve(*args)
 
 
 class TestAverageOverlap:
@@ -216,10 +223,11 @@ class TestFailureCurve:
             assert row.q_povm <= row.q_sqm2 + 1e-12
 
     def test_window_predicate(self):
-        assert povm_window(0.4, 0.25, 0.025)
-        assert povm_window(0.4, 0.25, 0.4)
-        assert not povm_window(0.4, 0.25, 0.0249999)
-        assert not povm_window(0.4, 0.25, 0.4000001)
+        curve = failure_curve(0.4, 0.25, [0.025, 0.4, 0.0249999, 0.4000001])
+        assert [row.q_povm is not None for row in curve] == [True, True, False, False]
+        assert [row.regime for row in curve] == [
+            Regime.POVM, Regime.POVM, Regime.SQM2_BOUNDARY, Regime.SQM1_BOUNDARY
+        ]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidInputError):
@@ -250,11 +258,13 @@ class TestFailureCurve:
         curve = failure_curve(eta1, f, grid)
         assert len(curve) == grid.size
         for s, row in zip(grid.tolist(), curve):
-            inside = povm_window(eta1, f, s)
+            inside = eta1 * f**2 <= s <= eta1
             assert row.s == s
-            assert row.q_sqm1 == q_sqm1(eta1, s)
-            assert row.q_sqm2 == (q_sqm2(eta1, f, s) if f > 0.0 or s == 0.0 else math.inf)
-            assert row.q_povm == (q_povm(eta1, s) if inside else None)
+            assert row.q_sqm1 == eta1 + s
+            assert row.q_sqm2 == (
+                eta1 * f + s / f if f > 0.0 else (0.0 if s == 0.0 else math.inf)
+            )
+            assert row.q_povm == (2.0 * math.sqrt(eta1 * s) if inside else None)
             expected = Regime.POVM if inside else (
                 Regime.SQM1_BOUNDARY if s > eta1 else Regime.SQM2_BOUNDARY
             )
