@@ -37,7 +37,7 @@ from .neumark import (
     povm_elements,
     projective_scheme,
 )
-from .simulate import aggregate_failure, simulate
+from .simulate import _run_arguments, aggregate_failure, simulate
 from .strategies import CURVE_REGIMES, Regime, StrategyReport, failure_curve, optimal_filtering
 
 SWEEP_HEADER = "S,Q_sqm1,Q_sqm2,Q_povm,Q_opt,regime"
@@ -272,19 +272,19 @@ def _simulate_table(stats, empirical_q: float, analytic_q: float):
 
 
 def _cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise InvalidInputError("trials must be >= 1")
+    # Bad --trials or --seed exits before the file is read or the scheme built.
+    trials, seed = _run_arguments(args.trials, args.seed)
     problem = load_problem(args.input)
     scheme = _build_scheme(problem, args.strategy)
-    stats = simulate(scheme, problem, args.trials, args.seed)
-    report = optimal_filtering(problem)
+    stats = simulate(scheme, problem, trials, seed)
     fail_col = stats.outcomes.index(Outcome.FAIL)
     analytic_q = float(problem.priors @ stats.analytic_rates[:, fail_col])
     empirical_q = aggregate_failure(stats, problem.priors)
 
     if args.format == "json":
+        optimal_q = optimal_filtering(problem).optimal_Q  # only the JSON report prints it
         head, state, end = _simulate_json(
-            stats, problem.priors, empirical_q, analytic_q, report.optimal_Q
+            stats, problem.priors, empirical_q, analytic_q, optimal_q
         )
     else:
         head, state, end = _simulate_table(stats, empirical_q, analytic_q)

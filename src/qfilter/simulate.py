@@ -8,11 +8,14 @@ so an outcome with vanishing Born probability can never be drawn, and the
 last live outcome of every state takes the rest of the unit mass. A state's
 outcome counts are one multinomial draw over its live outcomes, so the cost
 per state is O(outcomes) and neither time nor memory grows with the number
-of trials. Each true state draws from its own RNG substream, seeded by the
-pair (seed, state index), which makes per-state simulation
-order-independent: running states separately and merging counts reproduces
-a single run exactly. A state with a single live outcome needs no draw and
-gets no stream; its analytic rate there is exactly 1.
+of trials. True state i draws from Philox (Salmon et al., SC'11) keyed by the
+128-bit pair (seed, i) from counter 0, so distinct pairs are distinct
+streams exactly, with no hashing. One Philox generator per run is re-keyed in
+place for each state, so no generator is built per state. The stream depends
+only on (seed, i), which makes per-state simulation order-independent:
+running states separately and merging counts reproduces a single run
+exactly. A state with a single live outcome needs no draw and gets no
+stream; its analytic rate there is exactly 1.
 """
 from __future__ import annotations
 
@@ -40,9 +43,25 @@ def _born_rates(scheme: MeasurementScheme, rows: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _substream(seed: int, state_index: int) -> np.random.SeedSequence:
-    """The RNG stream of one true state: distinct for every (seed, state) pair."""
-    return np.random.SeedSequence([seed, state_index])
+# A Philox counter and buffer before the first draw of a stream.
+_START = np.zeros(4, dtype=np.uint64)
+_START.setflags(write=False)
+
+
+def _substream(rng: np.random.Generator, seed: int, state_index: int) -> np.random.Generator:
+    """``rng``, a Philox generator, re-keyed in place to the stream of one true
+    state, and returned.
+
+    The key is the pair (seed, state index) itself, as one uint64 array, and
+    the counter restarts at 0 with an empty buffer: the state a fresh
+    ``Philox(key=...)`` starts in, so nothing carries over from earlier draws.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _START, "key": np.array([seed, state_index], dtype=np.uint64)},
+        "buffer": _START, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 def _sampled(probs: np.ndarray) -> np.ndarray:
@@ -60,16 +79,37 @@ def _sampled(probs: np.ndarray) -> np.ndarray:
 
 
 def _draw_counts(
-    p: np.ndarray, trials: int, stream_seed: int | np.random.SeedSequence
+    p: np.ndarray,
+    trials: int,
+    rng: np.random.Generator,
+    live: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Draw outcome counts for a sampled row ``p`` (see ``_sampled``): one
-    multinomial draw over its live outcomes, the last of which takes the
-    remainder of the trials; outcomes with p = 0 are never drawn.
+    """Draw outcome counts for a sampled row ``p`` (see ``_sampled``) into
+    ``out``, a zeroed int64 row (a new one by default): one multinomial draw
+    from ``rng`` over the live outcomes, the mask ``p > 0`` unless ``live``
+    gives it. The last live outcome takes the remainder of the trials, and
+    outcomes with p = 0 are never drawn.
     """
-    live = np.flatnonzero(p)
-    counts = np.zeros(p.size, dtype=np.int64)
-    counts[live] = np.random.default_rng(stream_seed).multinomial(trials, p[live])
-    return counts
+    if live is None:
+        live = p > 0.0
+    if out is None:
+        out = np.zeros(p.size, dtype=np.int64)
+    out[live] = rng.multinomial(trials, p[live])
+    return out
+
+
+def _run_arguments(trials_per_state, seed) -> tuple[int, int]:
+    """``simulate``'s trials and seed as Python ints, or InvalidInputError:
+    trials in [1, 2**63 - 1] (one multinomial draw) and seed in
+    [0, 2**64 - 1] (one Philox key word)."""
+    trials = _integer(trials_per_state, "trials_per_state")
+    seed = _integer(seed, "seed")
+    if not 1 <= trials <= np.iinfo(np.int64).max:
+        raise InvalidInputError(f"trials_per_state must lie in [1, 2**63 - 1], got {trials}")
+    if not 0 <= seed <= np.iinfo(np.uint64).max:
+        raise InvalidInputError(f"seed must lie in [0, 2**64 - 1], got {seed}")
+    return trials, seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,20 +155,16 @@ def simulate(
     matched exactly. Trials and seed are integers, trials in [1, 2**63 - 1]
     and seed in [0, 2**64 - 1].
     """
-    trials = _integer(trials_per_state, "trials_per_state")
-    seed = _integer(seed, "seed")
-    if not 1 <= trials <= np.iinfo(np.int64).max:
-        raise InvalidInputError(f"trials_per_state must lie in [1, 2**63 - 1], got {trials}")
-    if not 0 <= seed <= np.iinfo(np.uint64).max:
-        raise InvalidInputError(f"seed must lie in [0, 2**64 - 1], got {seed}")
+    trials, seed = _run_arguments(trials_per_state, seed)
     probs = _born_rates(scheme, problem.state_matrix)
     analytic = _sampled(probs)
     drawable = analytic > 0.0
     # A state with one live outcome lands there on every trial, with no draws.
     single = drawable.sum(axis=1) == 1
     counts = np.where(drawable & single[:, None], trials, 0).astype(np.int64)
+    rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for each state
     for i in np.flatnonzero(~single):
-        counts[i] = _draw_counts(analytic[i], trials, _substream(seed, i))
+        _draw_counts(analytic[i], trials, _substream(rng, seed, i), drawable[i], counts[i])
     empirical = counts / float(trials)
     variance = analytic * (1.0 - analytic) / float(trials)
     z = np.zeros_like(analytic)

@@ -386,6 +386,42 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert "seed must lie in [0, 2**64 - 1]" in err
 
+    @pytest.mark.parametrize(
+        "trials, seed, message",
+        [("10", "-1", "seed must lie in [0, 2**64 - 1], got -1"),
+         ("0", "1", "trials_per_state must lie in [1, 2**63 - 1], got 0")],
+        ids=["seed", "trials"],
+    )
+    def test_bad_seed_and_trials_exit_before_the_file_is_read(
+        self, capsys, tmp_path, trials, seed, message
+    ):
+        # the input path does not exist, so exit 2 with the range message
+        # shows that nothing was read or built first
+        code, out, err = run(
+            capsys, "simulate", "--input", str(tmp_path / "missing.json"),
+            "--strategy", "povm", "--trials", trials, "--seed", seed,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("fmt, calls", (("table", 1), ("json", 2)))
+    def test_optimal_filtering_runs_once_unless_json(
+        self, capsys, walsh_file, monkeypatch, fmt, calls
+    ):
+        # the scheme build calls it once; only the JSON report prints optimal_Q
+        counted = []
+
+        def counting(problem):
+            counted.append(problem)
+            return optimal_filtering(problem)
+
+        monkeypatch.setattr(cli_module, "optimal_filtering", counting)
+        code, _, _ = run(
+            capsys, "simulate", "--input", str(walsh_file), "--strategy", "povm",
+            "--trials", "100", "--seed", "1", "--format", fmt,
+        )
+        assert code == 0
+        assert len(counted) == calls
+
     def test_fixed_seed_byte_identical(self, capsys, walsh_file):
         args = (
             "simulate", "--input", str(walsh_file),

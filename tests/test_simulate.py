@@ -45,6 +45,21 @@ def born_by_outcome(scheme, state):
     return dict(zip(scheme.outcomes, born(scheme, state)))
 
 
+def philox(seed, state_index=0):
+    """A freshly built generator on the stream of (seed, state): Philox keyed
+    by the pair itself, spelled as a uint64 array (a Python list holding
+    2**64 - 1 would not convert)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, state_index], dtype=np.uint64)))
+
+
+def drawn(seed, state_index):
+    """The simulator's generator, re-keyed to (seed, state) after one draw at
+    10**12 trials on another stream, so any state carried over would show."""
+    rng = np.random.Generator(np.random.Philox(key=0))
+    _substream(rng, seed ^ 1, state_index + 1).multinomial(10**12, [0.3, 0.7])
+    return _substream(rng, seed, state_index)
+
+
 class TestOutcomeDistribution:
     def test_sqm1_on_target_always_fails(self, figure_point_problem):
         scheme = projective_scheme(figure_point_problem, SchemeKind.SQM1)
@@ -93,30 +108,31 @@ class TestOutcomeDistribution:
 class TestSampling:
     def test_zero_probability_outcomes_never_drawn(self):
         probs = np.array([0.3, 0.0, 0.7])
-        counts = _draw_counts(_sampled(probs), 50_000, 123)
+        counts = _draw_counts(_sampled(probs), 50_000, philox(123))
         assert counts[1] == 0
         assert counts.sum() == 50_000
 
     def test_tiny_probabilities_are_exact_zeros(self):
         probs = np.array([0.5, 1e-13, 0.5 - 1e-13])
-        counts = _draw_counts(_sampled(probs), 20_000, 7)
+        counts = _draw_counts(_sampled(probs), 20_000, philox(7))
         assert counts[1] == 0
 
     def test_residual_mass_goes_to_last_live_outcome(self):
         # total slightly below 1: every draw must still land on a live outcome
         probs = np.array([0.5, 0.5 - 1e-13, 0.0])
-        counts = _draw_counts(_sampled(probs), 10_000, 99)
+        counts = _draw_counts(_sampled(probs), 10_000, philox(99))
         assert counts[2] == 0
 
 
-def reference_counts(probs, trials, stream_seed):
+def reference_counts(probs, trials, seed, state_index):
     """One multinomial draw over the outcomes at or above PROB_TOL, written
-    directly, with the last of them given the residual mass."""
+    directly on a freshly built Philox keyed by (seed, state), with the last
+    of them given the residual mass."""
     live = np.flatnonzero(probs >= PROB_TOL)
     pvals = probs[live]
     pvals[-1] = max(0.0, 1.0 - pvals[:-1].sum())
     counts = np.zeros(probs.size, dtype=np.int64)
-    counts[live] = np.random.default_rng(stream_seed).multinomial(trials, pvals)
+    counts[live] = philox(seed, state_index).multinomial(trials, pvals)
     return counts
 
 
@@ -144,19 +160,20 @@ class TestSamplerOracle:
         probs=sampled_distributions(),
         trials=st.sampled_from([1, 2, 8_193, 10**5 + 3, 10**12]),
         seed=st.integers(0, 2**64 - 1),
-        state_index=st.none() | st.integers(0, 10**6),
+        state_index=st.integers(0, 2**64 - 2),
     )
     def test_counts_match_multinomial_reference(self, probs, trials, seed, state_index):
-        stream = seed if state_index is None else _substream(seed, state_index)
-        counts = _draw_counts(_sampled(probs), trials, stream)
+        counts = _draw_counts(_sampled(probs), trials, drawn(seed, state_index))
         assert counts.dtype == np.int64
-        np.testing.assert_array_equal(counts, reference_counts(probs, trials, stream))
+        np.testing.assert_array_equal(
+            counts, reference_counts(probs, trials, seed, state_index)
+        )
 
     def test_memory_does_not_grow_with_trials(self):
         probs = np.array([0.3, 0.2, 0.5])
         tracemalloc.start()
         try:
-            counts = _draw_counts(_sampled(probs), 10**7, 5)
+            counts = _draw_counts(_sampled(probs), 10**7, philox(5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -168,9 +185,25 @@ class TestSubstreams:
     def test_seed_and_state_do_not_alias(self):
         # (seed 0, state 1) and (seed 1, state 0) must be different streams
         probs = np.array([0.25, 0.25, 0.25, 0.25])
-        a = _draw_counts(_sampled(probs), 10_000, _substream(0, 1))
-        b = _draw_counts(_sampled(probs), 10_000, _substream(1, 0))
+        rng = np.random.Generator(np.random.Philox(key=0))
+        a = _draw_counts(_sampled(probs), 10_000, _substream(rng, 0, 1))
+        b = _draw_counts(_sampled(probs), 10_000, _substream(rng, 1, 0))
         assert not np.array_equal(a, b)
+        np.testing.assert_array_equal(a, _draw_counts(_sampled(probs), 10_000, philox(0, 1)))
+        np.testing.assert_array_equal(b, _draw_counts(_sampled(probs), 10_000, philox(1, 0)))
+
+    @pytest.mark.parametrize("seed", (0, 42, 2**64 - 1))
+    def test_each_state_draws_from_a_fresh_keyed_philox(self, walsh_problem, seed):
+        # every Walsh state has two or three live outcomes, so each state's
+        # draw follows the draw of the state before it at 10**12 trials
+        scheme, _ = optimal_scheme(walsh_problem)
+        stats = simulate(scheme, walsh_problem, 10**12, seed)
+        assert np.all((stats.analytic_rates > 0).sum(axis=1) > 1)
+        for i, p in enumerate(stats.analytic_rates):
+            live = p > 0
+            expected = np.zeros(p.size, dtype=np.int64)
+            expected[live] = philox(seed, i).multinomial(10**12, p[live])
+            np.testing.assert_array_equal(stats.counts[i], expected)
 
 
 class TestSimulate:
@@ -227,6 +260,10 @@ class TestSimulate:
         stats = simulate(scheme, walsh_problem, 10, 2**64 - 1)
         assert stats.seed == 2**64 - 1
         np.testing.assert_array_equal(stats.counts.sum(axis=1), 10)
+        # the top seed is its own key, not wrapped or truncated to another one
+        top = simulate(scheme, walsh_problem, 10**6, 2**64 - 1).counts
+        for seed in (0, 2**63 - 1, 2**63):
+            assert not np.array_equal(top, simulate(scheme, walsh_problem, 10**6, seed).counts)
 
     def test_biased_target_fail_rate_within_three_sigma(self, walsh_problem):
         scheme, _ = optimal_scheme(walsh_problem)
@@ -248,16 +285,17 @@ class TestSimulate:
 
     def test_seeded_counts_are_pinned(self, walsh_problem, figure_point_problem):
         # counts published from these runs must not move with the sampler
-        # (recorded from the one-multinomial-draw-per-state sampler)
+        # (recorded from the keyed-Philox sampler: one multinomial draw per
+        # state on Philox keyed by (seed, state))
         scheme, _ = optimal_scheme(walsh_problem)
         np.testing.assert_array_equal(
             simulate(scheme, walsh_problem, 100_000, 42).counts,
-            [[13199, 0, 86801], [0, 71163, 28837], [0, 71310, 28690], [0, 71216, 28784]],
+            [[13319, 0, 86681], [0, 71204, 28796], [0, 71219, 28781], [0, 70861, 29139]],
         )
         sqm2 = projective_scheme(figure_point_problem, SchemeKind.SQM2)
         np.testing.assert_array_equal(
             simulate(sqm2, figure_point_problem, 100_000, 42).counts,
-            [[75253, 0, 24747], [0, 0, 100000], [0, 66851, 33149]],
+            [[75103, 0, 24897], [0, 0, 100000], [0, 66757, 33243]],
         )
 
     def test_analytic_rates_are_the_sampled_distribution(self):
@@ -309,7 +347,7 @@ class TestSimulate:
         scheme, _ = optimal_scheme(walsh_problem)
         full = simulate(scheme, walsh_problem, 4000, 77)
         for i, state in enumerate(walsh_problem.states):
-            part = _draw_counts(_sampled(born(scheme, state)), 4000, _substream(77, i))
+            part = _draw_counts(_sampled(born(scheme, state)), 4000, philox(77, i))
             np.testing.assert_array_equal(full.counts[i], part)
 
     def test_z_scores_mostly_small_across_seeds(self, figure_point_problem, walsh_problem):
@@ -356,7 +394,7 @@ class TestScale:
             probs = born(scheme, state)
             np.testing.assert_array_equal(stats.analytic_rates[i], _sampled(probs))
             np.testing.assert_array_equal(
-                stats.counts[i], _draw_counts(_sampled(probs), 3000, _substream(5, i))
+                stats.counts[i], _draw_counts(_sampled(probs), 3000, philox(5, i))
             )
 
     def test_n10_measurement_forms_no_dense_operator(self):
