@@ -23,7 +23,6 @@ from .ensemble import (
     FilteringProblem,
     StateVector,
     decompose_target,
-    gram_matrix,
 )
 from .ensemble_io import load_problem, save_problem
 from .errors import (
@@ -93,7 +92,6 @@ __all__ = [
     "enumerate_balanced",
     "failure_allocations",
     "failure_curve",
-    "gram_matrix",
     "load_problem",
     "optimal_filtering",
     "povm_advantage",

@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import FilteringProblem, StateVector, _integer
+from .ensemble import FilteringProblem, StateVector, _integer, _member, _real
 from .errors import InvalidInputError, NumericalError, ResourceLimitError
-from .strategies import _check_eta1, _real, optimal_filtering
+from .strategies import _check_eta1, optimal_filtering
 from .tolerances import PROB_TOL
 
 FULL_ENUMERATION_MAX_BITS = 4  # C(16, 8) = 12,870 functions; larger explodes
@@ -36,16 +36,16 @@ class BooleanFunction:
     truth_table: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInputError(f"bit count n must be >= 1, got {self.n!r}")
+        n = _integer(self.n, "bit count n")
+        if n < 1:
+            raise InvalidInputError(f"bit count n must be >= 1, got {n!r}")
         table = tuple(self.truth_table)
-        if len(table) != 2**self.n:
-            raise InvalidInputError(
-                f"truth table length {len(table)} != 2^{self.n}"
-            )
+        if len(table) != 2**n:
+            raise InvalidInputError(f"truth table length {len(table)} != 2^{n}")
         bad = [b for b in table if b not in (0, 1)]  # before int() truncates 0.7 or parses "1"
         if bad:
             raise InvalidInputError(f"truth table entries must be 0 or 1, got {bad[0]!r}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "truth_table", tuple(int(b) for b in table))
 
 
@@ -143,6 +143,7 @@ def enumerate_balanced(n: int) -> list[BooleanFunction]:
     Capped at n <= 4 (12,870 functions); beyond that the orthonormal-basis
     variant gives the same average overlap without the enumeration.
     """
+    n = _integer(n, "bit count n")
     return [
         BooleanFunction(n, (row < 0).tolist())  # f(x) = 1 where the sign is -1
         for row in _complement_signs(n, ComplementVariant.FULL)
@@ -185,15 +186,6 @@ class PriorMode(str, Enum):
     EQUAL_SETS = "equal-sets"  # eta1 = 1/2
     EQUAL_STATES_FULL = "equal-states-full"  # eta1 = 1/(N+1) for N complements
     CUSTOM = "custom"
-
-
-def _member(enum: type[Enum], value, field: str):
-    """``value`` as a member of ``enum``, or InvalidInputError naming ``field``."""
-    try:
-        return enum(value)
-    except ValueError:
-        choices = ", ".join(member.value for member in enum)
-        raise InvalidInputError(f"{field} must be one of {choices}, got {value!r:.80}") from None
 
 
 def boolean_problem(

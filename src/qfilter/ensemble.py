@@ -1,21 +1,23 @@
 """Complex vector-space primitives for state ensembles.
 
-State vectors, priors, Gram matrices, and the orthogonal decomposition of a
-designated target state against the span of the remaining states. Numeric
-input is read by two helpers, ``_numbers`` for arrays and ``_integer`` for
-counts and indices, which reject what they cannot convert without loss. Input
-norms and prior sums are checked to NORM_TOL. Every orthonormal basis of a
-span in the package comes from one helper, ``_row_basis``, which cuts the span
-at RANK_TOL. Everything here is a pure function of immutable values
-(``FilteringProblem`` caches its overlaps and decomposition on first use), so
-results can be shared freely between concurrent workers.
+State vectors, priors, and the orthogonal decomposition of a designated
+target state against the span of the remaining states. The library's
+arguments are read by four helpers here, which reject what they cannot
+convert without loss and name the field: ``_numbers`` for arrays, ``_real``
+for one real number, ``_integer`` for counts and indices, and ``_member`` for
+enum choices. Input norms and prior sums are checked to
+NORM_TOL. Every orthonormal basis of a span in the package comes from one
+helper, ``_row_basis``, which cuts the span at RANK_TOL. Everything here is
+a pure function of immutable values (``FilteringProblem`` caches its overlaps
+and decomposition on first use), so results can be shared freely between
+concurrent workers.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +45,14 @@ def _numbers(value, field: str, dtype=float) -> np.ndarray:
     return arr.astype(dtype)
 
 
+def _real(value, field: str) -> float:
+    """One real number, read losslessly by ``_numbers``."""
+    arr = _numbers(value, field)
+    if arr.ndim:
+        raise InvalidInputError(f"{field} must be one number, got shape {arr.shape}")
+    return float(arr)
+
+
 def _integer(value, field: str) -> int:
     """``value`` as a Python int, or InvalidInputError naming ``field`` when it is
     not an integer type: a float (even 2.0), a string, a bool or a non-number."""
@@ -52,6 +62,15 @@ def _integer(value, field: str) -> int:
     except TypeError:
         pass
     raise InvalidInputError(f"{field} must be an integer, got {value!r:.80}")
+
+
+def _member(enum: type[Enum], value, field: str):
+    """``value`` as a member of ``enum``, or InvalidInputError naming ``field``."""
+    try:
+        return enum(value)
+    except ValueError:
+        choices = ", ".join(member.value for member in enum)
+        raise InvalidInputError(f"{field} must be one of {choices}, got {value!r:.80}") from None
 
 
 def _frozen_fields(record, dtype, *names: str) -> None:
@@ -82,17 +101,6 @@ class StateVector:
     @property
     def dimension(self) -> int:
         return self.amplitudes.size
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "StateVector":
-        """Build from a list of [re, im] pairs (the JSON interchange form)."""
-        arr = _numbers(pairs, "amplitude pairs")
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise InvalidInputError(f"amplitudes of shape {arr.shape} are not [re, im] pairs")
-        return cls(np.ascontiguousarray(arr).view(np.complex128)[:, 0])  # copied once, by cls
-
-    def to_pairs(self) -> list[list[float]]:
-        return [[float(a.real), float(a.imag)] for a in self.amplitudes]
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,13 +181,6 @@ class FilteringProblem:
             perpendicular=target - parallel,
             parallel_norm_sq=min(max(norm_sq, 0.0), 1.0),
         )
-
-
-def gram_matrix(problem: FilteringProblem) -> np.ndarray:
-    """Hermitian N x N matrix of pairwise inner products G_ij = <psi_i|psi_j>."""
-    m = problem.state_matrix
-    g = m.conj() @ m.T
-    return (g + g.conj().T) / 2.0
 
 
 def _row_basis(rows: np.ndarray) -> tuple[np.ndarray, int]:

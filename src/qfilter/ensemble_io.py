@@ -1,8 +1,10 @@
-"""JSON ensemble files.
+"""JSON ensemble files, and the one home of the [re, im] amplitude format.
 
 Schema: {"dimension": D, "states": [{"amplitudes": [[re, im], ...],
 "prior": eta}, ...], "target_index": i}. Amplitudes are exact [re, im] pairs;
-unknown fields are rejected.
+unknown fields are rejected. Only this module reads or writes the pairs:
+``problem_from_dict`` views each (D, 2) float array as D complex amplitudes,
+and ``problem_to_dict`` and ``save_problem`` view the amplitudes as pairs.
 """
 from __future__ import annotations
 
@@ -26,8 +28,8 @@ def problem_to_dict(problem: FilteringProblem) -> dict:
     return {
         "dimension": problem.dimension,
         "states": [
-            {"amplitudes": s.to_pairs(), "prior": float(p)}
-            for s, p in zip(problem.states, problem.priors)
+            {"amplitudes": s.amplitudes.view(np.float64).reshape(-1, 2).tolist(), "prior": p}
+            for s, p in zip(problem.states, problem.priors.tolist())
         ],
         "target_index": 0,
     }
@@ -71,21 +73,15 @@ class _LoadedPairs:
 
 
 def _load_amplitudes(obj: dict) -> dict:
-    """``json.load`` object hook: swap a valid ``amplitudes`` list for its array
-    as soon as the parser closes the object, so a load holds one state's
-    Python lists at a time. It never rejects; ``problem_from_dict`` does."""
+    """``json.load`` object hook: swap an ``amplitudes`` list of float pairs, the
+    layout ``save_problem`` writes, for its array as soon as the parser closes
+    the object, so a load holds one state's Python lists at a time. Any other
+    list stays a list for ``_pair_array``; the hook never rejects."""
     pairs = obj.get("amplitudes")
-    if type(pairs) is list:
-        if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
-            flat = list(chain.from_iterable(pairs))
-            if set(map(type, flat)) == {float}:  # the layout save_problem writes
-                obj["amplitudes"] = _LoadedPairs(np.array(flat).reshape(-1, 2))
-                return obj
-        arr = _pair_array(pairs)
-        # float pairs took the branch above, so numpy read an int here as a float
-        # ([1, 0.5], or past int64) and the repr would spell that 1 as 1.0
-        if arr is not None and arr.dtype.kind != "f":
-            obj["amplitudes"] = _LoadedPairs(arr)
+    if type(pairs) is list and set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
+        flat = list(chain.from_iterable(pairs))
+        if set(map(type, flat)) == {float}:
+            obj["amplitudes"] = _LoadedPairs(np.array(flat).reshape(-1, 2))
     return obj
 
 
@@ -123,11 +119,12 @@ def problem_from_dict(data) -> FilteringProblem:
         amplitudes = pairs.array if isinstance(pairs, _LoadedPairs) else _pair_array(pairs)
         if amplitudes is None:
             raise InvalidInputError(f"state {pos} amplitudes must be [re, im] number pairs")
+        amplitudes = np.ascontiguousarray(amplitudes, dtype=np.float64).view(np.complex128)[:, 0]
         prior = entry["prior"]
         if isinstance(prior, bool) or not isinstance(prior, (int, float)):
             raise InvalidInputError(f"state {pos} prior must be a number")
         try:
-            states.append(StateVector.from_pairs(amplitudes))
+            states.append(StateVector(amplitudes))
         except InvalidInputError as exc:
             raise InvalidInputError(f"state {pos}: {exc}") from exc
         try:

@@ -39,9 +39,10 @@ from .ensemble import (
     FilteringProblem,
     _freeze,
     _frozen_fields,
+    _member,
     _numbers,
+    _real,
     decompose_target,
-    gram_matrix,
 )
 from .errors import (
     DegenerateDecompositionError,
@@ -102,7 +103,7 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
     weight; q1 itself must lie in [f, 1] where f is the target's parallel
     squared norm (within PROB_TOL), else no unitary realization exists.
     """
-    q1 = float(q1)
+    q1 = _real(q1, "target failure weight q1")
     f = decompose_target(problem).parallel_norm_sq
     if not f - PROB_TOL <= q1 <= 1.0 + PROB_TOL:
         raise InfeasibleError(
@@ -140,19 +141,24 @@ class SuccessGram:
 
 
 def success_gram(problem: FilteringProblem, allocation: FailureAllocation) -> SuccessGram:
-    """G_succ = G - w w^dagger with w_i = sqrt(q_i) e^{-i theta_i}.
+    """G_succ = G - w w^dagger with the state Gram G_ij = <psi_i|psi_j> and
+    w_i = sqrt(q_i) e^{-i theta_i}: the one N x N matrix the package forms.
 
-    Feasible iff the smallest eigenvalue is >= -PSD_TOL (separating genuine
-    infeasibility from floating-point noise at desk-scale dimensions). Under
-    the package phase convention the first row and column vanish identically,
-    which is the success-orthogonality requirement in Gram form.
+    G and G_succ are each symmetrized, as rounding leaves both non-Hermitian
+    in the last bits. Feasible iff the smallest eigenvalue is >= -PSD_TOL
+    (separating genuine infeasibility from floating-point noise at desk-scale
+    dimensions). Under the package phase convention the first row and column
+    vanish identically, which is the success-orthogonality requirement in Gram
+    form.
     """
     if allocation.failure_probs.size != problem.n_states:
         raise InvalidInputError(
             f"allocation of length {allocation.failure_probs.size} does not fit "
             f"{problem.n_states} states"
         )
-    g = gram_matrix(problem)
+    m = problem.state_matrix
+    g = m.conj() @ m.T
+    g = (g + g.conj().T) / 2.0
     w = np.sqrt(allocation.failure_probs) * np.exp(-1j * allocation.phases)
     gs = g - np.outer(w, w.conj())
     gs = (gs + gs.conj().T) / 2.0
@@ -281,11 +287,13 @@ class MeasurementScheme:
     warning: str | None = None
 
     def __post_init__(self):
+        kind = _member(SchemeKind, self.kind, "kind")
+        outcomes = tuple(_member(Outcome, outcome, "outcome") for outcome in self.outcomes)
         x = _freeze(_numbers(self.vectors, "rank-one vectors", np.complex128))
-        fits = x.ndim == 2 and len(x) == len(self.outcomes) - 1
-        if Outcome.IS_COMPLEMENT not in self.outcomes or not fits:
+        fits = x.ndim == 2 and len(x) == len(outcomes) - 1
+        if Outcome.IS_COMPLEMENT not in outcomes or not fits:
             raise InvalidInputError(
-                f"rank-one vectors of shape {x.shape} do not fit {len(self.outcomes)} "
+                f"rank-one vectors of shape {x.shape} do not fit {len(outcomes)} "
                 "outcomes: one vector per outcome other than IS_COMPLEMENT is required"
             )
         if not np.isfinite(x).all():
@@ -295,6 +303,8 @@ class MeasurementScheme:
         min_eig = 1.0 - float(np.linalg.eigvalsh(x.conj() @ x.T).max(initial=0.0))
         if not min_eig >= -OPERATOR_TOL:
             raise NumericalError(f"outcome operator has eigenvalue {min_eig:.3e} < -OPERATOR_TOL")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "vectors", x)
 
     @property

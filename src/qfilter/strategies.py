@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .ensemble import FilteringProblem, _frozen_fields, _numbers, decompose_target
+from .ensemble import FilteringProblem, _frozen_fields, _numbers, _real, decompose_target
 from .errors import InvalidInputError, NumericalError
 from .neumark import failure_allocations
 from .tolerances import DEPENDENCY_TOL
@@ -33,14 +33,6 @@ class Regime(str, Enum):
     POVM = "POVM"
     SQM1_BOUNDARY = "SQM1_BOUNDARY"
     SQM2_BOUNDARY = "SQM2_BOUNDARY"
-
-
-def _real(value, field: str) -> float:
-    """One real number, read losslessly by ``_numbers``."""
-    arr = _numbers(value, field)
-    if arr.ndim:
-        raise InvalidInputError(f"{field} must be one number, got shape {arr.shape}")
-    return float(arr)
 
 
 def _check_eta1(eta1: float) -> float:

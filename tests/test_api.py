@@ -47,7 +47,6 @@ PUBLIC_API = [
     "enumerate_balanced",
     "failure_allocations",
     "failure_curve",
-    "gram_matrix",
     "load_problem",
     "optimal_filtering",
     "povm_advantage",

@@ -8,9 +8,12 @@ from qfilter import (
     BooleanFunction,
     ComplementVariant,
     InvalidInputError,
+    MeasurementScheme,
+    Outcome,
     PriorMode,
     Regime,
     ResourceLimitError,
+    SchemeKind,
     average_overlap_full,
     biased_fraction,
     boolean_problem,
@@ -98,9 +101,16 @@ class TestWkSpec:
             (lambda: approximate_povm_window(2.5, 2, 0.1), "bit count n"),
             (lambda: approximate_povm_window(3, 2.0, 0.1), "bias level k"),
             (lambda: biased_fraction(2.5), "bias level k"),
+            (lambda: BooleanFunction(2.0, (0, 1, 0, 1)), "bit count n"),
+            (lambda: BooleanFunction(True, (0, 1)), "bit count n"),
+            (lambda: enumerate_balanced(2.5), "bit count n"),
+            (lambda: enumerate_balanced(2.0), "bit count n"),
+            (lambda: enumerate_balanced("3"), "bit count n"),
         ],
         ids=["wk-float-n", "wk-float-k", "problem-float-n", "problem-str-k", "full-float-n",
-             "queries-float-n", "window-float-n", "window-float-k", "fraction-float-k"],
+             "queries-float-n", "window-float-n", "window-float-k", "fraction-float-k",
+             "function-float-n", "function-bool-n", "balanced-float-n", "balanced-integral-n",
+             "balanced-str-n"],
     )
     def test_non_integer_bit_counts_rejected(self, call, field):
         with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
@@ -344,16 +354,24 @@ class TestBooleanProblem:
             boolean_problem(2, 2, mode, eta1=0.3)
 
     @pytest.mark.parametrize(
-        "kwargs, message",
+        "call, message",
         [
-            ({"variant": "bogus"}, "variant must be one of basis, full, got 'bogus'"),
-            ({"prior_mode": "nope"}, "prior_mode must be one of equal-states-basis, .*'nope'"),
+            (lambda: boolean_problem(3, 2, variant="bogus"),
+             "variant must be one of basis, full, got 'bogus'"),
+            (lambda: boolean_problem(3, 2, prior_mode="nope"),
+             "prior_mode must be one of equal-states-basis, .*'nope'"),
+            (lambda: MeasurementScheme(
+                kind="x", outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL), vectors=[[1.0, 0.0]]
+            ), "kind must be one of SQM1, SQM2, POVM, got 'x'"),
+            (lambda: MeasurementScheme(
+                kind=SchemeKind.SQM1, outcomes=("IS_COMPLEMENT", "fail"), vectors=[[1.0, 0.0]]
+            ), "outcome must be one of IS_TARGET, IS_COMPLEMENT, FAIL, got 'fail'"),
         ],
-        ids=["variant", "prior-mode"],
+        ids=["variant", "prior-mode", "scheme-kind", "scheme-outcome"],
     )
-    def test_unknown_choice_named(self, kwargs, message):
+    def test_unknown_choice_named(self, call, message):
         with pytest.raises(InvalidInputError, match=message):
-            boolean_problem(3, 2, **kwargs)
+            call()
 
 
 class TestAdvantage:

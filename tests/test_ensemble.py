@@ -19,7 +19,7 @@ from qfilter import (
     SuccessGram,
     decompose_target,
     failure_curve,
-    gram_matrix,
+    success_gram,
     wk_spec,
 )
 from qfilter.ensemble import _row_basis
@@ -60,23 +60,9 @@ class TestStateVector:
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
 
-    def test_from_pairs_rejects_other_shapes(self):
-        with pytest.raises(InvalidInputError, match=r"shape \(1, 3\) are not \[re, im\] pairs"):
-            StateVector.from_pairs([[1.0, 0.0, 0.0]])
-
-    @pytest.mark.parametrize(
-        "layout",
-        [np.ascontiguousarray, np.asfortranarray, lambda a: np.repeat(a, 2, axis=0)[::2]],
-        ids=["c-order", "fortran-order", "strided"],
-    )
-    def test_from_pairs_reads_any_array_layout(self, layout):
-        pairs = np.array([[0.6, -0.0], [0.0, 0.8], [5e-324, -0.0]])
-        amplitudes = StateVector.from_pairs(layout(pairs)).amplitudes
-        assert amplitudes.view(np.float64).tobytes() == pairs.tobytes()
-
-    def test_pairs_round_trip(self):
-        s = StateVector.from_pairs([[0.6, 0.0], [0.0, 0.8]])
-        assert s.to_pairs() == [[0.6, 0.0], [0.0, 0.8]]
+    def test_ragged_input_named(self):
+        with pytest.raises(InvalidInputError, match="^amplitudes must be complex numbers"):
+            StateVector([[1, 0], [0]])
 
 
 class TestFilteringProblem:
@@ -128,6 +114,12 @@ class TestFilteringProblem:
         assert walsh_problem._overlaps is walsh_problem._overlaps
         m = walsh_problem.state_matrix
         np.testing.assert_array_equal(walsh_problem._overlaps, m[1:] @ m[0].conj())
+
+
+def gram_matrix(problem):
+    """The state Gram G_ij = <psi_i|psi_j>: ``success_gram`` at zero failure weights."""
+    zeros = np.zeros(problem.n_states)
+    return success_gram(problem, FailureAllocation(failure_probs=zeros, phases=zeros)).matrix
 
 
 class TestGramMatrix:
@@ -291,7 +283,6 @@ NUMERIC_INPUTS = {
     "phases": (lambda v: FailureAllocation(failure_probs=[0.5, 0.5], phases=v), False),
     "overlap values": (lambda v: failure_curve(0.4, 0.25, v), False),
     "amplitudes": (StateVector, True),
-    "amplitude pairs": (lambda v: StateVector.from_pairs([v]), False),
     "rank-one vectors": (
         lambda v: MeasurementScheme(
             kind=SchemeKind.SQM1, outcomes=(Outcome.IS_TARGET, Outcome.IS_COMPLEMENT), vectors=[v]

@@ -24,7 +24,7 @@ from qfilter import (
     projective_scheme,
     success_gram,
 )
-from conftest import random_problem
+from conftest import band_problem, random_problem
 
 ROOT3 = math.sqrt(3.0)
 
@@ -73,6 +73,17 @@ class TestFailureAllocations:
             failure_allocations(walsh_problem, 0.5)  # below f = 0.75
         with pytest.raises(InfeasibleError, match="range"):
             failure_allocations(walsh_problem, 1.1)
+
+    @pytest.mark.parametrize(
+        "q1, message",
+        [("0.9", "real numbers"), (0.9 + 0.1j, "real numbers"), ([0.9], "one number"),
+         (None, "real numbers")],
+        ids=["string", "complex", "list", "none"],
+    )
+    def test_q1_read_losslessly(self, walsh_problem, q1, message):
+        # float() would read "0.9" as 0.9 and raise a bare TypeError for the others
+        with pytest.raises(InvalidInputError, match=f"^target failure weight q1 must be {message}"):
+            failure_allocations(walsh_problem, q1)
 
     def test_zero_q1_is_lifted_to_a_positive_f(self):
         # q1 = 0 lies within PROB_TOL of f = 1e-14, and is lifted to f
@@ -244,6 +255,15 @@ class TestBuildNeumark:
         crafted = FailureAllocation(failure_probs=[0.9, 0.9], phases=[0.0, 0.0])
         with pytest.raises(InfeasibleError, match=r"eigenvalue -8\.000e-01 < -PSD_TOL"):
             build_neumark(tiny_overlap_pair(), crafted)
+
+    def test_failure_row_missing_a_cut_direction_rejected(self):
+        # the span cut at RANK_TOL drops the d = 1e-8 direction, so f reads ~0 and
+        # the closed-form row misses the complement amplitudes by ~2.1e-8
+        problem = band_problem(1e-8)
+        allocation = failure_allocations(problem, 0.05)
+        message = r"failure row misses M u = a by \d\.\d{3}e-08 > DEPENDENCY_TOL"
+        with pytest.raises(NumericalError, match=message):
+            build_neumark(problem, allocation)
 
     def test_failure_row_matches_closed_form(self):
         # for q1 in [f, 1] and f < 1 the ancilla row is
@@ -539,6 +559,14 @@ class TestMeasurementSchemeValidation:
                 outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL),
                 vectors=[[bad, 0.0]],
             )
+
+    def test_choices_stored_as_members(self):
+        scheme = MeasurementScheme(
+            kind="SQM1", outcomes=("IS_COMPLEMENT", "FAIL"), vectors=[[1.0, 0.0]]
+        )
+        assert scheme.kind is SchemeKind.SQM1
+        assert scheme.outcomes == (Outcome.IS_COMPLEMENT, Outcome.FAIL)
+        assert [type(outcome) for outcome in scheme.outcomes] == [Outcome, Outcome]
 
     def test_projective_scheme_rejects_povm_kind(self, walsh_problem):
         with pytest.raises(InvalidInputError, match="POVM"):
