@@ -174,14 +174,12 @@ class NeumarkModel:
     (index D) is the failure direction. ``success_outputs[i]`` is the
     unnormalized system-block image sqrt(p_i)|success_i> and
     ``failure_amplitudes[i]`` the ancilla amplitude sqrt(q_i) e^{i theta_i},
-    with the phases theta_i those of ``allocation``.
+    with the weights and phases of the allocation it was built from.
     """
 
     unitary: np.ndarray
-    dimension: int
     success_outputs: np.ndarray
     failure_amplitudes: np.ndarray
-    allocation: FailureAllocation
 
     def __post_init__(self):
         _frozen_fields(self, np.complex128, "unitary", "success_outputs", "failure_amplitudes")
@@ -255,10 +253,8 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
 
     return NeumarkModel(
         unitary=unitary,
-        dimension=d,
         success_outputs=m - np.outer(images, u.conj() / (1.0 + r)),  # M R^T at O(N * D)
         failure_amplitudes=amplitudes,
-        allocation=allocation,
     )
 
 
@@ -288,7 +284,13 @@ class MeasurementScheme:
 
     def __post_init__(self):
         kind = _member(SchemeKind, self.kind, "kind")
-        outcomes = tuple(_member(Outcome, outcome, "outcome") for outcome in self.outcomes)
+        try:
+            members = iter(self.outcomes)
+        except TypeError:
+            raise InvalidInputError(
+                f"outcomes must be a sequence of outcomes, got {self.outcomes!r:.80}"
+            ) from None
+        outcomes = tuple(_member(Outcome, outcome, "outcome") for outcome in members)
         x = _freeze(_numbers(self.vectors, "rank-one vectors", np.complex128))
         fits = x.ndim == 2 and len(x) == len(outcomes) - 1
         if Outcome.IS_COMPLEMENT not in outcomes or not fits:
@@ -337,13 +339,17 @@ class MeasurementScheme:
         sums to its state's squared norm. Values are raw Born values,
         which rounding can leave just outside [0, 1]. The products are einsum
         loops rather than BLAS calls, so a row's values do not depend on how
-        many rows are passed with it.
+        many rows are passed with it. A complex128 array is read as it is;
+        anything else is read by ``_numbers``.
         """
-        rows = np.ascontiguousarray(states, dtype=np.complex128)
-        if rows.ndim != 2 or rows.shape[1] != self.acting_dimension:
+        if not (isinstance(states, np.ndarray) and states.dtype == np.complex128):
+            states = _numbers(states, "states", np.complex128)
+        rows = np.ascontiguousarray(states)
+        d = self.acting_dimension
+        if rows.ndim != 2 or rows.shape[1] != d:
             raise InvalidInputError(
-                f"state dimension {rows.shape[-1]} does not match the scheme's "
-                f"measured space ({self.acting_dimension})"
+                f"states must have shape (N, {d}), one row per state in the scheme's "
+                f"measured space of dimension {d}, got shape {rows.shape}"
             )
         amplitudes = np.einsum("ij,rj->ir", rows, self.vectors.conj())
         probs = amplitudes.real**2 + amplitudes.imag**2
@@ -363,7 +369,7 @@ def povm_elements(model: NeumarkModel) -> MeasurementScheme:
     outcome is omitted and the scheme carries a warning flag. O(D^2) time and
     O(D) memory: no D x D matrix is formed.
     """
-    d = model.dimension
+    d = len(model.unitary) - 1
     target_success = model.success_outputs[0]
     p1 = float(np.real(np.vdot(target_success, target_success)))
 

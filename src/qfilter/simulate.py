@@ -14,8 +14,7 @@ streams exactly, with no hashing. One Philox generator per run is re-keyed in
 place for each state, so no generator is built per state. The stream depends
 only on (seed, i), which makes per-state simulation order-independent:
 running states separately and merging counts reproduces a single run
-exactly. A state with a single live outcome needs no draw and gets no
-stream; its analytic rate there is exactly 1.
+exactly.
 """
 from __future__ import annotations
 
@@ -78,25 +77,16 @@ def _sampled(probs: np.ndarray) -> np.ndarray:
     return p
 
 
-def _draw_counts(
-    p: np.ndarray,
-    trials: int,
-    rng: np.random.Generator,
-    live: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Draw outcome counts for a sampled row ``p`` (see ``_sampled``) into
-    ``out``, a zeroed int64 row (a new one by default): one multinomial draw
-    from ``rng`` over the live outcomes, the mask ``p > 0`` unless ``live``
-    gives it. The last live outcome takes the remainder of the trials, and
-    outcomes with p = 0 are never drawn.
+def _draw_counts(p: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Outcome counts for a sampled row ``p`` (see ``_sampled``): one multinomial
+    draw from ``rng`` over the live outcomes p > 0. The last live outcome takes
+    the remainder of the trials, so a row with one live outcome gets every
+    trial there, and outcomes with p = 0 are never drawn.
     """
-    if live is None:
-        live = p > 0.0
-    if out is None:
-        out = np.zeros(p.size, dtype=np.int64)
-    out[live] = rng.multinomial(trials, p[live])
-    return out
+    counts = np.zeros(p.size, dtype=np.int64)
+    live = p > 0.0
+    counts[live] = rng.multinomial(trials, p[live])
+    return counts
 
 
 def _run_arguments(trials_per_state, seed) -> tuple[int, int]:
@@ -147,7 +137,9 @@ def simulate(
 ) -> SimulationStats:
     """Sample every state of the ensemble ``trials_per_state`` times.
 
-    Deterministic for a fixed (scheme, problem, trials, seed). The analytic
+    Each state's counts are one ``_draw_counts`` draw from its (seed, state)
+    stream, also for a state with one live outcome, which gets every trial
+    there. Deterministic for a fixed (scheme, problem, trials, seed). The analytic
     rates are those of the sampled distribution (see ``_sampled``), with Born
     probabilities below PROB_TOL read as exact zeros; z-scores are
     (empirical - analytic) / sqrt(analytic * (1 - analytic) / trials) per
@@ -158,13 +150,10 @@ def simulate(
     trials, seed = _run_arguments(trials_per_state, seed)
     probs = _born_rates(scheme, problem.state_matrix)
     analytic = _sampled(probs)
-    drawable = analytic > 0.0
-    # A state with one live outcome lands there on every trial, with no draws.
-    single = drawable.sum(axis=1) == 1
-    counts = np.where(drawable & single[:, None], trials, 0).astype(np.int64)
+    counts = np.empty(analytic.shape, dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for each state
-    for i in np.flatnonzero(~single):
-        _draw_counts(analytic[i], trials, _substream(rng, seed, i), drawable[i], counts[i])
+    for i in range(len(analytic)):
+        counts[i] = _draw_counts(analytic[i], trials, _substream(rng, seed, i))
     empirical = counts / float(trials)
     variance = analytic * (1.0 - analytic) / float(trials)
     z = np.zeros_like(analytic)

@@ -366,8 +366,13 @@ class TestBooleanProblem:
             (lambda: MeasurementScheme(
                 kind=SchemeKind.SQM1, outcomes=("IS_COMPLEMENT", "fail"), vectors=[[1.0, 0.0]]
             ), "outcome must be one of IS_TARGET, IS_COMPLEMENT, FAIL, got 'fail'"),
+            (lambda: MeasurementScheme(kind=SchemeKind.SQM1, outcomes=None, vectors=[[1.0, 0.0]]),
+             "outcomes must be a sequence of outcomes, got None"),
+            (lambda: MeasurementScheme(kind=SchemeKind.SQM1, outcomes=5, vectors=[[1.0, 0.0]]),
+             "outcomes must be a sequence of outcomes, got 5"),
         ],
-        ids=["variant", "prior-mode", "scheme-kind", "scheme-outcome"],
+        ids=["variant", "prior-mode", "scheme-kind", "scheme-outcome", "scheme-outcomes-none",
+             "scheme-outcomes-int"],
     )
     def test_unknown_choice_named(self, call, message):
         with pytest.raises(InvalidInputError, match=message):

@@ -247,7 +247,7 @@ RESULT_RECORDS = [
     (SuccessGram, dict(matrix=complex), dict(min_eigenvalue=0.0, feasible=True)),
     (NeumarkModel,
      dict.fromkeys(["unitary", "success_outputs", "failure_amplitudes"], complex),
-     dict(dimension=2, allocation=None)),
+     {}),
     (StrategyReport, dict.fromkeys(["per_state_failure", "per_state_success"], float),
      dict(q_sqm1=0.5, q_sqm2=0.5, q_povm=None, regime=Regime.SQM1_BOUNDARY, optimal_q1=1.0,
           optimal_Q=0.5, average_success=0.5, overlap_S=0.0, parallel_norm_f=0.0)),
@@ -275,6 +275,9 @@ def test_result_records_freeze_a_view_not_the_callers_array(record, arrays, scal
         assert np.shares_memory(stored, array)  # nothing is copied
 
 
+SQM1_ON_QUBIT = MeasurementScheme(
+    kind=SchemeKind.SQM1, outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL), vectors=[[1.0, 0.0]]
+)
 # The field each entry point names when it rejects a value, and whether the
 # field holds complex numbers.
 NUMERIC_INPUTS = {
@@ -289,6 +292,7 @@ NUMERIC_INPUTS = {
         ),
         True,
     ),
+    "states": (lambda v: SQM1_ON_QUBIT.born_probabilities(v), True),
 }
 NOT_REAL = {
     "complex-array": np.array([0.5 + 0.2j, 0.5]),
@@ -306,3 +310,16 @@ NOT_REAL = {
 def test_numeric_input_converted_without_loss_or_rejected_by_name(field, value):
     with pytest.raises(InvalidInputError, match=f"^{field} must be"):
         NUMERIC_INPUTS[field][0](value)
+
+
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        ([[1.0, 0.0], [1.0]], r"^states must be complex numbers"),
+        ([1.0, 0.0], r"^states must have shape \(N, 2\), .* dimension 2, got shape \(2,\)$"),
+    ],
+    ids=["ragged", "1-D"],
+)
+def test_born_probabilities_names_states_that_are_not_rows(states, message):
+    with pytest.raises(InvalidInputError, match=message):
+        SQM1_ON_QUBIT.born_probabilities(states)

@@ -599,5 +599,5 @@ class TestMeasurementSchemeValidation:
         model, povm, _ = build_optimal_scheme(walsh_problem)
         assert (povm.acting_dimension, povm.dilation_dimension) == (4, 5)
         assert [field.name for field in dataclasses.fields(model)] == [
-            "unitary", "dimension", "success_outputs", "failure_amplitudes", "allocation"
+            "unitary", "success_outputs", "failure_amplitudes"
         ]

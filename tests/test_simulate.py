@@ -381,8 +381,8 @@ class TestScale:
         assert abs(stats.empirical_rates[0, fail] - ROOT3 / 2) <= 1e-5
 
     def test_walsh_export_counts_match_per_state_sampler(self, tmp_path):
-        # the n = 8 export has 248 states with one live outcome: they take
-        # every trial without a stream, and every other row is its own draw
+        # the n = 8 export has 248 states with one live outcome: each row,
+        # those included, is one draw from its own (seed, state) stream
         path = tmp_path / "walsh8.json"
         save_problem(boolean_problem(8, 3), path)
         problem = load_problem(path)
