@@ -7,6 +7,9 @@ balanced application), ``simulate`` (Monte Carlo outcome statistics).
 Exit codes: 0 success, 2 invalid input (including an ensemble too large for
 the available memory, reported as ``error: out of memory``), 3 infeasible
 construction, 4 numerical failure.
+
+Each handler imports the modules it uses when it runs, so a subcommand loads
+only its own modules and ``--help`` loads no numpy.
 """
 from __future__ import annotations
 
@@ -15,41 +18,14 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .boolfn import (
-    ComplementVariant,
-    PriorMode,
-    approximate_povm_window,
-    boolean_problem,
-    classical_query_count,
-    povm_advantage,
-    wk_spec,
-)
-from .ensemble import FilteringProblem
-from .ensemble_io import load_problem, save_problem
 from .errors import InfeasibleError, InvalidInputError, NumericalError
-from .neumark import (
-    Outcome,
-    SchemeKind,
-    build_neumark,
-    failure_allocations,
-    povm_elements,
-    projective_scheme,
-)
-from .simulate import _run_arguments, aggregate_failure, simulate
-from .strategies import CURVE_REGIMES, Regime, StrategyReport, failure_curve, optimal_filtering
 
 SWEEP_HEADER = "S,Q_sqm1,Q_sqm2,Q_povm,Q_opt,regime"
-# Per CURVE_REGIMES code, a CSV row in _fmt's format and the curve columns it
-# prints; the Q_povm cell is empty outside the POVM window.
-_SWEEP_ROWS = tuple(
-    ("%.12g,%.12g,%.12g,%.12g,%.12g,POVM\n", ("s", "q_sqm1", "q_sqm2", "q_povm", "q_opt"))
-    if r is Regime.POVM
-    else (f"%.12g,%.12g,%.12g,,%.12g,{r.value}\n", ("s", "q_sqm1", "q_sqm2", "q_opt"))
-    for r in CURVE_REGIMES
-)
 _SWEEP_CHUNK = 4096
+# The values of boolfn's PriorMode and ComplementVariant, default first, spelled
+# out so that the parser needs no boolfn; tests/test_cli.py pins them to the enums.
+PRIOR_MODES = ("equal-states-basis", "equal-sets", "equal-states-full", "custom")
+VARIANTS = ("basis", "full")
 
 
 def _fmt(x: float) -> str:
@@ -94,6 +70,9 @@ def _print_report_table(report: StrategyReport, priors) -> None:
 
 
 def _cmd_strategies(args) -> int:
+    from .ensemble_io import load_problem
+    from .strategies import optimal_filtering
+
     problem = load_problem(args.input)
     report = optimal_filtering(problem)
     if args.format == "json":
@@ -104,10 +83,24 @@ def _cmd_strategies(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    import numpy as np
+
+    from .strategies import CURVE_REGIMES, Regime, failure_curve
+
     if args.steps < 2:
         raise InvalidInputError("steps must be >= 2")
-    if not 0.0 <= args.smin < args.smax:
-        raise InvalidInputError("need 0 <= smin < smax")
+    if not (0.0 <= args.smin < args.smax and math.isfinite(args.smax)):
+        raise InvalidInputError(
+            f"need finite 0 <= smin < smax, got smin={args.smin!r}, smax={args.smax!r}"
+        )
+    # Per CURVE_REGIMES code, a CSV row in _fmt's format and the curve columns it
+    # prints; the Q_povm cell is empty outside the POVM window.
+    sweep_rows = tuple(
+        ("%.12g,%.12g,%.12g,%.12g,%.12g,POVM\n", ("s", "q_sqm1", "q_sqm2", "q_povm", "q_opt"))
+        if r is Regime.POVM
+        else (f"%.12g,%.12g,%.12g,,%.12g,{r.value}\n", ("s", "q_sqm1", "q_sqm2", "q_opt"))
+        for r in CURVE_REGIMES
+    )
     grid = np.linspace(args.smin, args.smax, args.steps)
     curve = failure_curve(args.eta1, args.f, grid)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -116,7 +109,7 @@ def _cmd_sweep(args) -> int:
             codes = curve.regime_codes[start:start + _SWEEP_CHUNK]
             cuts = [0, *(np.flatnonzero(np.diff(codes)) + 1).tolist(), len(codes)]
             for lo, hi in zip(cuts, cuts[1:]):  # one % call per run of one regime
-                row, names = _SWEEP_ROWS[codes[lo]]
+                row, names = sweep_rows[codes[lo]]
                 rows = slice(start + lo, start + hi)
                 values = np.column_stack([getattr(curve, n)[rows] for n in names]).ravel()
                 fh.write((row * (hi - lo)) % tuple(values.tolist()))
@@ -125,6 +118,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_boolean(args) -> int:
+    from .boolfn import ComplementVariant, PriorMode, approximate_povm_window, boolean_problem
+    from .boolfn import classical_query_count, povm_advantage, wk_spec
+    from .ensemble_io import save_problem
+    from .strategies import optimal_filtering
+
     mode = PriorMode(args.prior_mode)
     variant = ComplementVariant(args.variant)
     problem = boolean_problem(args.n, args.k, mode, variant, eta1=args.eta1)
@@ -188,6 +186,10 @@ def _cmd_boolean(args) -> int:
 
 
 def _build_scheme(problem: FilteringProblem, strategy: str):
+    from .neumark import SchemeKind, build_neumark, failure_allocations, povm_elements
+    from .neumark import projective_scheme
+    from .strategies import optimal_filtering
+
     if strategy == "povm":
         report = optimal_filtering(problem)
         allocation = failure_allocations(problem, report.optimal_q1)
@@ -272,6 +274,11 @@ def _simulate_table(stats, empirical_q: float, analytic_q: float):
 
 
 def _cmd_simulate(args) -> int:
+    from .ensemble_io import load_problem
+    from .neumark import Outcome
+    from .simulate import _run_arguments, aggregate_failure, simulate
+    from .strategies import optimal_filtering
+
     # Bad --trials or --seed exits before the file is read or the scheme built.
     trials, seed = _run_arguments(args.trials, args.seed)
     problem = load_problem(args.input)
@@ -323,16 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="bias level")
     p.add_argument(
         "--prior-mode",
-        choices=[m.value for m in PriorMode],
-        default=PriorMode.EQUAL_STATES_BASIS.value,
+        choices=PRIOR_MODES,
+        default=PRIOR_MODES[0],
     )
     p.add_argument(
         "--eta1", type=float, default=None, help="target prior; only used with --prior-mode custom"
     )
     p.add_argument(
         "--variant",
-        choices=[v.value for v in ComplementVariant],
-        default=ComplementVariant.BASIS.value,
+        choices=VARIANTS,
+        default=VARIANTS[0],
     )
     p.add_argument("--export", default=None, help="write the constructed ensemble file here")
     p.add_argument("--format", choices=("json", "table"), default="json")

@@ -285,6 +285,8 @@ class MeasurementScheme:
     def __post_init__(self):
         kind = _member(SchemeKind, self.kind, "kind")
         try:
+            if isinstance(self.outcomes, str):  # a str would iterate by character
+                raise TypeError
             members = iter(self.outcomes)
         except TypeError:
             raise InvalidInputError(

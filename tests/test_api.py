@@ -2,11 +2,16 @@
 
 The acceptance criteria, the README example and the benchmark import these
 names; the benchmark is not part of this suite, so a removal that breaks it
-shows up here first. The files are read, not imported or run.
+shows up here first. The files are read, not imported or run. The package
+loads lazily; the last tests check, in fresh interpreters, what each entry
+point loads.
 """
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +126,83 @@ def span_targets():
 @pytest.mark.parametrize("module, attribute", span_targets())
 def test_benchmark_span_targets_resolve(module, attribute):
     assert callable(resolve(module, attribute))
+
+
+# Every qfilter module. The checks below run in fresh interpreters, since this
+# one has imported them all.
+SUBMODULES = {
+    f"qfilter.{m}"
+    for m in ("boolfn", "cli", "ensemble", "ensemble_io", "errors", "neumark", "simulate",
+              "strategies", "tolerances")
+}
+
+
+def fresh_run(code: str, cwd) -> str:
+    """The last stdout line of ``code`` run in a new interpreter on this source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
+def loaded_after(code: str, cwd) -> set[str]:
+    """numpy and the qfilter modules loaded once ``code`` has run."""
+    probe = "import sys; print(*(m for m in sys.modules if m == 'numpy' or m in %r))"
+    return set(fresh_run(code + "\n" + probe % (SUBMODULES,), cwd).split())
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy(tmp_path):
+    assert loaded_after("import qfilter", tmp_path) == set()
+
+
+@pytest.fixture
+def ensemble_file(tmp_path):
+    qfilter.save_problem(qfilter.boolean_problem(2, 2), tmp_path / "p.json")
+    return "p.json"
+
+
+@pytest.mark.parametrize(
+    "argv, needed, unloaded",
+    [
+        (["--help"], {"qfilter.cli", "qfilter.errors"}, {"numpy"} | SUBMODULES),
+        (["sweep", "--eta1", "0.4", "--f", "0.25", "--smin", "0", "--smax", "0.6",
+          "--steps", "5", "--out", "c.csv"],
+         {"qfilter.strategies"}, {"qfilter.boolfn", "qfilter.ensemble_io", "qfilter.simulate"}),
+        (["strategies", "--input", "p.json"],
+         {"qfilter.strategies", "qfilter.ensemble_io"}, {"qfilter.boolfn", "qfilter.simulate"}),
+        (["boolean", "--n", "2", "--k", "2"], {"qfilter.boolfn"}, {"qfilter.simulate"}),
+    ],
+    ids=["help", "sweep", "strategies", "boolean"],
+)
+def test_subcommand_loads_only_its_modules(tmp_path, ensemble_file, argv, needed, unloaded):
+    loaded = loaded_after(f"from qfilter.cli import main\nassert main({argv!r}) == 0", tmp_path)
+    assert needed <= loaded
+    assert not (loaded - needed) & unloaded
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import qfilter.simulate",
+        "import qfilter\nqfilter.simulate\nimport qfilter.simulate",
+        "from qfilter.simulate import SimulationStats",
+        "from qfilter.cli import main\n"
+        "assert main(['simulate', '--input', 'p.json', '--strategy', 'povm', '--trials', '10']) == 0",
+    ],
+    ids=["submodule-first", "function-first", "from-submodule", "cli-simulate"],
+)
+def test_simulate_is_the_function_in_every_import_order(tmp_path, ensemble_file, code):
+    check = "import qfilter, sys\nprint(qfilter.simulate is sys.modules['qfilter.simulate'].simulate)"
+    assert fresh_run(code + "\n" + check, tmp_path) == "True"
+
+
+def test_dir_lists_every_public_name():
+    assert set(qfilter.__all__) <= set(dir(qfilter))
+
+
+def test_unknown_attribute_named():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        qfilter.no_such_name

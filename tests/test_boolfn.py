@@ -370,9 +370,12 @@ class TestBooleanProblem:
              "outcomes must be a sequence of outcomes, got None"),
             (lambda: MeasurementScheme(kind=SchemeKind.SQM1, outcomes=5, vectors=[[1.0, 0.0]]),
              "outcomes must be a sequence of outcomes, got 5"),
+            (lambda: MeasurementScheme(
+                kind=SchemeKind.SQM1, outcomes="FAIL", vectors=[[1.0, 0.0]]
+            ), "outcomes must be a sequence of outcomes, got 'FAIL'"),
         ],
         ids=["variant", "prior-mode", "scheme-kind", "scheme-outcome", "scheme-outcomes-none",
-             "scheme-outcomes-int"],
+             "scheme-outcomes-int", "scheme-outcomes-str"],
     )
     def test_unknown_choice_named(self, call, message):
         with pytest.raises(InvalidInputError, match=message):

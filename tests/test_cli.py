@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib
 import json
 import math
 import tracemalloc
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from qfilter import (
+    ComplementVariant,
     FilteringProblem,
     Outcome,
+    PriorMode,
     aggregate_failure,
     boolean_problem,
     load_problem,
@@ -19,9 +22,13 @@ from qfilter import (
 from qfilter import boolfn as boolfn_module
 from qfilter import cli as cli_module
 from qfilter import ensemble as ensemble_module
+from qfilter import strategies as strategies_module
 from qfilter.cli import SWEEP_HEADER, main
 from qfilter.errors import NumericalError
 from conftest import band_problem
+
+# ``qfilter.simulate`` is the function; the handlers import from this module.
+simulate_module = importlib.import_module("qfilter.simulate")
 
 ROOT3 = math.sqrt(3.0)
 
@@ -279,8 +286,31 @@ class TestSweepCommand:
         assert code == 0
         assert path.read_text() == self.reference_csv(0.4, 0.25, np.linspace(0.0, 0.6, 121))
 
+    @pytest.mark.parametrize(
+        "smin, smax", [("0", "inf"), ("0", "nan"), ("nan", "0.5"), ("-inf", "0.5")]
+    )
+    def test_non_finite_bounds_rejected(self, capsys, tmp_path, smin, smax):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(
+            capsys, "sweep", "--eta1", "0.4", "--f", "0.25", f"--smin={smin}",
+            f"--smax={smax}", "--steps", "3", "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: need finite 0 <= smin < smax, got smin={float(smin)!r}, "
+            f"smax={float(smax)!r}\n"
+        )
+        assert not out_path.exists()
+
 
 class TestBooleanCommand:
+    def test_parser_choices_are_the_enum_values(self):
+        # the parser spells them out so that it needs no boolfn
+        assert cli_module.PRIOR_MODES == tuple(m.value for m in PriorMode)
+        assert cli_module.VARIANTS == tuple(v.value for v in ComplementVariant)
+        assert cli_module.PRIOR_MODES[0] == PriorMode.EQUAL_STATES_BASIS.value
+        assert cli_module.VARIANTS[0] == ComplementVariant.BASIS.value
+
     def test_walsh_point(self, capsys):
         code, out, _ = run(
             capsys, "boolean", "--n", "2", "--k", "2",
@@ -414,7 +444,7 @@ class TestSimulateCommand:
             counted.append(problem)
             return optimal_filtering(problem)
 
-        monkeypatch.setattr(cli_module, "optimal_filtering", counting)
+        monkeypatch.setattr(strategies_module, "optimal_filtering", counting)
         code, _, _ = run(
             capsys, "simulate", "--input", str(walsh_file), "--strategy", "povm",
             "--trials", "100", "--seed", "1", "--format", fmt,
@@ -508,7 +538,7 @@ class TestSimulateJsonReport:
     @staticmethod
     def reference(path, strategy, trials, seed):
         problem = load_problem(path)
-        stats = cli_module.simulate(
+        stats = simulate_module.simulate(
             cli_module._build_scheme(problem, strategy), problem, trials, seed
         )
         names = [o.value for o in stats.outcomes]
@@ -567,7 +597,7 @@ class TestSimulateJsonReport:
         assert self.check(capsys, path, "sqm2")["aggregate"]["optimal_Q"] == 0.0
 
     def test_non_finite_and_signed_zero_cells(self, capsys, figure_file, monkeypatch):
-        simulate = cli_module.simulate
+        simulate = simulate_module.simulate
 
         def odd_cells(*args):
             stats = simulate(*args)
@@ -576,7 +606,7 @@ class TestSimulateJsonReport:
             z[1, 0] = np.nan
             return dataclasses.replace(stats, z_scores=z)
 
-        monkeypatch.setattr(cli_module, "simulate", odd_cells)
+        monkeypatch.setattr(simulate_module, "simulate", odd_cells)
         self.check(capsys, figure_file, "sqm2")
 
     @pytest.mark.parametrize("x", [0.1, 1 / 3, 1.0, -0.0, 1e-300, 2.5e20, math.inf, -math.inf])
