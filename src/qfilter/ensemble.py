@@ -15,7 +15,7 @@ concurrent workers.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -42,7 +42,8 @@ def _numbers(value, field: str, dtype=float) -> np.ndarray:
     if not lossless:
         kind = "complex" if np.dtype(dtype).kind == "c" else "real"
         raise InvalidInputError(f"{field} must be {kind} numbers, got {value!r:.80}")
-    return arr.astype(dtype)
+    # numpy builds a new C-order array from a list or tuple; anything else may alias the caller's
+    return arr.astype(dtype, order="C", copy=not isinstance(value, (list, tuple)))
 
 
 def _real(value, field: str) -> float:
@@ -81,9 +82,23 @@ def _frozen_fields(record, dtype, *names: str) -> None:
         object.__setattr__(record, name, _freeze(np.asarray(getattr(record, name), dtype).view()))
 
 
+def _check_unit_rows(rows: np.ndarray, label: str = "state {}: ") -> None:
+    """Reject the first row of the C-contiguous complex (N, D) ``rows`` that is not
+    finite or whose squared norm is off 1 beyond NORM_TOL, named ``label.format(i)``."""
+    pairs = rows.view(np.float64)
+    norm_sq = np.einsum("ij,ij->i", pairs, pairs)
+    bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= NORM_TOL))  # NaN is bad
+    if bad.size:
+        i = int(bad[0])
+        fault = f"squared norm {float(norm_sq[i])!r} deviates from 1 beyond NORM_TOL"
+        if not np.all(np.isfinite(rows[i])):
+            fault = "amplitudes must be finite"
+        raise InvalidInputError(label.format(i) + fault)
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """A unit-norm vector of complex amplitudes over an orthonormal basis."""
+    """The checked one-state input record: unit-norm complex amplitudes."""
 
     amplitudes: np.ndarray
 
@@ -91,40 +106,39 @@ class StateVector:
         arr = _numbers(self.amplitudes, "amplitudes", np.complex128)
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("amplitudes must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("amplitudes must be finite")
-        norm_sq = float(np.real(arr.conj() @ arr))
-        if not abs(norm_sq - 1.0) <= NORM_TOL:
-            raise InvalidInputError(f"squared norm {norm_sq!r} deviates from 1 beyond NORM_TOL")
+        _check_unit_rows(arr[None], label="")
         object.__setattr__(self, "amplitudes", _freeze(arr))
-
-    @property
-    def dimension(self) -> int:
-        return self.amplitudes.size
 
 
 @dataclass(frozen=True, eq=False)
 class FilteringProblem:
     """An ensemble of N candidate states with priors and one designated target.
 
-    The stored order is canonical: the target is always slot 0, regardless of
-    the ``target_index`` passed at construction.
+    ``states`` is an (N, D) array, a sequence of rows or a sequence of
+    ``StateVector``s; the problem holds them once, as the read-only complex
+    (N, D) ``state_matrix``. The stored order is canonical: the target is
+    always row 0, regardless of the ``target_index`` passed at construction.
     """
 
-    states: tuple[StateVector, ...]
+    states: InitVar[object]
     priors: np.ndarray
     target_index: int = 0
+    state_matrix: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        states = tuple(
-            s if isinstance(s, StateVector) else StateVector(s) for s in self.states
-        )
-        n = len(states)
+    def __post_init__(self, states):
+        if not isinstance(states, np.ndarray):
+            states = [s.amplitudes if isinstance(s, StateVector) else s for s in states]
+            rows = (r for r in states if isinstance(r, (list, tuple)) or np.ndim(r) == 1)
+            dims = sorted({len(r) for r in rows})  # other rows fail the shape check
+            if len(dims) > 1:
+                raise InvalidInputError(f"states have mixed dimensions {dims}")
+        m = _numbers(states, "states", np.complex128)
+        if m.ndim != 2 or not m.shape[1]:
+            raise InvalidInputError(f"states must be N rows of D >= 1 numbers, got shape {m.shape}")
+        n = len(m)
         if n < 2:
             raise InvalidInputError("an ensemble needs at least 2 states")
-        dims = {s.dimension for s in states}
-        if len(dims) != 1:
-            raise InvalidInputError(f"states have mixed dimensions {sorted(dims)}")
+        _check_unit_rows(m)
         priors = _numbers(self.priors, "priors")
         if priors.shape != (n,):
             raise InvalidInputError(f"expected {n} priors, got shape {priors.shape}")
@@ -138,28 +152,18 @@ class FilteringProblem:
             raise InvalidInputError(f"target_index {t} out of range for {n} states")
         if t != 0:
             order = [t] + [i for i in range(n) if i != t]
-            states = tuple(states[i] for i in order)
-            priors = priors[order]
-        object.__setattr__(self, "states", states)
+            m, priors = m[order], priors[order]
+        object.__setattr__(self, "state_matrix", _freeze(m))
         object.__setattr__(self, "priors", _freeze(priors))
         object.__setattr__(self, "target_index", 0)
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return self.state_matrix.shape[0]
 
     @property
     def dimension(self) -> int:
-        return self.states[0].dimension
-
-    @property
-    def target(self) -> StateVector:
-        return self.states[0]
-
-    @cached_property
-    def state_matrix(self) -> np.ndarray:
-        """(N, D) matrix whose rows are the state amplitudes, target first."""
-        return _freeze(np.vstack([s.amplitudes for s in self.states]))
+        return self.state_matrix.shape[1]
 
     @cached_property
     def _overlaps(self) -> np.ndarray:

@@ -14,7 +14,7 @@ from os import PathLike
 
 import numpy as np
 
-from .ensemble import FilteringProblem, StateVector
+from .ensemble import FilteringProblem
 from .errors import InvalidInputError
 
 _TOP_KEYS = {"dimension", "states", "target_index"}
@@ -28,8 +28,8 @@ def problem_to_dict(problem: FilteringProblem) -> dict:
     return {
         "dimension": problem.dimension,
         "states": [
-            {"amplitudes": s.amplitudes.view(np.float64).reshape(-1, 2).tolist(), "prior": p}
-            for s, p in zip(problem.states, problem.priors.tolist())
+            {"amplitudes": row.view(np.float64).reshape(-1, 2).tolist(), "prior": p}
+            for row, p in zip(problem.state_matrix, problem.priors.tolist())
         ],
         "target_index": 0,
     }
@@ -100,7 +100,7 @@ def problem_from_dict(data) -> FilteringProblem:
     entries = data["states"]
     if not isinstance(entries, list) or not entries:
         raise InvalidInputError("states must be a nonempty list")
-    states: list[StateVector] = []
+    states: list[np.ndarray] = []
     priors: list[float] = []
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -119,20 +119,16 @@ def problem_from_dict(data) -> FilteringProblem:
         amplitudes = pairs.array if isinstance(pairs, _LoadedPairs) else _pair_array(pairs)
         if amplitudes is None:
             raise InvalidInputError(f"state {pos} amplitudes must be [re, im] number pairs")
-        amplitudes = np.ascontiguousarray(amplitudes, dtype=np.float64).view(np.complex128)[:, 0]
+        states.append(np.ascontiguousarray(amplitudes, dtype=np.float64).view(np.complex128)[:, 0])
         prior = entry["prior"]
         if isinstance(prior, bool) or not isinstance(prior, (int, float)):
             raise InvalidInputError(f"state {pos} prior must be a number")
-        try:
-            states.append(StateVector(amplitudes))
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"state {pos}: {exc}") from exc
         try:
             priors.append(float(prior))
         except OverflowError:  # an integer beyond the float range
             raise InvalidInputError(f"state {pos} prior is too large for a float") from None
     target = data["target_index"]
-    return FilteringProblem(states=tuple(states), priors=priors, target_index=target)
+    return FilteringProblem(states=states, priors=priors, target_index=target)
 
 
 def load_problem(path: str | PathLike) -> FilteringProblem:
@@ -164,7 +160,7 @@ def save_problem(problem: FilteringProblem, path: str | PathLike) -> None:
     state = _AMPLITUDES_OPEN + ",\n".join([_PAIR] * problem.dimension) + _STATE_CLOSE
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_FILE_OPEN % problem.dimension)
-        for pos, (vector, prior) in enumerate(zip(problem.states, problem.priors)):
-            values = (*vector.amplitudes.view(np.float64).tolist(), float(prior))
+        for pos, (row, prior) in enumerate(zip(problem.state_matrix, problem.priors)):
+            values = (*row.view(np.float64).tolist(), float(prior))
             fh.write((",\n" if pos else "") + state % values)
         fh.write(_FILE_CLOSE)

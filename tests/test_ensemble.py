@@ -36,7 +36,7 @@ def ket(index, dim):
 class TestStateVector:
     def test_accepts_unit_vector(self):
         s = StateVector(np.array([0.6, 0.8j]))
-        assert s.dimension == 2
+        assert s.amplitudes.size == 2
 
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidInputError):
@@ -79,12 +79,41 @@ class TestFilteringProblem:
             FilteringProblem(states=(ket(0, 2), ket(1, 2)), priors=(1.0, 0.0))
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError, match="dimension"):
-            FilteringProblem(states=(ket(0, 2), ket(0, 3)), priors=(0.5, 0.5))
+        for states in ((ket(0, 2), ket(0, 3)), ([1.0, 0.0], [0.0, 1.0, 0.0])):
+            with pytest.raises(InvalidInputError, match="dimension"):
+                FilteringProblem(states=states, priors=(0.5, 0.5))
 
     def test_needs_two_states(self):
-        with pytest.raises(InvalidInputError):
-            FilteringProblem(states=(ket(0, 2),), priors=(1.0,))
+        for states in ((ket(0, 2),), np.eye(2)[:1]):
+            with pytest.raises(InvalidInputError):
+                FilteringProblem(states=states, priors=(1.0,))
+
+    @pytest.mark.parametrize(
+        "states, target_index, message",
+        [
+            (([1.0, 0.0], [2.0, 0.0]), 1, r"^state 1: squared norm 4\.0 deviates"),
+            (([1.0, 0.0], [0.0, 1.0], [0.0, 1.0 + 1e-3]), 1, r"^state 2: squared norm 1\.00200"),
+            (np.array([[1.0, 0.0], [np.inf, 0.0]]), 0, r"^state 1: amplitudes must be finite$"),
+            (([np.nan, 0.0], [0.0, 1.0]), 1, r"^state 0: amplitudes must be finite$"),
+        ],
+        ids=["norm-target", "norm-after-target", "inf", "nan-before-target"],
+    )
+    def test_bad_row_named_by_its_position_as_passed(self, states, target_index, message):
+        n = len(states)
+        with pytest.raises(InvalidInputError, match=message):
+            FilteringProblem(states=states, priors=[1.0 / n] * n, target_index=target_index)
+
+    def test_state_inputs_give_one_matrix(self):
+        rows = np.array([[0.6, 0.8j, 0.0], [0.0, 1.0, 0.0], [1j, 0.0, 0.0]])
+        matrices = [
+            FilteringProblem(states=states, priors=(0.5, 0.25, 0.25)).state_matrix
+            for states in (
+                rows, np.asfortranarray(rows), rows.tolist(), tuple(StateVector(r) for r in rows)
+            )
+        ]
+        assert all(m.tobytes() == matrices[0].tobytes() for m in matrices)
+        assert matrices[0].dtype == np.complex128 and matrices[0].shape == (3, 3)
+        assert all(m.flags.c_contiguous and not m.flags.writeable for m in matrices)
 
     def test_target_moved_to_front(self):
         p = FilteringProblem(
@@ -92,7 +121,7 @@ class TestFilteringProblem:
         )
         assert p.target_index == 0
         np.testing.assert_allclose(p.priors, [0.75, 0.25])
-        np.testing.assert_allclose(p.target.amplitudes, [0, 1])
+        np.testing.assert_allclose(p.state_matrix[0], [0, 1])
 
     def test_target_index_range(self):
         with pytest.raises(InvalidInputError):
@@ -207,7 +236,7 @@ class TestDecomposeTarget:
         dec = decompose_target(orthogonal_pair_problem)
         assert dec.parallel_norm_sq == 0.0
         np.testing.assert_allclose(
-            dec.perpendicular, orthogonal_pair_problem.target.amplitudes, atol=1e-15
+            dec.perpendicular, orthogonal_pair_problem.state_matrix[0], atol=1e-15
         )
 
     def test_contained_target(self, contained_target_problem):
@@ -226,7 +255,7 @@ class TestDecomposeTarget:
             p = random_problem(rng, max_dim=8, max_states=8)
             dec = decompose_target(p)
             np.testing.assert_allclose(
-                dec.parallel + dec.perpendicular, p.target.amplitudes, atol=1e-10
+                dec.parallel + dec.perpendicular, p.state_matrix[0], atol=1e-10
             )
             for row in p.state_matrix[1:]:
                 assert abs(dec.perpendicular.conj() @ row) <= 1e-10
@@ -273,6 +302,39 @@ def test_result_records_freeze_a_view_not_the_callers_array(record, arrays, scal
         assert array.flags.writeable
         assert not stored.flags.writeable
         assert np.shares_memory(stored, array)  # nothing is copied
+
+
+# (the caller's array, the array a record built from it stores)
+INPUT_RECORDS = {
+    "StateVector.amplitudes": ([0.6, 0.8j], lambda a: StateVector(a).amplitudes),
+    "FilteringProblem.state_matrix": (
+        [[0.6, 0.8j], [1.0, 0.0]],
+        lambda a: FilteringProblem(states=a, priors=(0.5, 0.5)).state_matrix,
+    ),
+    "FilteringProblem.state_matrix-rows": (
+        [[0.6, 0.8j], [1.0, 0.0]],
+        lambda a: FilteringProblem(states=(a[0], a[1]), priors=(0.5, 0.5)).state_matrix,
+    ),
+    "FilteringProblem.priors": (
+        [0.25, 0.75], lambda a: FilteringProblem(states=np.eye(2), priors=a).priors
+    ),
+    "FilteringProblem.priors-buffer": (
+        [0.25, 0.75], lambda a: FilteringProblem(states=np.eye(2), priors=memoryview(a)).priors
+    ),
+    "FailureAllocation.failure_probs": (
+        [0.25, 0.75], lambda a: FailureAllocation(failure_probs=a, phases=[0.0, 0.0]).failure_probs
+    ),
+}
+
+
+@pytest.mark.parametrize("values, read", INPUT_RECORDS.values(), ids=INPUT_RECORDS.keys())
+def test_input_records_copy_the_callers_array(values, read):
+    given = np.array(values)
+    stored = read(given)
+    before = stored.tobytes()
+    given[...] = 0.5
+    assert stored.tobytes() == before
+    assert not stored.flags.writeable
 
 
 SQM1_ON_QUBIT = MeasurementScheme(

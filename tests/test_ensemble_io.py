@@ -56,6 +56,12 @@ SCHEMA_CASES = [
     (lambda p: p.update(dimension=0), "positive"),
     # an integer beyond the float range; float() would raise OverflowError
     (lambda p: p["states"][0].update(prior=10**400), "state 0 prior is too large"),
+    (lambda p: p["states"][1].update(amplitudes=[[math.nan, 0.0], [1.0, 0.0]]),
+     r"^state 1: amplitudes must be finite$"),
+    # a state is named by its position in the file, before the target moves to row 0
+    (lambda p: p.update(target_index=1)
+     or p["states"][0].update(amplitudes=[[2.0, 0.0], [0.0, 0.0]]),
+     r"^state 0: squared norm 4\.0 deviates from 1 beyond NORM_TOL$"),
 ]
 
 
@@ -91,7 +97,7 @@ class TestParsing:
         payload["target_index"] = 1
         problem = problem_from_dict(payload)
         s = 1 / math.sqrt(2)
-        np.testing.assert_allclose(problem.target.amplitudes, [s, s])
+        np.testing.assert_allclose(problem.state_matrix[0], [s, s])
 
     @pytest.mark.parametrize("mutate,message", SCHEMA_CASES)
     def test_schema_violations(self, mutate, message):
@@ -104,7 +110,7 @@ class TestParsing:
         payload = valid_payload()
         payload["states"][0]["amplitudes"] = [[1, 0], [0, 0]]
         problem = problem_from_dict(payload)
-        np.testing.assert_array_equal(problem.target.amplitudes, [1.0, 0.0])
+        np.testing.assert_array_equal(problem.state_matrix[0], [1.0, 0.0])
 
     def test_unnormalized_state_named(self):
         payload = valid_payload()
@@ -246,7 +252,7 @@ class TestLoadPathsAgree:
         payload["states"][0]["amplitudes"] = [[1, 0.0], [0, 0]]
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(payload))
-        np.testing.assert_array_equal(load_problem(path).target.amplitudes, [1.0, 0.0])
+        np.testing.assert_array_equal(load_problem(path).state_matrix[0], [1.0, 0.0])
 
 
 class TestFloatPairsFastPath:
@@ -268,7 +274,7 @@ class TestFloatPairsFastPath:
         payload["states"][1]["amplitudes"] = [[0.6, 0.0], [0.0, 0.8], [-0.0, -0.0]]
         path = tmp_path / "extremes.json"
         path.write_text(json.dumps(payload))
-        loaded = load_problem(path).target.amplitudes
+        loaded = load_problem(path).state_matrix[0]
         assert loaded.view(np.float64).tobytes() == np.array(pairs).tobytes()
 
 

@@ -36,9 +36,9 @@ def optimal_scheme(problem):
     return povm_elements(build_neumark(problem, allocation)), report
 
 
-def born(scheme, state):
+def born(scheme, amplitudes):
     """One state's Born probabilities, in outcome order, as ``simulate`` computes them."""
-    return _born_rates(scheme, state.amplitudes.reshape(1, -1))[0]
+    return _born_rates(scheme, amplitudes.reshape(1, -1))[0]
 
 
 def born_by_outcome(scheme, state):
@@ -63,20 +63,20 @@ def drawn(seed, state_index):
 class TestOutcomeDistribution:
     def test_sqm1_on_target_always_fails(self, figure_point_problem):
         scheme = projective_scheme(figure_point_problem, SchemeKind.SQM1)
-        dist = born_by_outcome(scheme, figure_point_problem.target)
+        dist = born_by_outcome(scheme, figure_point_problem.state_matrix[0])
         assert dist[Outcome.FAIL] == pytest.approx(1.0, abs=1e-12)
         assert dist[Outcome.IS_COMPLEMENT] == pytest.approx(0.0, abs=1e-12)
 
     def test_povm_on_biased_target(self, walsh_problem):
         scheme, _ = optimal_scheme(walsh_problem)
-        dist = born_by_outcome(scheme, walsh_problem.target)
+        dist = born_by_outcome(scheme, walsh_problem.state_matrix[0])
         assert dist[Outcome.IS_TARGET] == pytest.approx(1 - ROOT3 / 2, abs=1e-10)
         assert dist[Outcome.FAIL] == pytest.approx(ROOT3 / 2, abs=1e-10)
         assert dist[Outcome.IS_COMPLEMENT] <= 1e-10
 
     def test_povm_on_balanced_basis_vector(self, walsh_problem):
         scheme, _ = optimal_scheme(walsh_problem)
-        dist = born_by_outcome(scheme, walsh_problem.states[1])
+        dist = born_by_outcome(scheme, walsh_problem.state_matrix[1])
         assert dist[Outcome.FAIL] == pytest.approx(1 / (2 * ROOT3), abs=1e-10)
         assert dist[Outcome.IS_TARGET] <= 1e-10
         assert dist[Outcome.IS_COMPLEMENT] == pytest.approx(
@@ -86,7 +86,7 @@ class TestOutcomeDistribution:
     def test_dimension_mismatch_rejected(self, walsh_problem, symmetric_pair_problem):
         scheme, _ = optimal_scheme(walsh_problem)
         with pytest.raises(InvalidInputError, match="dimension"):
-            born(scheme, StateVector(np.array([1.0, 0.0])))
+            born(scheme, StateVector(np.array([1.0, 0.0])).amplitudes)
         with pytest.raises(InvalidInputError, match="measured space"):
             simulate(scheme, symmetric_pair_problem, 10, 1)
 
@@ -313,7 +313,7 @@ class TestSimulate:
             outcomes=(Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL),
             vectors=(np.eye(3)[0], np.eye(3)[2]),
         )
-        raw = born(scheme, target)
+        raw = born(scheme, target.amplitudes)
         assert 0.0 < raw[1] < PROB_TOL
         stats = simulate(scheme, problem, 1000, 11)
         assert stats.counts[0, 1] == 0
@@ -346,7 +346,7 @@ class TestSimulate:
         # per-state partitions merge to exactly the same statistics
         scheme, _ = optimal_scheme(walsh_problem)
         full = simulate(scheme, walsh_problem, 4000, 77)
-        for i, state in enumerate(walsh_problem.states):
+        for i, state in enumerate(walsh_problem.state_matrix):
             part = _draw_counts(_sampled(born(scheme, state)), 4000, philox(77, i))
             np.testing.assert_array_equal(full.counts[i], part)
 
@@ -390,7 +390,7 @@ class TestScale:
         stats = simulate(scheme, problem, 3000, 5)
         single = (stats.analytic_rates > 0).sum(axis=1) == 1
         assert int(single.sum()) == 248
-        for i, state in enumerate(problem.states):
+        for i, state in enumerate(problem.state_matrix):
             probs = born(scheme, state)
             np.testing.assert_array_equal(stats.analytic_rates[i], _sampled(probs))
             np.testing.assert_array_equal(
@@ -425,7 +425,7 @@ class TestAggregateFailure:
         fail_col = scheme.outcomes.index(Outcome.FAIL)
         analytic = [
             born(scheme, s)[fail_col]
-            for s in walsh_problem.states
+            for s in walsh_problem.state_matrix
         ]
         q = float(np.asarray(walsh_problem.priors) @ analytic)
         assert q == pytest.approx(report.optimal_Q, abs=1e-10)
