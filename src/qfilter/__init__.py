@@ -65,45 +65,4 @@ sys.modules[__name__].__class__ = _Package
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BooleanFunction",
-    "ComplementVariant",
-    "Decomposition",
-    "DegenerateDecompositionError",
-    "FailureAllocation",
-    "FilteringProblem",
-    "InfeasibleError",
-    "InvalidInputError",
-    "MeasurementScheme",
-    "NeumarkModel",
-    "NumericalError",
-    "Outcome",
-    "PriorMode",
-    "QFilterError",
-    "Regime",
-    "ResourceLimitError",
-    "SchemeKind",
-    "SimulationStats",
-    "StateVector",
-    "StrategyReport",
-    "SuccessGram",
-    "aggregate_failure",
-    "average_overlap_full",
-    "biased_fraction",
-    "boolean_problem",
-    "build_neumark",
-    "decompose_target",
-    "dj_encode",
-    "enumerate_balanced",
-    "failure_allocations",
-    "failure_curve",
-    "load_problem",
-    "optimal_filtering",
-    "povm_advantage",
-    "povm_elements",
-    "projective_scheme",
-    "save_problem",
-    "simulate",
-    "success_gram",
-    "wk_spec",
-]
+__all__ = sorted(_HOME)

@@ -9,8 +9,8 @@ enum choices. Input norms and prior sums are checked to
 NORM_TOL. Every orthonormal basis of a span in the package comes from one
 helper, ``_row_basis``, which cuts the span at RANK_TOL. Everything here is
 a pure function of immutable values (``FilteringProblem`` caches its overlaps
-and decomposition on first use), so results can be shared freely between
-concurrent workers.
+and decomposition on first use, and keeps the failure allocation last built
+for it), so results can be shared freely between concurrent workers.
 """
 from __future__ import annotations
 
@@ -32,11 +32,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _numbers(value, field: str, dtype=float) -> np.ndarray:
     """``value`` as a new ``dtype`` array, or InvalidInputError naming ``field``
-    when numpy cannot convert it without loss: a string, a non-number, or a
-    complex entry for a real ``dtype``, whose imaginary part a cast would drop."""
+    when numpy cannot convert it without loss: a string, a bool, a non-number,
+    or a complex entry for a real ``dtype``, whose imaginary part a cast would
+    drop."""
     try:
         arr = np.asarray(value)
-        lossless = np.can_cast(arr.dtype, dtype)
+        lossless = arr.dtype.kind != "b" and np.can_cast(arr.dtype, dtype)
     except ValueError:  # ragged nesting
         lossless = False
     if not lossless:
@@ -118,6 +119,8 @@ class FilteringProblem:
     ``StateVector``s; the problem holds them once, as the read-only complex
     (N, D) ``state_matrix``. The stored order is canonical: the target is
     always row 0, regardless of the ``target_index`` passed at construction.
+    ``_allocation`` is the one ``(q1, FailureAllocation)`` pair that
+    ``failure_allocations`` last built for the problem, or None.
     """
 
     states: InitVar[object]
@@ -156,6 +159,7 @@ class FilteringProblem:
         object.__setattr__(self, "state_matrix", _freeze(m))
         object.__setattr__(self, "priors", _freeze(priors))
         object.__setattr__(self, "target_index", 0)
+        object.__setattr__(self, "_allocation", None)
 
     @property
     def n_states(self) -> int:

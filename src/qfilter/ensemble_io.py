@@ -137,7 +137,8 @@ def load_problem(path: str | PathLike) -> FilteringProblem:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh, object_hook=_load_amplitudes)
-        except ValueError as exc:  # also a non-UTF-8 byte or an over-long integer
+        # also a non-UTF-8 byte, an over-long integer or nesting beyond the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise InvalidInputError(f"invalid JSON in {path}: {exc}") from exc
     return problem_from_dict(data)
 

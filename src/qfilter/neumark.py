@@ -29,6 +29,7 @@ output, and ``build_neumark`` checks it to DEPENDENCY_TOL for any other.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -102,6 +103,11 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
     The product rule q1 * q_i = |<psi_1|psi_i>|^2 fixes every complement
     weight; q1 itself must lie in [f, 1] where f is the target's parallel
     squared norm (within PROB_TOL), else no unitary realization exists.
+
+    The problem keeps the allocation last built for it, keyed by its clamped
+    q1, and a call at that q1 returns it; any other q1 builds and keeps its
+    own. The key and the record are stored as one tuple, so a concurrent
+    caller reads either the old pair or the new one.
     """
     q1 = _real(q1, "target failure weight q1")
     f = decompose_target(problem).parallel_norm_sq
@@ -110,6 +116,10 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
             f"target failure weight q1={q1!r} must lie in the range [{f!r}, 1] within PROB_TOL"
         )
     q1 = min(max(q1, f, 0.0), 1.0)
+    kept = problem._allocation
+    # -0.0 == 0.0, but the record keeps the sign of the q1 it was built at
+    if kept is not None and kept[0] == q1 and math.copysign(1.0, kept[0]) == math.copysign(1.0, q1):
+        return kept[1]
     overlaps_sq = np.abs(problem._overlaps) ** 2
     n = problem.n_states
     q = np.empty(n)
@@ -125,7 +135,9 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
         q[1:] = 0.0
     q = np.minimum(q, 1.0)
     phases = np.concatenate([[0.0], np.angle(problem._overlaps)])
-    return FailureAllocation(failure_probs=q, phases=phases)
+    allocation = FailureAllocation(failure_probs=q, phases=phases)
+    object.__setattr__(problem, "_allocation", (q1, allocation))
+    return allocation
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,21 +253,32 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
         )
 
     r = np.sqrt(1.0 - norm_sq)
+    u_bar = u.conj()
     # (1 - r) / |u|^2 = 1 / (1 + r), which needs no branch at u = 0.
     unitary = np.empty((d + 1, d + 1), dtype=np.complex128)
-    block = np.multiply.outer(u.conj(), u, out=unitary[:d, :d])
+    block = np.multiply.outer(u_bar, u, out=unitary[:d, :d])
     block /= -(1.0 + r)
-    block[np.arange(d), np.arange(d)] += 1.0
-    unitary[:d, d], unitary[d, :d], unitary[d, d] = -u.conj(), u, r
+    unitary.reshape(-1)[: d * (d + 1) : d + 2] += 1.0  # R's diagonal, one strided view
+    unitary[:d, d], unitary[d, :d], unitary[d, d] = -u_bar, u, r
     unitarity = float(np.abs(unitary.conj().T @ unitary - np.eye(d + 1)).max())
     if not unitarity <= OPERATOR_TOL:
         raise NumericalError(f"unitarity defect {unitarity:.3e} exceeds OPERATOR_TOL")
 
     return NeumarkModel(
         unitary=unitary,
-        success_outputs=m - np.outer(images, u.conj() / (1.0 + r)),  # M R^T at O(N * D)
+        success_outputs=m - np.outer(images, u_bar / (1.0 + r)),  # M R^T at O(N * D)
         failure_amplitudes=amplitudes,
     )
+
+
+def _largest_gram_eigenvalue(x: np.ndarray) -> float:
+    """Largest eigenvalue of the Gram matrix of the at most two rows of the
+    C-contiguous complex ``x``, 0 for none, in closed form: [[a, c], [c*, b]]
+    has (a + b) / 2 + hypot((a - b) / 2, |c|), which is a for one row."""
+    pairs = x.view(np.float64)
+    a, b = (*np.einsum("ij,ij->i", pairs, pairs).tolist(), 0.0, 0.0)[:2]
+    c = abs(np.vdot(x[0], x[1])) if len(x) == 2 else 0.0
+    return (a + b) / 2.0 + math.hypot((a - b) / 2.0, c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +291,8 @@ class MeasurementScheme:
     holds by construction, and positivity is a check on the small Gram matrix
     X^dagger X of the rows: I - X X^dagger has eigenvalues 1 and
     1 - eig(X^dagger X), and construction rejects any below -OPERATOR_TOL and
-    any non-finite vector.
+    any non-finite vector. Outcomes are distinct, so there are at most two
+    rows, and the largest eigenvalue of their Gram matrix is a closed form.
 
     ``acting_dimension`` is the length D of the rows, the space states are fed
     into directly; ``dilation_dimension`` is D + 1 for the generalized
@@ -293,6 +317,9 @@ class MeasurementScheme:
                 f"outcomes must be a sequence of outcomes, got {self.outcomes!r:.80}"
             ) from None
         outcomes = tuple(_member(Outcome, outcome, "outcome") for outcome in members)
+        repeated = [member.value for member in Outcome if outcomes.count(member) > 1]
+        if repeated:
+            raise InvalidInputError(f"outcomes must be distinct, got {', '.join(repeated)} repeated")
         x = _freeze(_numbers(self.vectors, "rank-one vectors", np.complex128))
         fits = x.ndim == 2 and len(x) == len(outcomes) - 1
         if Outcome.IS_COMPLEMENT not in outcomes or not fits:
@@ -304,7 +331,7 @@ class MeasurementScheme:
             raise InvalidInputError("rank-one vectors must be finite")
         # Each x x^dagger is positive; the remainder's smallest eigenvalue is
         # 1 - the largest eigenvalue of the Gram matrix of the vectors.
-        min_eig = 1.0 - float(np.linalg.eigvalsh(x.conj() @ x.T).max(initial=0.0))
+        min_eig = 1.0 - _largest_gram_eigenvalue(x)
         if not min_eig >= -OPERATOR_TOL:
             raise NumericalError(f"outcome operator has eigenvalue {min_eig:.3e} < -OPERATOR_TOL")
         object.__setattr__(self, "kind", kind)
@@ -331,7 +358,18 @@ class MeasurementScheme:
         )
 
     def operator(self, outcome: Outcome) -> np.ndarray:
-        return self.operators[self.outcomes.index(outcome)]
+        """The operator of ``outcome``, or InvalidInputError naming it and the
+        scheme's outcomes when the scheme lacks it."""
+        try:
+            index = self.outcomes.index(_member(Outcome, outcome, "outcome"))
+        except (InvalidInputError, ValueError):
+            shown = outcome.value if isinstance(outcome, Outcome) else outcome
+            choices = ", ".join(o.value for o in self.outcomes)
+            raise InvalidInputError(
+                f"outcome must be one of the {self.kind.value} scheme's outcomes {choices}, "
+                f"got {shown!r:.80}"
+            ) from None
+        return self.operators[index]
 
     def born_probabilities(self, states) -> np.ndarray:
         """(N, K) matrix of <psi_i|E_k|psi_i> for the N rows of ``states``.
@@ -354,10 +392,18 @@ class MeasurementScheme:
                 f"measured space of dimension {d}, got shape {rows.shape}"
             )
         amplitudes = np.einsum("ij,rj->ir", rows, self.vectors.conj())
-        probs = amplitudes.real**2 + amplitudes.imag**2
+        rest, n_vectors = self.outcomes.index(Outcome.IS_COMPLEMENT), len(self.vectors)
+        table = np.empty((len(rows), n_vectors + 1))
+        # The rank-one columns are one slice of the table, as there are at most two.
+        if rest == n_vectors:
+            probs = table[:, :rest]
+        else:
+            probs = table[:, 1:] if rest == 0 else table[:, ::2]
+        np.square(amplitudes.real, out=probs)
+        probs += amplitudes.imag**2
         flat = rows.view(np.float64)
-        remainder = np.einsum("ij,ij->i", flat, flat) - probs.sum(axis=1)
-        return np.insert(probs, self.outcomes.index(Outcome.IS_COMPLEMENT), remainder, axis=1)
+        np.subtract(np.einsum("ij,ij->i", flat, flat), probs.sum(axis=1), out=table[:, rest])
+        return table
 
 
 def povm_elements(model: NeumarkModel) -> MeasurementScheme:

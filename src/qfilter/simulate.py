@@ -35,10 +35,12 @@ def _born_rates(scheme: MeasurementScheme, rows: np.ndarray) -> np.ndarray:
     PROB_TOL, which also covers states whose squared norm is off by up to
     NORM_TOL.
     """
-    probs = np.clip(scheme.born_probabilities(rows), 0.0, 1.0)
+    probs = scheme.born_probabilities(rows)
+    np.clip(probs, 0.0, 1.0, out=probs)
     totals = probs.sum(axis=1)
     renormalized = np.abs(totals - 1.0) > PROB_TOL
-    probs[renormalized] /= totals[renormalized, None]
+    if renormalized.any():
+        probs[renormalized] /= totals[renormalized, None]
     return probs
 
 
@@ -77,16 +79,16 @@ def _sampled(probs: np.ndarray) -> np.ndarray:
     return p
 
 
-def _draw_counts(p: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Outcome counts for a sampled row ``p`` (see ``_sampled``): one multinomial
-    draw from ``rng`` over the live outcomes p > 0. The last live outcome takes
-    the remainder of the trials, so a row with one live outcome gets every
-    trial there, and outcomes with p = 0 are never drawn.
+def _draw_counts(
+    out: np.ndarray, p: np.ndarray, live: np.ndarray, trials: int, rng: np.random.Generator
+) -> None:
+    """Write the outcome counts of a sampled row ``p`` (see ``_sampled``) into
+    ``out``, a zeroed int64 row: one multinomial draw from ``rng`` over the
+    live outcomes, ``live`` being the row's mask p > 0. The last live outcome
+    takes the remainder of the trials, so a row with one live outcome gets
+    every trial there, and outcomes with p = 0 are never drawn.
     """
-    counts = np.zeros(p.size, dtype=np.int64)
-    live = p > 0.0
-    counts[live] = rng.multinomial(trials, p[live])
-    return counts
+    out[live] = rng.multinomial(trials, p[live])
 
 
 def _run_arguments(trials_per_state, seed) -> tuple[int, int]:
@@ -95,9 +97,9 @@ def _run_arguments(trials_per_state, seed) -> tuple[int, int]:
     [0, 2**64 - 1] (one Philox key word)."""
     trials = _integer(trials_per_state, "trials_per_state")
     seed = _integer(seed, "seed")
-    if not 1 <= trials <= np.iinfo(np.int64).max:
+    if not 1 <= trials <= 2**63 - 1:
         raise InvalidInputError(f"trials_per_state must lie in [1, 2**63 - 1], got {trials}")
-    if not 0 <= seed <= np.iinfo(np.uint64).max:
+    if not 0 <= seed <= 2**64 - 1:
         raise InvalidInputError(f"seed must lie in [0, 2**64 - 1], got {seed}")
     return trials, seed
 
@@ -150,16 +152,18 @@ def simulate(
     trials, seed = _run_arguments(trials_per_state, seed)
     probs = _born_rates(scheme, problem.state_matrix)
     analytic = _sampled(probs)
-    counts = np.empty(analytic.shape, dtype=np.int64)
+    counts = np.zeros(analytic.shape, dtype=np.int64)
+    live = analytic > 0.0
     rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for each state
     for i in range(len(analytic)):
-        counts[i] = _draw_counts(analytic[i], trials, _substream(rng, seed, i))
+        _draw_counts(counts[i], analytic[i], live[i], trials, _substream(rng, seed, i))
     empirical = counts / float(trials)
     variance = analytic * (1.0 - analytic) / float(trials)
-    z = np.zeros_like(analytic)
-    live = variance > 0.0
-    z[live] = (empirical[live] - analytic[live]) / np.sqrt(variance[live])
-    z[~live & (empirical != analytic)] = np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (empirical - analytic) / np.sqrt(variance)
+    fixed = ~(variance > 0.0)
+    z[fixed] = 0.0
+    z[fixed & (empirical != analytic)] = np.inf
     return SimulationStats(
         scheme_kind=scheme.kind,
         outcomes=scheme.outcomes,

@@ -213,8 +213,7 @@ def _closed_forms(eta1: float, f: float, s: np.ndarray):
     else:
         qs2 = np.where(s == 0.0, 0.0, math.inf)
     in_window = (eta1 * f**2 <= s) & (s <= eta1)
-    qp = np.full_like(s, math.nan)
-    qp[in_window] = 2.0 * np.sqrt(eta1 * s[in_window])
+    qp = np.where(in_window, 2.0 * np.sqrt(eta1 * s), math.nan)
     codes = np.where(in_window, 0, np.where(s > eta1, 1, 2)).astype(np.int8)
     q_opt = np.choose(codes, (qp, qs1, qs2))
     return qs1, qs2, qp, codes, q_opt

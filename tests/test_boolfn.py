@@ -373,9 +373,18 @@ class TestBooleanProblem:
             (lambda: MeasurementScheme(
                 kind=SchemeKind.SQM1, outcomes="FAIL", vectors=[[1.0, 0.0]]
             ), "outcomes must be a sequence of outcomes, got 'FAIL'"),
+            (lambda: MeasurementScheme(
+                kind=SchemeKind.POVM, outcomes=("FAIL", "FAIL", "IS_COMPLEMENT"),
+                vectors=[[0.6, 0.0], [0.0, 0.6]],
+            ), "^outcomes must be distinct, got FAIL repeated$"),
+            (lambda: MeasurementScheme(
+                kind=SchemeKind.SQM1, outcomes=("IS_COMPLEMENT", "IS_COMPLEMENT"),
+                vectors=[[0.6, 0.0]],
+            ), "^outcomes must be distinct, got IS_COMPLEMENT repeated$"),
         ],
         ids=["variant", "prior-mode", "scheme-kind", "scheme-outcome", "scheme-outcomes-none",
-             "scheme-outcomes-int", "scheme-outcomes-str"],
+             "scheme-outcomes-int", "scheme-outcomes-str", "scheme-outcomes-repeated",
+             "scheme-complement-repeated"],
     )
     def test_unknown_choice_named(self, call, message):
         with pytest.raises(InvalidInputError, match=message):

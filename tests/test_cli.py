@@ -140,8 +140,10 @@ class TestStrategiesCommand:
             b'{"dimension": 2, "states": "\xff"}',
             # over the interpreter's 4,300-digit limit for int() of a string
             b'{"dimension": 1' + b"0" * 5000 + b"}",
+            # nesting beyond the interpreter's recursion limit
+            b"[" * 200_000 + b"]" * 200_000,
         ],
-        ids=["non-utf8", "over-long-integer"],
+        ids=["non-utf8", "over-long-integer", "deeply-nested"],
     )
     def test_undecodable_file_exits_2(self, capsys, tmp_path, content):
         path = tmp_path / "undecodable.json"

@@ -360,6 +360,7 @@ NOT_REAL = {
     "complex-array": np.array([0.5 + 0.2j, 0.5]),
     "complex-list": [0.5 + 0.2j, 0.5],
     "string": "ab",
+    "bool": [True, False],
 }
 
 
@@ -367,7 +368,7 @@ NOT_REAL = {
     pytest.param(field, value, id=f"{field}-{name}")
     for field, (_, holds_complex) in NUMERIC_INPUTS.items()
     for name, value in NOT_REAL.items()
-    if name == "string" or not holds_complex
+    if name in ("string", "bool") or not holds_complex
 ])
 def test_numeric_input_converted_without_loss_or_rejected_by_name(field, value):
     with pytest.raises(InvalidInputError, match=f"^{field} must be"):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from qfilter import (
     projective_scheme,
     success_gram,
 )
+from qfilter.neumark import _largest_gram_eigenvalue
 from conftest import band_problem, random_problem
 
 ROOT3 = math.sqrt(3.0)
@@ -77,8 +80,8 @@ class TestFailureAllocations:
     @pytest.mark.parametrize(
         "q1, message",
         [("0.9", "real numbers"), (0.9 + 0.1j, "real numbers"), ([0.9], "one number"),
-         (None, "real numbers")],
-        ids=["string", "complex", "list", "none"],
+         (None, "real numbers"), (True, "real numbers")],
+        ids=["string", "complex", "list", "none", "bool"],
     )
     def test_q1_read_losslessly(self, walsh_problem, q1, message):
         # float() would read "0.9" as 0.9 and raise a bare TypeError for the others
@@ -100,6 +103,75 @@ class TestFailureAllocations:
         )
         with pytest.raises(InfeasibleError, match=r"overlap 1\.000e-07 exceeds PROB_TOL"):
             failure_allocations(problem, 0.0)
+
+    def test_optimal_allocation_is_kept_and_bit_equal_to_a_fresh_one(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            problem = random_problem(rng)
+            report = optimal_filtering(problem)
+            kept = failure_allocations(problem, report.optimal_q1)
+            assert problem._allocation == (report.optimal_q1, kept)
+            twin = FilteringProblem(states=problem.state_matrix, priors=problem.priors)
+            fresh = failure_allocations(twin, report.optimal_q1)
+            for field in ("failure_probs", "phases"):
+                assert getattr(kept, field).tobytes() == getattr(fresh, field).tobytes()
+            np.testing.assert_array_equal(kept.failure_probs, report.per_state_failure)
+
+    def test_q1_range_checked_with_the_slot_filled(self, walsh_problem):
+        kept = failure_allocations(walsh_problem, optimal_filtering(walsh_problem).optimal_q1)
+        for q1 in (0.5, 1.1):  # below f = 0.75, above 1
+            with pytest.raises(InfeasibleError, match="range"):
+                failure_allocations(walsh_problem, q1)
+        assert walsh_problem._allocation[1] is kept
+
+    def test_each_q1_gets_its_own_weights_in_one_slot(self, walsh_problem):
+        # a new problem: the fixture's may carry attributes from earlier tests
+        problem = FilteringProblem(states=walsh_problem.state_matrix, priors=walsh_problem.priors)
+        decompose_target(problem), problem._overlaps  # fill both caches
+        attributes = set(vars(problem))
+        optimum = failure_allocations(problem, ROOT3 / 2)
+        boundary = failure_allocations(problem, 1.0)
+        assert boundary.q1 == 1.0
+        np.testing.assert_allclose(boundary.failure_probs[1:], 0.25, atol=1e-12)
+        # one attribute holds the pair: no second record, and no key stored apart
+        assert set(vars(problem)) == attributes
+        assert problem._allocation == (1.0, boundary)
+        again = failure_allocations(problem, ROOT3 / 2)
+        assert again is not optimum
+        assert again.failure_probs.tobytes() == optimum.failure_probs.tobytes()
+        assert problem._allocation == (ROOT3 / 2, again)
+
+    def test_concurrent_callers_get_the_record_of_their_q1(self):
+        # more threads than cores at a short switch interval: a slot whose key
+        # and record were stored apart would hand one q1's weights to the other
+        problem = random_problem(np.random.default_rng(3))
+        f = decompose_target(problem).parallel_norm_sq
+        q1s = (f + 0.3 * (1.0 - f), 1.0)
+        twin = FilteringProblem(states=problem.state_matrix, priors=problem.priors)
+        expected = {q1: failure_allocations(twin, q1).failure_probs.tobytes() for q1 in q1s}
+        wrong = []
+
+        def worker(offset):
+            for i in range(1000):
+                q1 = q1s[(i + offset) % 2]
+                allocation = failure_allocations(problem, q1)
+                if allocation.failure_probs.tobytes() != expected[q1]:
+                    wrong.append(q1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        key, record = problem._allocation
+        assert record.failure_probs.tobytes() == expected[key]
 
     def test_q1_is_the_target_failure_weight(self, figure_point_problem):
         alloc = failure_allocations(figure_point_problem, 0.5)
@@ -559,6 +631,49 @@ class TestMeasurementSchemeValidation:
                 outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL),
                 vectors=[[bad, 0.0]],
             )
+
+    @pytest.mark.parametrize("rows", (1, 2))
+    def test_closed_form_gram_eigenvalue_matches_eigvalsh(self, rows):
+        rng = np.random.default_rng(rows)
+        for _ in range(500):
+            d = int(rng.integers(1, 9))
+            x = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
+            x *= rng.uniform(0.0, 1.2) / np.linalg.norm(x)
+            reference = float(np.linalg.eigvalsh(x.conj() @ x.T).max())
+            assert abs(_largest_gram_eigenvalue(x) - reference) <= 1e-15
+
+    def test_closed_form_rejects_the_over_complete_scheme_eigvalsh_rejects(self):
+        # two unit vectors at 60 degrees: the Gram has largest eigenvalue 1.5
+        x = np.array([[1.0, 0.0], [0.5, math.sqrt(0.75)]], dtype=np.complex128)
+        assert np.linalg.eigvalsh(x.conj() @ x.T).max() == pytest.approx(1.5)
+        assert _largest_gram_eigenvalue(x) == pytest.approx(1.5)
+        with pytest.raises(NumericalError, match=r"eigenvalue -5\.000e-01 < -OPERATOR_TOL"):
+            MeasurementScheme(
+                kind=SchemeKind.POVM,
+                outcomes=(Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL),
+                vectors=x,
+            )
+        # an orthonormal pair leaves a remainder with eigenvalue 0, which is accepted
+        MeasurementScheme(
+            kind=SchemeKind.POVM,
+            outcomes=(Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL),
+            vectors=np.eye(2),
+        )
+
+    @pytest.mark.parametrize(
+        "outcome, shown",
+        [(Outcome.IS_TARGET, "'IS_TARGET'"), ("IS_TARGET", "'IS_TARGET'"), ("bogus", "'bogus'")],
+        ids=["member", "value", "unknown"],
+    )
+    def test_operator_of_a_missing_outcome_named(self, walsh_problem, outcome, shown):
+        sqm1 = projective_scheme(walsh_problem, SchemeKind.SQM1)
+        with pytest.raises(
+            InvalidInputError,
+            match=f"^outcome must be one of the SQM1 scheme's outcomes IS_COMPLEMENT, FAIL, "
+            f"got {shown}$",
+        ):
+            sqm1.operator(outcome)
+        np.testing.assert_array_equal(sqm1.operator("FAIL"), sqm1.operators[1])
 
     def test_choices_stored_as_members(self):
         scheme = MeasurementScheme(

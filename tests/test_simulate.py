@@ -36,6 +36,13 @@ def optimal_scheme(problem):
     return povm_elements(build_neumark(problem, allocation)), report
 
 
+def draw(p, trials, rng):
+    """The counts ``_draw_counts`` writes for the sampled row ``p`` into a fresh zeroed row."""
+    counts = np.zeros(p.size, dtype=np.int64)
+    _draw_counts(counts, p, p > 0.0, trials, rng)
+    return counts
+
+
 def born(scheme, amplitudes):
     """One state's Born probabilities, in outcome order, as ``simulate`` computes them."""
     return _born_rates(scheme, amplitudes.reshape(1, -1))[0]
@@ -108,19 +115,19 @@ class TestOutcomeDistribution:
 class TestSampling:
     def test_zero_probability_outcomes_never_drawn(self):
         probs = np.array([0.3, 0.0, 0.7])
-        counts = _draw_counts(_sampled(probs), 50_000, philox(123))
+        counts = draw(_sampled(probs), 50_000, philox(123))
         assert counts[1] == 0
         assert counts.sum() == 50_000
 
     def test_tiny_probabilities_are_exact_zeros(self):
         probs = np.array([0.5, 1e-13, 0.5 - 1e-13])
-        counts = _draw_counts(_sampled(probs), 20_000, philox(7))
+        counts = draw(_sampled(probs), 20_000, philox(7))
         assert counts[1] == 0
 
     def test_residual_mass_goes_to_last_live_outcome(self):
         # total slightly below 1: every draw must still land on a live outcome
         probs = np.array([0.5, 0.5 - 1e-13, 0.0])
-        counts = _draw_counts(_sampled(probs), 10_000, philox(99))
+        counts = draw(_sampled(probs), 10_000, philox(99))
         assert counts[2] == 0
 
 
@@ -163,7 +170,7 @@ class TestSamplerOracle:
         state_index=st.integers(0, 2**64 - 2),
     )
     def test_counts_match_multinomial_reference(self, probs, trials, seed, state_index):
-        counts = _draw_counts(_sampled(probs), trials, drawn(seed, state_index))
+        counts = draw(_sampled(probs), trials, drawn(seed, state_index))
         assert counts.dtype == np.int64
         np.testing.assert_array_equal(
             counts, reference_counts(probs, trials, seed, state_index)
@@ -173,7 +180,7 @@ class TestSamplerOracle:
         probs = np.array([0.3, 0.2, 0.5])
         tracemalloc.start()
         try:
-            counts = _draw_counts(_sampled(probs), 10**7, philox(5))
+            counts = draw(_sampled(probs), 10**7, philox(5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -186,11 +193,11 @@ class TestSubstreams:
         # (seed 0, state 1) and (seed 1, state 0) must be different streams
         probs = np.array([0.25, 0.25, 0.25, 0.25])
         rng = np.random.Generator(np.random.Philox(key=0))
-        a = _draw_counts(_sampled(probs), 10_000, _substream(rng, 0, 1))
-        b = _draw_counts(_sampled(probs), 10_000, _substream(rng, 1, 0))
+        a = draw(_sampled(probs), 10_000, _substream(rng, 0, 1))
+        b = draw(_sampled(probs), 10_000, _substream(rng, 1, 0))
         assert not np.array_equal(a, b)
-        np.testing.assert_array_equal(a, _draw_counts(_sampled(probs), 10_000, philox(0, 1)))
-        np.testing.assert_array_equal(b, _draw_counts(_sampled(probs), 10_000, philox(1, 0)))
+        np.testing.assert_array_equal(a, draw(_sampled(probs), 10_000, philox(0, 1)))
+        np.testing.assert_array_equal(b, draw(_sampled(probs), 10_000, philox(1, 0)))
 
     @pytest.mark.parametrize("seed", (0, 42, 2**64 - 1))
     def test_each_state_draws_from_a_fresh_keyed_philox(self, walsh_problem, seed):
@@ -346,8 +353,9 @@ class TestSimulate:
         # per-state partitions merge to exactly the same statistics
         scheme, _ = optimal_scheme(walsh_problem)
         full = simulate(scheme, walsh_problem, 4000, 77)
+        assert full.counts.dtype == np.int64
         for i, state in enumerate(walsh_problem.state_matrix):
-            part = _draw_counts(_sampled(born(scheme, state)), 4000, philox(77, i))
+            part = draw(_sampled(born(scheme, state)), 4000, philox(77, i))
             np.testing.assert_array_equal(full.counts[i], part)
 
     def test_z_scores_mostly_small_across_seeds(self, figure_point_problem, walsh_problem):
@@ -394,7 +402,7 @@ class TestScale:
             probs = born(scheme, state)
             np.testing.assert_array_equal(stats.analytic_rates[i], _sampled(probs))
             np.testing.assert_array_equal(
-                stats.counts[i], _draw_counts(_sampled(probs), 3000, philox(5, i))
+                stats.counts[i], draw(_sampled(probs), 3000, philox(5, i))
             )
 
     def test_n10_measurement_forms_no_dense_operator(self):
