@@ -267,7 +267,8 @@ def classical_query_count(n: int, k: int) -> tuple[int, int]:
     Returns (balanced vs constant, biased-pair vs balanced):
     2^(n-1) + 1 and 2^n * (1/2 + 1/2^k) + 1, both exact integers.
     """
-    if not 1 <= _integer(k, "bias level k") <= _integer(n, "bit count n"):
+    n, k = _integer(n, "bit count n"), _integer(k, "bias level k")
+    if not 1 <= k <= n:
         raise InvalidInputError(f"k={k} must satisfy 1 <= k <= n={n}")
     return 2 ** (n - 1) + 1, 2 ** (n - 1) + 2 ** (n - k) + 1
 

@@ -47,7 +47,7 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(_round12(payload), indent=2))
 
 
-def _print_report_table(report: StrategyReport, priors) -> None:
+def _print_report_table(report, priors) -> None:
     rows = [
         ("regime", report.regime.value),
         ("optimal_Q", _fmt(report.optimal_Q)),
@@ -185,7 +185,7 @@ def _cmd_boolean(args) -> int:
     return 0
 
 
-def _build_scheme(problem: FilteringProblem, strategy: str):
+def _build_scheme(problem, strategy: str):
     from .neumark import SchemeKind, build_neumark, failure_allocations, povm_elements
     from .neumark import projective_scheme
     from .strategies import optimal_filtering

@@ -272,60 +272,48 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
 
 
 def _largest_gram_eigenvalue(x: np.ndarray) -> float:
-    """Largest eigenvalue of the Gram matrix of the at most two rows of the
-    C-contiguous complex ``x``, 0 for none, in closed form: [[a, c], [c*, b]]
-    has (a + b) / 2 + hypot((a - b) / 2, |c|), which is a for one row."""
+    """Largest eigenvalue of the Gram matrix of the one or two rows of the
+    C-contiguous complex ``x``, in closed form: [[a, c], [c*, b]] has
+    (a + b) / 2 + hypot((a - b) / 2, |c|), which is a for one row."""
     pairs = x.view(np.float64)
-    a, b = (*np.einsum("ij,ij->i", pairs, pairs).tolist(), 0.0, 0.0)[:2]
+    a, b = (*np.einsum("ij,ij->i", pairs, pairs).tolist(), 0.0)[:2]
     c = abs(np.vdot(x[0], x[1])) if len(x) == 2 else 0.0
     return (a + b) / 2.0 + math.hypot((a - b) / 2.0, c)
+
+
+# A scheme of n rank-one vectors has the last n + 1 of these outcomes.
+_OUTCOMES = tuple(Outcome)
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementScheme:
     """Labeled positive operators implementing one filtering strategy.
 
-    The operators are rank-one elements x x^dagger, one per row of
-    ``vectors``, for the outcomes other than IS_COMPLEMENT in their order,
-    plus the remainder I - sum x x^dagger as IS_COMPLEMENT. Completeness then
-    holds by construction, and positivity is a check on the small Gram matrix
-    X^dagger X of the rows: I - X X^dagger has eigenvalues 1 and
-    1 - eig(X^dagger X), and construction rejects any below -OPERATOR_TOL and
-    any non-finite vector. Outcomes are distinct, so there are at most two
-    rows, and the largest eigenvalue of their Gram matrix is a closed form.
+    ``vectors`` holds x_fail alone, or x_target then x_fail; the operators are
+    the rank-one elements x x^dagger plus the remainder I - sum x x^dagger.
+    The outcomes follow from the count: (IS_COMPLEMENT, FAIL) for one vector
+    and (IS_TARGET, IS_COMPLEMENT, FAIL) for two, the remainder being
+    IS_COMPLEMENT. Completeness then holds by construction, and positivity is
+    a check on the at most 2 x 2 Gram matrix X^dagger X of the rows:
+    I - X X^dagger has eigenvalues 1 and 1 - eig(X^dagger X), and
+    construction rejects any below -OPERATOR_TOL, any other vector count and
+    any non-finite vector.
 
     ``acting_dimension`` is the length D of the rows, the space states are fed
-    into directly; ``dilation_dimension`` is D + 1 for the generalized
-    measurement, whose elements are pulled back from that dilation, and None
-    for the projective ones. ``operators`` are derived from the rows on first
-    use.
+    into directly. ``operators`` are derived from the rows on first use.
     """
 
     kind: SchemeKind
-    outcomes: tuple[Outcome, ...]
     vectors: np.ndarray
     warning: str | None = None
 
     def __post_init__(self):
         kind = _member(SchemeKind, self.kind, "kind")
-        try:
-            if isinstance(self.outcomes, str):  # a str would iterate by character
-                raise TypeError
-            members = iter(self.outcomes)
-        except TypeError:
-            raise InvalidInputError(
-                f"outcomes must be a sequence of outcomes, got {self.outcomes!r:.80}"
-            ) from None
-        outcomes = tuple(_member(Outcome, outcome, "outcome") for outcome in members)
-        repeated = [member.value for member in Outcome if outcomes.count(member) > 1]
-        if repeated:
-            raise InvalidInputError(f"outcomes must be distinct, got {', '.join(repeated)} repeated")
         x = _freeze(_numbers(self.vectors, "rank-one vectors", np.complex128))
-        fits = x.ndim == 2 and len(x) == len(outcomes) - 1
-        if Outcome.IS_COMPLEMENT not in outcomes or not fits:
+        if x.ndim != 2 or len(x) not in (1, 2):
             raise InvalidInputError(
-                f"rank-one vectors of shape {x.shape} do not fit {len(outcomes)} "
-                "outcomes: one vector per outcome other than IS_COMPLEMENT is required"
+                f"rank-one vectors of shape {x.shape}: a scheme takes one vector (x_fail) "
+                "or two (x_target, x_fail)"
             )
         if not np.isfinite(x).all():
             raise InvalidInputError("rank-one vectors must be finite")
@@ -335,27 +323,23 @@ class MeasurementScheme:
         if not min_eig >= -OPERATOR_TOL:
             raise NumericalError(f"outcome operator has eigenvalue {min_eig:.3e} < -OPERATOR_TOL")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "vectors", x)
+
+    @property
+    def outcomes(self) -> tuple[Outcome, ...]:
+        """The outcomes in column order; IS_COMPLEMENT, the remainder, is next to last."""
+        return _OUTCOMES[-1 - len(self.vectors):]
 
     @property
     def acting_dimension(self) -> int:
         return self.vectors.shape[1]
-
-    @property
-    def dilation_dimension(self) -> int | None:
-        return self.acting_dimension + 1 if self.kind == SchemeKind.POVM else None
 
     @cached_property
     def operators(self) -> tuple[np.ndarray, ...]:
         """One read-only D x D operator per outcome, in outcome order."""
         rank_one = [_freeze(np.outer(x, x.conj())) for x in self.vectors]
         remainder = _freeze(np.eye(self.acting_dimension, dtype=np.complex128) - sum(rank_one))
-        ordered = iter(rank_one)
-        return tuple(
-            remainder if outcome == Outcome.IS_COMPLEMENT else next(ordered)
-            for outcome in self.outcomes
-        )
+        return (*rank_one[:-1], remainder, rank_one[-1])
 
     def operator(self, outcome: Outcome) -> np.ndarray:
         """The operator of ``outcome``, or InvalidInputError naming it and the
@@ -392,13 +376,10 @@ class MeasurementScheme:
                 f"measured space of dimension {d}, got shape {rows.shape}"
             )
         amplitudes = np.einsum("ij,rj->ir", rows, self.vectors.conj())
-        rest, n_vectors = self.outcomes.index(Outcome.IS_COMPLEMENT), len(self.vectors)
-        table = np.empty((len(rows), n_vectors + 1))
-        # The rank-one columns are one slice of the table, as there are at most two.
-        if rest == n_vectors:
-            probs = table[:, :rest]
-        else:
-            probs = table[:, 1:] if rest == 0 else table[:, ::2]
+        rest = len(self.vectors) - 1  # the remainder's column, next to last
+        table = np.empty((len(rows), rest + 2))
+        # The rank-one columns are the others, one slice of the table.
+        probs = table[:, ::2] if rest else table[:, 1:]
         np.square(amplitudes.real, out=probs)
         probs += amplitudes.imag**2
         flat = rows.view(np.float64)
@@ -425,19 +406,11 @@ def povm_elements(model: NeumarkModel) -> MeasurementScheme:
     if p1 > PROB_TOL:
         # U[:D, :D]^dag s_1 as a vector-matrix product, which copies no D x D block.
         x_t = (target_success.conj() @ model.unitary[:d, :d]).conj() / np.sqrt(p1)
-        outcomes = (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)
-        vectors = (x_t, x_f)
-        warning = None
-    else:
-        outcomes = (Outcome.IS_COMPLEMENT, Outcome.FAIL)
-        vectors = (x_f,)
-        warning = "target success probability is zero; IS_TARGET outcome omitted"
-
+        return MeasurementScheme(kind=SchemeKind.POVM, vectors=(x_t, x_f))
     return MeasurementScheme(
         kind=SchemeKind.POVM,
-        outcomes=outcomes,
-        vectors=vectors,
-        warning=warning,
+        vectors=(x_f,),
+        warning="target success probability is zero; IS_TARGET outcome omitted",
     )
 
 
@@ -455,11 +428,7 @@ def projective_scheme(problem: FilteringProblem, kind: SchemeKind) -> Measuremen
     """
     target = problem.state_matrix[0]
     if kind == SchemeKind.SQM1:
-        return MeasurementScheme(
-            kind=SchemeKind.SQM1,
-            outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL),
-            vectors=(target,),
-        )
+        return MeasurementScheme(kind=SchemeKind.SQM1, vectors=(target,))
     if kind != SchemeKind.SQM2:
         raise InvalidInputError(f"projective scheme kind must be SQM1 or SQM2, got {kind!r}")
 
@@ -470,11 +439,9 @@ def projective_scheme(problem: FilteringProblem, kind: SchemeKind) -> Measuremen
             f"target lies inside the complement span (f = {f!r} within PROB_TOL of 1); "
             "the conclusive target outcome of the nonselective strategy is impossible"
         )
-    outcomes = (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)
     if f <= PROB_TOL:
         return MeasurementScheme(
             kind=SchemeKind.SQM2,
-            outcomes=outcomes,
             vectors=(target, np.zeros_like(target)),
             warning="target orthogonal to complement span; filtering is perfect",
         )
@@ -484,4 +451,4 @@ def projective_scheme(problem: FilteringProblem, kind: SchemeKind) -> Measuremen
     # one projection step restores orthogonality before normalizing.
     perp = dec.perpendicular - para * np.vdot(para, dec.perpendicular)
     perp /= np.linalg.norm(perp)
-    return MeasurementScheme(kind=SchemeKind.SQM2, outcomes=outcomes, vectors=(perp, para))
+    return MeasurementScheme(kind=SchemeKind.SQM2, vectors=(perp, para))

@@ -123,9 +123,7 @@ class SimulationStats:
     @property
     def misidentifications(self) -> int:
         """Counts that would be outright wrong assignments (target first)."""
-        total = 0
-        if Outcome.IS_COMPLEMENT in self.outcomes:
-            total += int(self.counts[0, self.outcomes.index(Outcome.IS_COMPLEMENT)])
+        total = int(self.counts[0, self.outcomes.index(Outcome.IS_COMPLEMENT)])
         if Outcome.IS_TARGET in self.outcomes:
             total += int(self.counts[1:, self.outcomes.index(Outcome.IS_TARGET)].sum())
         return total
@@ -181,7 +179,5 @@ def aggregate_failure(stats: SimulationStats, priors) -> float:
     pri = _numbers(priors, "priors")
     if pri.shape != (stats.counts.shape[0],):
         raise InvalidInputError("priors must cover every simulated state")
-    if Outcome.FAIL not in stats.outcomes:
-        return 0.0
     col = stats.outcomes.index(Outcome.FAIL)
     return float(pri @ stats.empirical_rates[:, col])

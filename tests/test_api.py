@@ -8,10 +8,12 @@ point loads.
 """
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -135,6 +137,25 @@ SUBMODULES = {
     for m in ("boolfn", "cli", "ensemble", "ensemble_io", "errors", "neumark", "simulate",
               "strategies", "tolerances")
 }
+
+
+@pytest.mark.parametrize("module", sorted(SUBMODULES))
+def test_annotations_name_types_the_module_can_resolve(module):
+    # each module imports what its own annotations name, even where it
+    # imports the rest of the package only inside a function
+    namespace = importlib.import_module(module)
+    defined = [
+        obj for obj in vars(namespace).values()
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module
+    ]
+    methods = [
+        getattr(member, "fget", member)
+        for cls in defined if inspect.isclass(cls)
+        for member in vars(cls).values()
+        if inspect.isfunction(getattr(member, "fget", member))
+    ]
+    for obj in defined + methods:
+        typing.get_type_hints(obj)
 
 
 def fresh_run(code: str, cwd) -> str:

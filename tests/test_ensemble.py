@@ -10,7 +10,6 @@ from qfilter import (
     InvalidInputError,
     MeasurementScheme,
     NeumarkModel,
-    Outcome,
     Regime,
     SchemeKind,
     SimulationStats,
@@ -337,9 +336,7 @@ def test_input_records_copy_the_callers_array(values, read):
     assert not stored.flags.writeable
 
 
-SQM1_ON_QUBIT = MeasurementScheme(
-    kind=SchemeKind.SQM1, outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL), vectors=[[1.0, 0.0]]
-)
+SQM1_ON_QUBIT = MeasurementScheme(kind=SchemeKind.SQM1, vectors=[[1.0, 0.0]])
 # The field each entry point names when it rejects a value, and whether the
 # field holds complex numbers.
 NUMERIC_INPUTS = {
@@ -349,9 +346,7 @@ NUMERIC_INPUTS = {
     "overlap values": (lambda v: failure_curve(0.4, 0.25, v), False),
     "amplitudes": (StateVector, True),
     "rank-one vectors": (
-        lambda v: MeasurementScheme(
-            kind=SchemeKind.SQM1, outcomes=(Outcome.IS_TARGET, Outcome.IS_COMPLEMENT), vectors=[v]
-        ),
+        lambda v: MeasurementScheme(kind=SchemeKind.SQM1, vectors=[v]),
         True,
     ),
     "states": (lambda v: SQM1_ON_QUBIT.born_probabilities(v), True),

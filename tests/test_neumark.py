@@ -472,13 +472,14 @@ class TestPovmElements:
         _, scheme, _ = build_optimal_scheme(walsh_problem)
         total = sum(scheme.operators)
         assert np.abs(total - np.eye(scheme.acting_dimension)).max() <= 1e-10
-        assert scheme.dilation_dimension == scheme.acting_dimension + 1
+        assert scheme.outcomes == (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)
 
     def test_target_always_failing_omits_conclusive_outcome(self, walsh_problem):
         alloc = failure_allocations(walsh_problem, 1.0)  # q1 = 1: target never succeeds
         model = build_neumark(walsh_problem, alloc)
         scheme = povm_elements(model)
-        assert Outcome.IS_TARGET not in scheme.outcomes
+        assert scheme.outcomes == (Outcome.IS_COMPLEMENT, Outcome.FAIL)
+        assert len(scheme.vectors) == 1
         assert scheme.warning is not None
 
     def test_whole_failure_weight_window_is_realizable(self):
@@ -527,6 +528,7 @@ class TestProjectiveSchemes:
 
     def test_sqm2_target_probabilities(self, figure_point_problem):
         scheme = projective_scheme(figure_point_problem, SchemeKind.SQM2)
+        assert scheme.outcomes == (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)
         target = figure_point_problem.state_matrix[0]
         assert born(scheme.operator(Outcome.IS_TARGET), target) == pytest.approx(
             0.75, abs=1e-12
@@ -559,6 +561,7 @@ class TestProjectiveSchemes:
     def test_sqm2_perfect_discrimination_warning(self, orthogonal_pair_problem):
         scheme = projective_scheme(orthogonal_pair_problem, SchemeKind.SQM2)
         assert scheme.warning is not None
+        assert scheme.outcomes == (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)
         target = orthogonal_pair_problem.state_matrix[0]
         assert born(scheme.operator(Outcome.IS_TARGET), target) == pytest.approx(
             1.0, abs=1e-12
@@ -617,20 +620,12 @@ class TestMeasurementSchemeValidation:
     def test_rejects_negative_operator(self):
         # x x^dagger with |x|^2 = 1.5 leaves the remainder eigenvalue -0.5
         with pytest.raises(NumericalError, match="eigenvalue"):
-            MeasurementScheme(
-                kind=SchemeKind.SQM1,
-                outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL),
-                vectors=(math.sqrt(1.5) * np.eye(2)[0],),
-            )
+            MeasurementScheme(kind=SchemeKind.SQM1, vectors=(math.sqrt(1.5) * np.eye(2)[0],))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_nonfinite_vectors(self, bad):
         with pytest.raises(InvalidInputError, match="finite"):
-            MeasurementScheme(
-                kind=SchemeKind.SQM1,
-                outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL),
-                vectors=[[bad, 0.0]],
-            )
+            MeasurementScheme(kind=SchemeKind.SQM1, vectors=[[bad, 0.0]])
 
     @pytest.mark.parametrize("rows", (1, 2))
     def test_closed_form_gram_eigenvalue_matches_eigvalsh(self, rows):
@@ -648,17 +643,9 @@ class TestMeasurementSchemeValidation:
         assert np.linalg.eigvalsh(x.conj() @ x.T).max() == pytest.approx(1.5)
         assert _largest_gram_eigenvalue(x) == pytest.approx(1.5)
         with pytest.raises(NumericalError, match=r"eigenvalue -5\.000e-01 < -OPERATOR_TOL"):
-            MeasurementScheme(
-                kind=SchemeKind.POVM,
-                outcomes=(Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL),
-                vectors=x,
-            )
+            MeasurementScheme(kind=SchemeKind.POVM, vectors=x)
         # an orthonormal pair leaves a remainder with eigenvalue 0, which is accepted
-        MeasurementScheme(
-            kind=SchemeKind.POVM,
-            outcomes=(Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL),
-            vectors=np.eye(2),
-        )
+        MeasurementScheme(kind=SchemeKind.POVM, vectors=np.eye(2))
 
     @pytest.mark.parametrize(
         "outcome, shown",
@@ -676,9 +663,7 @@ class TestMeasurementSchemeValidation:
         np.testing.assert_array_equal(sqm1.operator("FAIL"), sqm1.operators[1])
 
     def test_choices_stored_as_members(self):
-        scheme = MeasurementScheme(
-            kind="SQM1", outcomes=("IS_COMPLEMENT", "FAIL"), vectors=[[1.0, 0.0]]
-        )
+        scheme = MeasurementScheme(kind="SQM1", vectors=[[1.0, 0.0]])
         assert scheme.kind is SchemeKind.SQM1
         assert scheme.outcomes == (Outcome.IS_COMPLEMENT, Outcome.FAIL)
         assert [type(outcome) for outcome in scheme.outcomes] == [Outcome, Outcome]
@@ -688,31 +673,48 @@ class TestMeasurementSchemeValidation:
             projective_scheme(walsh_problem, SchemeKind.POVM)
 
     def test_rank_one_vectors_must_fit_the_outcomes(self):
-        with pytest.raises(InvalidInputError, match="one vector per outcome"):
-            MeasurementScheme(
-                kind=SchemeKind.SQM1,
-                outcomes=(Outcome.IS_COMPLEMENT, Outcome.FAIL),
-                vectors=np.eye(2),
-            )
-        with pytest.raises(InvalidInputError, match="one vector per outcome"):
-            MeasurementScheme(
-                kind=SchemeKind.SQM1,
-                outcomes=(Outcome.IS_TARGET, Outcome.FAIL),
-                vectors=np.eye(2)[:1],
-            )
+        # one vector (x_fail) or two (x_target, x_fail): no other count has a layout
+        for vectors in (np.zeros((0, 3)), 0.5 * np.eye(3), [0.6, 0.0, 0.0]):
+            with pytest.raises(InvalidInputError, match=r"one vector \(x_fail\) or two"):
+                MeasurementScheme(kind=SchemeKind.POVM, vectors=vectors)
+
+    def test_outcomes_follow_from_the_vector_count(self):
+        x_t, x_f = np.array([0.6, 0.0, 0.0]), np.array([0.0, 0.0, 0.8j])
+        states = np.eye(3, dtype=np.complex128)
+        one = MeasurementScheme(kind=SchemeKind.SQM1, vectors=(x_f,))
+        assert one.outcomes == (Outcome.IS_COMPLEMENT, Outcome.FAIL)
+        np.testing.assert_allclose(
+            one.born_probabilities(states), [[1.0, 0.0], [1.0, 0.0], [0.36, 0.64]], atol=1e-15
+        )
+        np.testing.assert_allclose(one.operators[0], np.diag([1.0, 1.0, 0.36]), atol=1e-15)
+        np.testing.assert_allclose(one.operators[1], np.diag([0.0, 0.0, 0.64]), atol=1e-15)
+        two = MeasurementScheme(kind=SchemeKind.POVM, vectors=(x_t, x_f))
+        assert two.outcomes == (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)
+        np.testing.assert_allclose(
+            two.born_probabilities(states),
+            [[0.36, 0.64, 0.0], [0.0, 1.0, 0.0], [0.0, 0.36, 0.64]],
+            atol=1e-15,
+        )
+        expected = [np.diag(d) for d in ([0.36, 0.0, 0.0], [0.64, 1.0, 0.36], [0.0, 0.0, 0.64])]
+        for operator, want in zip(two.operators, expected, strict=True):
+            np.testing.assert_allclose(operator, want, atol=1e-15)
+        for outcome, want in zip(two.outcomes, expected):
+            np.testing.assert_allclose(two.operator(outcome), want, atol=1e-15)
 
     def test_vectors_are_the_only_form(self, walsh_problem):
-        outcomes = (Outcome.IS_COMPLEMENT, Outcome.FAIL)
         for extra in ({"operators": (np.eye(2), np.zeros((2, 2)))},
-                      {"acting_dimension": 2}, {"dilation_dimension": 3}):
+                      {"acting_dimension": 2}, {"outcomes": (Outcome.IS_COMPLEMENT, Outcome.FAIL)}):
             with pytest.raises(TypeError):
-                MeasurementScheme(
-                    kind=SchemeKind.SQM1, outcomes=outcomes, vectors=np.eye(2)[:1], **extra
-                )
-        sqm1 = projective_scheme(walsh_problem, SchemeKind.SQM1)
-        assert (sqm1.acting_dimension, sqm1.dilation_dimension) == (4, None)
+                MeasurementScheme(kind=SchemeKind.SQM1, vectors=np.eye(2)[:1], **extra)
+        # the old positional order (kind, outcomes, vectors) reads the outcomes as vectors
+        with pytest.raises(InvalidInputError, match="rank-one vectors"):
+            MeasurementScheme(SchemeKind.SQM1, (Outcome.IS_COMPLEMENT, Outcome.FAIL), [[1.0, 0.0]])
+        assert [field.name for field in dataclasses.fields(MeasurementScheme)] == [
+            "kind", "vectors", "warning"
+        ]
+        assert projective_scheme(walsh_problem, SchemeKind.SQM1).acting_dimension == 4
         model, povm, _ = build_optimal_scheme(walsh_problem)
-        assert (povm.acting_dimension, povm.dilation_dimension) == (4, 5)
+        assert povm.acting_dimension == 4
         assert [field.name for field in dataclasses.fields(model)] == [
             "unitary", "success_outputs", "failure_amplitudes"
         ]

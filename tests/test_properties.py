@@ -158,12 +158,11 @@ def test_rank_one_positivity_verdict_matches_eigvalsh(d, n_vectors, excess, seed
     remainder = np.eye(d) - x.T @ x.conj()
     min_eig = float(np.linalg.eigvalsh(remainder).min())
     assume(abs(min_eig + OPERATOR_TOL) > 1e-13)  # no verdict rests on rounding
-    outcomes = (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)[2 - n_vectors:]
     if min_eig < -OPERATOR_TOL:
         with pytest.raises(NumericalError, match="eigenvalue"):
-            MeasurementScheme(kind=SchemeKind.POVM, outcomes=outcomes, vectors=x)
+            MeasurementScheme(kind=SchemeKind.POVM, vectors=x)
         return
-    scheme = MeasurementScheme(kind=SchemeKind.POVM, outcomes=outcomes, vectors=x)
+    scheme = MeasurementScheme(kind=SchemeKind.POVM, vectors=x)
     derived = scheme.operator(Outcome.IS_COMPLEMENT)
     np.testing.assert_allclose(derived, remainder, atol=1e-12)
     assert abs(float(np.linalg.eigvalsh(derived).min()) - min_eig) <= 1e-12

@@ -315,11 +315,7 @@ class TestSimulate:
                     StateVector(np.array([0.0, 0.0, 1.0]))),
             priors=(0.4, 0.3, 0.3),
         )
-        scheme = MeasurementScheme(
-            kind=SchemeKind.SQM2,
-            outcomes=(Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL),
-            vectors=(np.eye(3)[0], np.eye(3)[2]),
-        )
+        scheme = MeasurementScheme(kind=SchemeKind.SQM2, vectors=(np.eye(3)[0], np.eye(3)[2]))
         raw = born(scheme, target.amplitudes)
         assert 0.0 < raw[1] < PROB_TOL
         stats = simulate(scheme, problem, 1000, 11)
