@@ -104,13 +104,18 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
     weight; q1 itself must lie in [f, 1] where f is the target's parallel
     squared norm (within PROB_TOL), else no unitary realization exists.
 
+    Raises NumericalError when, at q1 > 0, a complement state keeps more than
+    DEPENDENCY_TOL * sqrt(q1) of psi_perp, the target's part outside its span
+    cut at RANK_TOL: a measurement built from that split misses q by as much.
+
     The problem keeps the allocation last built for it, keyed by its clamped
     q1, and a call at that q1 returns it; any other q1 builds and keeps its
     own. The key and the record are stored as one tuple, so a concurrent
     caller reads either the old pair or the new one.
     """
     q1 = _real(q1, "target failure weight q1")
-    f = decompose_target(problem).parallel_norm_sq
+    dec = decompose_target(problem)
+    f = dec.parallel_norm_sq
     if not f - PROB_TOL <= q1 <= 1.0 + PROB_TOL:
         raise InfeasibleError(
             f"target failure weight q1={q1!r} must lie in the range [{f!r}, 1] within PROB_TOL"
@@ -125,6 +130,13 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
     q = np.empty(n)
     q[0] = q1
     if q1 > 0.0:
+        leak = np.abs(problem.state_matrix[1:] @ dec.perpendicular.conj()).max()
+        leak = float(leak) / math.sqrt(q1)
+        if not leak <= DEPENDENCY_TOL:
+            raise NumericalError(
+                f"complement states keep {leak:.3e} > DEPENDENCY_TOL of the target's part "
+                "outside their span, cut at RANK_TOL: the split misses a direction they carry"
+            )
         q[1:] = overlaps_sq / q1
     else:
         if not overlaps_sq.max(initial=0.0) <= PROB_TOL**2:
@@ -305,7 +317,6 @@ class MeasurementScheme:
 
     kind: SchemeKind
     vectors: np.ndarray
-    warning: str | None = None
 
     def __post_init__(self):
         kind = _member(SchemeKind, self.kind, "kind")
@@ -394,9 +405,9 @@ def povm_elements(model: NeumarkModel) -> MeasurementScheme:
     and the target success direction s_1 / sqrt(p_1) pulled back through the
     system block, x_t = U[:D, :D]^dag s_1 / sqrt(p_1). Then E_fail = x_f x_f^dag,
     E_target = x_t x_t^dag and E_comp = I - E_target - E_fail, the scheme's
-    remainder. When the target always fails (p_1 = 0) the conclusive target
-    outcome is omitted and the scheme carries a warning flag. O(D^2) time and
-    O(D) memory: no D x D matrix is formed.
+    remainder. When the target always fails (p_1 within PROB_TOL of 0) the
+    scheme is x_f alone, without the conclusive target outcome. O(D^2) time
+    and O(D) memory: no D x D matrix is formed.
     """
     d = len(model.unitary) - 1
     target_success = model.success_outputs[0]
@@ -407,11 +418,7 @@ def povm_elements(model: NeumarkModel) -> MeasurementScheme:
         # U[:D, :D]^dag s_1 as a vector-matrix product, which copies no D x D block.
         x_t = (target_success.conj() @ model.unitary[:d, :d]).conj() / np.sqrt(p1)
         return MeasurementScheme(kind=SchemeKind.POVM, vectors=(x_t, x_f))
-    return MeasurementScheme(
-        kind=SchemeKind.POVM,
-        vectors=(x_f,),
-        warning="target success probability is zero; IS_TARGET outcome omitted",
-    )
+    return MeasurementScheme(kind=SchemeKind.POVM, vectors=(x_f,))
 
 
 def projective_scheme(problem: FilteringProblem, kind: SchemeKind) -> MeasurementScheme:
@@ -420,11 +427,12 @@ def projective_scheme(problem: FilteringProblem, kind: SchemeKind) -> Measuremen
     SQM1 projects onto the target: a click (IS_COMPLEMENT) excludes the
     target, a no-click is inconclusive; the target itself always fails. SQM2
     measures the target's component orthogonal to the complement span, giving
-    a conclusive outcome for both subsets. SQM2 degenerates when the target
-    lies entirely inside the complement span (error) or is orthogonal to it
-    (perfect discrimination, returned with a warning flag). Both are stored
-    as rank-one vectors: SQM1 as psi_1 (FAIL), SQM2 as the unit perpendicular
-    (IS_TARGET) and parallel (FAIL) parts of psi_1.
+    a conclusive outcome for both subsets. Both are stored as rank-one
+    vectors: SQM1 as psi_1 (FAIL), SQM2 as the unit perpendicular (IS_TARGET)
+    and parallel (FAIL) parts of psi_1, the latter zero only at f = 0 (perfect
+    filtering). SQM2 builds its weights ``failure_allocations(problem, f)`` and
+    so raises its NumericalError; at f within PROB_TOL of 1 it raises
+    DegenerateDecompositionError.
     """
     target = problem.state_matrix[0]
     if kind == SchemeKind.SQM1:
@@ -439,13 +447,8 @@ def projective_scheme(problem: FilteringProblem, kind: SchemeKind) -> Measuremen
             f"target lies inside the complement span (f = {f!r} within PROB_TOL of 1); "
             "the conclusive target outcome of the nonselective strategy is impossible"
         )
-    if f <= PROB_TOL:
-        return MeasurementScheme(
-            kind=SchemeKind.SQM2,
-            vectors=(target, np.zeros_like(target)),
-            warning="target orthogonal to complement span; filtering is perfect",
-        )
-    para = dec.parallel / np.linalg.norm(dec.parallel)
+    failure_allocations(problem, f)  # SQM2's own weights: the build runs the span-leak check
+    para = dec.parallel / np.linalg.norm(dec.parallel) if f > 0.0 else np.zeros_like(target)
     # target - parallel carries rounding of size eps / |psi_perp| relative to
     # its length, which near f = 1 leaves it visibly non-orthogonal to psi_par;
     # one projection step restores orthogonality before normalizing.

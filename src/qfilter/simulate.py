@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import FilteringProblem, _frozen_fields, _integer, _numbers
+from .ensemble import FilteringProblem, _frozen_fields, _integer, _member, _numbers
 from .errors import InvalidInputError
 from .neumark import MeasurementScheme, Outcome, SchemeKind
 from .tolerances import PROB_TOL
@@ -106,10 +106,10 @@ def _run_arguments(trials_per_state, seed) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class SimulationStats:
-    """Outcome counts and empirical/analytic rate comparison for one scheme."""
+    """Outcome counts and empirical/analytic rate comparison for one scheme,
+    whose outcomes label the 2 or 3 count columns (see ``outcomes``)."""
 
     scheme_kind: SchemeKind
-    outcomes: tuple[Outcome, ...]
     trials_per_state: int
     seed: int
     counts: np.ndarray
@@ -118,7 +118,15 @@ class SimulationStats:
     z_scores: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "scheme_kind", _member(SchemeKind, self.scheme_kind, "scheme_kind"))
         _frozen_fields(self, None, "counts", "empirical_rates", "analytic_rates", "z_scores")
+        if self.counts.shape[-1:] not in ((2,), (3,)):
+            raise InvalidInputError(f"counts of shape {self.counts.shape} need 2 or 3 outcome columns")
+
+    @property
+    def outcomes(self) -> tuple[Outcome, ...]:
+        """The count columns' outcomes, laid out as the scheme's."""
+        return tuple(Outcome)[-self.counts.shape[-1]:]
 
     @property
     def misidentifications(self) -> int:
@@ -164,7 +172,6 @@ def simulate(
     z[fixed & (empirical != analytic)] = np.inf
     return SimulationStats(
         scheme_kind=scheme.kind,
-        outcomes=scheme.outcomes,
         trials_per_state=trials,
         seed=seed,
         counts=counts,

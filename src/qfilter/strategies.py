@@ -22,9 +22,8 @@ from enum import Enum
 import numpy as np
 
 from .ensemble import FilteringProblem, _frozen_fields, _numbers, _real, decompose_target
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError
 from .neumark import failure_allocations
-from .tolerances import DEPENDENCY_TOL
 
 
 class Regime(str, Enum):
@@ -85,27 +84,16 @@ def optimal_filtering(problem: FilteringProblem) -> StrategyReport:
     via ``failure_allocations`` (q1*q_i = |<psi_1|psi_i>|^2), and reports all
     three strategy values.
 
-    Raises NumericalError when a complement state keeps a component along
-    psi_perp, the target's part outside the complement span cut at RANK_TOL,
-    of more than DEPENDENCY_TOL * sqrt(q1): the measurement built from that
-    split would then miss the reported per-state weights by as much.
+    Raises NumericalError from ``failure_allocations`` when, at the optimal
+    q1 > 0, the span cut at RANK_TOL drops a direction the states carry.
     """
     eta1 = _check_eta1(problem.priors[0])
     s = float(problem.priors[1:] @ np.abs(problem._overlaps) ** 2)
-    dec = decompose_target(problem)
-    f = dec.parallel_norm_sq
+    f = decompose_target(problem).parallel_norm_sq
     qs1, qs2, qp, codes, _ = _closed_forms(eta1, f, np.array([s]))
     regime = CURVE_REGIMES[codes[0]]
     q1 = (math.sqrt(s / eta1), 1.0, f)[codes[0]]  # the optimal q1 of each regime
     allocation = failure_allocations(problem, q1)
-    if allocation.q1 > 0.0:
-        leak = np.abs(problem.state_matrix[1:] @ dec.perpendicular.conj()).max()
-        leak = float(leak) / math.sqrt(allocation.q1)
-        if not leak <= DEPENDENCY_TOL:
-            raise NumericalError(
-                f"complement states keep {leak:.3e} > DEPENDENCY_TOL of the target's part "
-                "outside their span, cut at RANK_TOL: the split misses a direction they carry"
-            )
     q = allocation.failure_probs
     optimal_q = float(problem.priors @ q)
 

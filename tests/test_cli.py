@@ -164,13 +164,21 @@ class TestStrategiesCommand:
         assert out == ""
         assert err == "error: state 0 prior is too large for a float\n"
 
-    def test_rank_cut_band_exits_4(self, capsys, tmp_path):
+    @pytest.mark.parametrize("d", [5e-9, 9e-9, 1.3e-8])
+    def test_rank_cut_band_exits_4(self, capsys, tmp_path, d):
+        # every command that reads the target split exits 4 in either format;
+        # SQM1 is psi_1 itself, reads no split, and its Q = eta1 + S is right
         path = tmp_path / "band.json"
-        save_problem(band_problem(9e-9), path)
-        code, out, err = run(capsys, "strategies", "--input", str(path))
-        assert code == 4
-        assert out == ""
-        assert err.startswith("numerical failure:") and "RANK_TOL" in err
+        save_problem(band_problem(d), path)
+        sim = ["simulate", "--input", str(path), "--trials", "100", "--strategy"]
+        for fmt in ("json", "table"):
+            for argv in (["strategies", "--input", str(path)], sim + ["sqm2"], sim + ["povm"]):
+                code, out, err = run(capsys, *argv, "--format", fmt)
+                assert (code, out) == (4, ""), argv
+                assert err.startswith("numerical failure:") and "RANK_TOL" in err
+        code, out, err = run(capsys, *sim, "sqm1", "--format", "table")
+        assert (code, err) == (0, "")
+        assert "analytic Q 0.5  misidentifications 0" in out
 
 
 class TestSweepCommand:
@@ -484,6 +492,20 @@ class TestSimulateCommand:
             assert code == 0
             assert "aggregate" in out
 
+    def test_sqm2_tiny_parallel_part_is_not_perfect(self, capsys, tmp_path):
+        # f = 1e-13 > 0: SQM2 fails on psi_2 every time, so Q = 0.5 and not 0
+        f = 1e-13
+        path = tmp_path / "tiny-f.json"
+        states = ([1.0, 0.0], [math.sqrt(f), math.sqrt(1.0 - f)])
+        save_problem(FilteringProblem(states=states, priors=(0.5, 0.5)), path)
+        sim = ("simulate", "--input", str(path), "--strategy", "sqm2", "--trials", "1000")
+        code, out, _ = run(capsys, *sim, "--format", "json")
+        payload = json.loads(out)
+        assert (code, payload["misidentifications"]) == (0, 0)
+        assert payload["aggregate"]["analytic_Q"] == 0.5
+        code, out, _ = run(capsys, *sim, "--format", "table")
+        assert code == 0 and "analytic Q 0.5  misidentifications 0" in out
+
     def test_povm_on_contained_target_still_runs(self, capsys, degenerate_file):
         # the generalized scheme degenerates to target-always-fails but exists
         code, out, _ = run(
@@ -584,7 +606,7 @@ class TestSimulateJsonReport:
         assert len(self.check(capsys, walsh_file, "povm")["per_state"]) == 4
 
     def test_povm_contained_target(self, capsys, degenerate_file):
-        # p1 = 0: two outcomes, and the scheme carries a warning
+        # p1 = 0: the scheme is x_f alone, with two outcomes
         payload = self.check(capsys, degenerate_file, "povm")
         assert payload["outcomes"] == ["IS_COMPLEMENT", "FAIL"]
 

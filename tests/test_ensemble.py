@@ -286,7 +286,7 @@ RESULT_RECORDS = [
     (SimulationStats,
      {"counts": np.int64,
       **dict.fromkeys(["empirical_rates", "analytic_rates", "z_scores"], float)},
-     dict(scheme_kind=SchemeKind.POVM, outcomes=(), trials_per_state=1, seed=0)),
+     dict(scheme_kind=SchemeKind.POVM, trials_per_state=1, seed=0)),
 ]
 
 

@@ -18,6 +18,7 @@ from qfilter import (
     Outcome,
     SchemeKind,
     StateVector,
+    boolean_problem,
     build_neumark,
     decompose_target,
     failure_allocations,
@@ -27,6 +28,7 @@ from qfilter import (
     success_gram,
 )
 from qfilter.neumark import _largest_gram_eigenvalue
+from qfilter.tolerances import PROB_TOL
 from conftest import band_problem, random_problem
 
 ROOT3 = math.sqrt(3.0)
@@ -330,9 +332,11 @@ class TestBuildNeumark:
 
     def test_failure_row_missing_a_cut_direction_rejected(self):
         # the span cut at RANK_TOL drops the d = 1e-8 direction, so f reads ~0 and
-        # the closed-form row misses the complement amplitudes by ~2.1e-8
+        # the closed-form row misses the complement amplitudes by ~2.1e-8. The
+        # weights are those of q1 = 0.05 under the product rule, built by hand:
+        # failure_allocations itself rejects the split before any row is built.
         problem = band_problem(1e-8)
-        allocation = failure_allocations(problem, 0.05)
+        allocation = FailureAllocation(failure_probs=[0.05, 1e-16 / 0.05, 0.0], phases=[0.0] * 3)
         message = r"failure row misses M u = a by \d\.\d{3}e-08 > DEPENDENCY_TOL"
         with pytest.raises(NumericalError, match=message):
             build_neumark(problem, allocation)
@@ -480,7 +484,6 @@ class TestPovmElements:
         scheme = povm_elements(model)
         assert scheme.outcomes == (Outcome.IS_COMPLEMENT, Outcome.FAIL)
         assert len(scheme.vectors) == 1
-        assert scheme.warning is not None
 
     def test_whole_failure_weight_window_is_realizable(self):
         # both projective boundaries and the interior point admit a unitary
@@ -558,15 +561,34 @@ class TestProjectiveSchemes:
         with pytest.raises(DegenerateDecompositionError):
             projective_scheme(contained_target_problem, SchemeKind.SQM2)
 
-    def test_sqm2_perfect_discrimination_warning(self, orthogonal_pair_problem):
+    def test_sqm2_perfect_discrimination(self, orthogonal_pair_problem):
+        # f = 0: the FAIL vector is the zero vector, and IS_TARGET is psi_1
         scheme = projective_scheme(orthogonal_pair_problem, SchemeKind.SQM2)
-        assert scheme.warning is not None
+        assert not scheme.vectors[1].any()
         assert scheme.outcomes == (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)
         target = orthogonal_pair_problem.state_matrix[0]
         assert born(scheme.operator(Outcome.IS_TARGET), target) == pytest.approx(
             1.0, abs=1e-12
         )
         assert born(scheme.operator(Outcome.FAIL), target) == 0.0
+
+    def test_sqm2_tiny_parallel_part_is_not_perfect(self):
+        # f = 1e-13 is positive, so SQM2 measures along psi_par and fails on
+        # psi_2 every time: Q = (f + 1) / 2. The report's S / f is ill-conditioned
+        # here (q_sqm2 reads 0.4999999994), so Q is checked against 0.5 itself.
+        f = 1e-13
+        problem = FilteringProblem(
+            states=([1.0, 0.0], [math.sqrt(f), math.sqrt(1.0 - f)]), priors=(0.5, 0.5)
+        )
+        scheme = projective_scheme(problem, SchemeKind.SQM2)
+        fail = scheme.born_probabilities(problem.state_matrix)[:, -1]
+        assert float(problem.priors @ fail) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [5e-9, 9e-9, 1.3e-8])
+    def test_sqm2_rank_cut_band_raises_the_reports_error(self, d):
+        # the span cut drops the direction d carries, so f reads ~1e-17 where it is 1
+        with pytest.raises(NumericalError, match=r"DEPENDENCY_TOL .* RANK_TOL"):
+            projective_scheme(band_problem(d), SchemeKind.SQM2)
 
     def test_sqm2_near_contained_target_keeps_parts_orthogonal(self):
         # Targets within ~1e-6 of the complement span: the perpendicular part
@@ -614,6 +636,35 @@ class TestUnambiguityAcrossSchemes:
                         assert born(target_op, row) <= 1e-10
                 comp = scheme.operator(Outcome.IS_COMPLEMENT)
                 assert born(comp, rows[0]) <= 1e-10
+
+    def test_every_built_scheme_gives_back_its_report(self, request):
+        # On its own Born table each scheme never misassigns, and its FAIL
+        # column is the report's: per state for the POVM, prior-weighted for
+        # SQM1 and SQM2 (built wherever f < 1 - PROB_TOL).
+        rng = np.random.default_rng(47)
+        problems = [random_problem(rng) for _ in range(300)]
+        problems += [boolean_problem(3, 2), boolean_problem(5, 2), boolean_problem(8, 3)]
+        problems += [request.getfixturevalue(name) for name in (
+            "walsh_problem", "figure_point_problem", "symmetric_pair_problem",
+            "orthogonal_pair_problem", "contained_target_problem",
+        )]
+        for problem in problems:
+            report = optimal_filtering(problem)
+            schemes = [
+                (build_optimal_scheme(problem)[1], report.per_state_failure),
+                (projective_scheme(problem, SchemeKind.SQM1), report.q_sqm1),
+            ]
+            if report.parallel_norm_f < 1.0 - PROB_TOL:
+                schemes.append((projective_scheme(problem, SchemeKind.SQM2), report.q_sqm2))
+            for scheme, want in schemes:
+                table = scheme.born_probabilities(problem.state_matrix)
+                assert abs(table[0, -2]) <= 1e-13  # the target's IS_COMPLEMENT cell
+                if len(scheme.vectors) == 2:  # the complement's IS_TARGET cells
+                    assert np.abs(table[1:, 0]).max() <= 1e-13
+                if scheme.kind is SchemeKind.POVM:
+                    np.testing.assert_allclose(table[:, -1], want, rtol=0.0, atol=1e-13)
+                else:
+                    assert float(problem.priors @ table[:, -1]) == pytest.approx(want, abs=1e-13)
 
 
 class TestMeasurementSchemeValidation:
@@ -703,14 +754,18 @@ class TestMeasurementSchemeValidation:
 
     def test_vectors_are_the_only_form(self, walsh_problem):
         for extra in ({"operators": (np.eye(2), np.zeros((2, 2)))},
-                      {"acting_dimension": 2}, {"outcomes": (Outcome.IS_COMPLEMENT, Outcome.FAIL)}):
+                      {"acting_dimension": 2}, {"outcomes": (Outcome.IS_COMPLEMENT, Outcome.FAIL)},
+                      {"warning": None}):
             with pytest.raises(TypeError):
                 MeasurementScheme(kind=SchemeKind.SQM1, vectors=np.eye(2)[:1], **extra)
-        # the old positional order (kind, outcomes, vectors) reads the outcomes as vectors
+        # the old positional order (kind, outcomes, vectors) reads the outcomes as
+        # vectors, and a third positional argument has no field to go to
         with pytest.raises(InvalidInputError, match="rank-one vectors"):
-            MeasurementScheme(SchemeKind.SQM1, (Outcome.IS_COMPLEMENT, Outcome.FAIL), [[1.0, 0.0]])
+            MeasurementScheme(SchemeKind.SQM1, (Outcome.IS_COMPLEMENT, Outcome.FAIL))
+        with pytest.raises(TypeError):
+            MeasurementScheme(SchemeKind.SQM1, [[1.0, 0.0]], None)
         assert [field.name for field in dataclasses.fields(MeasurementScheme)] == [
-            "kind", "vectors", "warning"
+            "kind", "vectors"
         ]
         assert projective_scheme(walsh_problem, SchemeKind.SQM1).acting_dimension == 4
         model, povm, _ = build_optimal_scheme(walsh_problem)

@@ -12,6 +12,7 @@ from qfilter import (
     MeasurementScheme,
     Outcome,
     SchemeKind,
+    SimulationStats,
     StateVector,
     aggregate_failure,
     boolean_problem,
@@ -289,6 +290,27 @@ class TestSimulate:
         stats = simulate(scheme, problem, 10_000, 9)
         assert Outcome.IS_TARGET not in stats.outcomes
         assert stats.misidentifications == 0
+
+    def test_hand_built_stats_derive_their_outcomes(self):
+        # the count columns are laid out as a scheme's, and the kind is read as its member
+        counts = np.array([[0, 3, 7], [2, 8, 0]])
+
+        def stats(kind, table):
+            return SimulationStats(kind, 10, 0, table, table / 10, table / 10, 0.0 * table)
+
+        three = stats("POVM", counts)
+        assert three.scheme_kind is SchemeKind.POVM
+        assert three.outcomes == (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)
+        assert three.misidentifications == 3 + 2
+        two = stats(SchemeKind.SQM1, counts[:, 1:])
+        assert two.outcomes == (Outcome.IS_COMPLEMENT, Outcome.FAIL)
+        assert two.misidentifications == 3
+        assert aggregate_failure(two, [0.5, 0.5]) == pytest.approx(0.35)
+        for table in (counts[:, :1], np.hstack([counts, counts[:, :1]])):
+            with pytest.raises(InvalidInputError, match="need 2 or 3 outcome columns"):
+                stats("POVM", table)
+        with pytest.raises(InvalidInputError, match="scheme_kind must be one of"):
+            stats("BOGUS", counts)
 
     def test_seeded_counts_are_pinned(self, walsh_problem, figure_point_problem):
         # counts published from these runs must not move with the sampler
