@@ -195,14 +195,17 @@ def _row_basis(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """D x D unitary ``vh`` and ``rank``, the number of singular values above RANK_TOL.
 
     The first ``rank`` rows of ``vh`` span the rows of the (n, D) matrix ``rows``
-    and the rest span the orthogonal complement. Rank-deficient input takes the
-    right singular vectors, dropping directions at or below RANK_TOL; full-rank
-    input takes a Householder QR, whose LAPACK workspace is a fraction of the
-    complex SVD's (at D = 256 the SVD adds ~6 MB to a CLI run's peak memory).
+    and the rest span the orthogonal complement. Rows that span C^D take the
+    identity; other full-rank input takes a Householder QR, whose LAPACK
+    workspace is a fraction of the complex SVD's (at D = 256 the SVD adds
+    ~6 MB to a CLI run's peak memory); rank-deficient input takes the right
+    singular vectors, dropping directions at or below RANK_TOL.
     """
     n, d = rows.shape
     rank = int((np.linalg.svd(rows, compute_uv=False) > RANK_TOL).sum())
-    if rank < min(n, d):
+    if rank == d:
+        return np.eye(d, dtype=np.complex128), rank
+    if rank < n:
         return np.linalg.svd(rows, full_matrices=n < d)[2], rank
     return np.linalg.qr(rows.T, mode="complete")[0].T, rank
 

@@ -107,6 +107,7 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
     Raises NumericalError when, at q1 > 0, a complement state keeps more than
     DEPENDENCY_TOL * sqrt(q1) of psi_perp, the target's part outside its span
     cut at RANK_TOL: a measurement built from that split misses q by as much.
+    Either the cut dropped a direction, or q1 is too small for the split's rounding.
 
     The problem keeps the allocation last built for it, keyed by its clamped
     q1, and a call at that q1 returns it; any other q1 builds and keeps its
@@ -135,7 +136,8 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
         if not leak <= DEPENDENCY_TOL:
             raise NumericalError(
                 f"complement states keep {leak:.3e} > DEPENDENCY_TOL of the target's part "
-                "outside their span, cut at RANK_TOL: the split misses a direction they carry"
+                f"outside their span at q1 = {q1!r}: either the span cut at RANK_TOL dropped "
+                "a direction they carry, or q1 is too small for the split's rounding"
             )
         q[1:] = overlaps_sq / q1
     else:

@@ -10,14 +10,16 @@ outcome counts are one multinomial draw over its live outcomes, so the cost
 per state is O(outcomes) and neither time nor memory grows with the number
 of trials. True state i draws from Philox (Salmon et al., SC'11) keyed by the
 128-bit pair (seed, i) from counter 0, so distinct pairs are distinct
-streams exactly, with no hashing. One Philox generator per run is re-keyed in
-place for each state, so no generator is built per state. The stream depends
-only on (seed, i), which makes per-state simulation order-independent:
-running states separately and merging counts reproduces a single run
-exactly.
+streams exactly, with no hashing. Each thread keeps one Philox generator,
+built on its first draw and re-keyed in place for each state, so no generator
+is built per state or per run, and concurrent runs never share one. The
+stream depends only on (seed, i), which makes per-state simulation
+order-independent: running states separately and merging counts reproduces a
+single run exactly.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,8 @@ def _born_rates(scheme: MeasurementScheme, rows: np.ndarray) -> np.ndarray:
     NORM_TOL.
     """
     probs = scheme.born_probabilities(rows)
-    np.clip(probs, 0.0, 1.0, out=probs)
+    # np.clip, at a third of its call cost
+    np.minimum(np.maximum(probs, 0.0, out=probs), 1.0, out=probs)
     totals = probs.sum(axis=1)
     renormalized = np.abs(totals - 1.0) > PROB_TOL
     if renormalized.any():
@@ -44,24 +47,33 @@ def _born_rates(scheme: MeasurementScheme, rows: np.ndarray) -> np.ndarray:
     return probs
 
 
-# A Philox counter and buffer before the first draw of a stream.
-_START = np.zeros(4, dtype=np.uint64)
-_START.setflags(write=False)
+_THREAD = threading.local()
 
 
-def _substream(rng: np.random.Generator, seed: int, state_index: int) -> np.random.Generator:
-    """``rng``, a Philox generator, re-keyed in place to the stream of one true
-    state, and returned.
+def _substream(seed: int, state_index: int) -> np.random.Generator:
+    """The calling thread's Philox generator, re-keyed in place to the stream
+    of one true state, and returned.
 
-    The key is the pair (seed, state index) itself, as one uint64 array, and
-    the counter restarts at 0 with an empty buffer: the state a fresh
-    ``Philox(key=...)`` starts in, so nothing carries over from earlier draws.
+    The key is the pair (seed, state index) itself, written into the thread's
+    one state dict, and the counter restarts at 0 with an empty buffer: the
+    state a fresh ``Philox(key=...)`` starts in, so nothing carries over from
+    earlier draws or runs. A thread builds its generator on first use, not at
+    import: numpy loads numpy.random (~6 MB resident) lazily, and a CLI run
+    that loads it before its LAPACK work peaks that much higher.
     """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _START, "key": np.array([seed, state_index], dtype=np.uint64)},
-        "buffer": _START, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    try:
+        rng, key, state = _THREAD.philox
+    except AttributeError:
+        key = [0, 0]  # the setter reads each word by index, faster from a list than an array
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        rng = np.random.Generator(np.random.Philox(key=0))
+        _THREAD.philox = rng, key, state
+    key[:] = seed, state_index
+    rng.bit_generator.state = state
     return rng
 
 
@@ -74,8 +86,8 @@ def _sampled(probs: np.ndarray) -> np.ndarray:
     rows = p.reshape(-1, p.shape[-1])  # a view: 1-D input is one row
     at = np.arange(len(rows))
     last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
-    cum = np.cumsum(rows, axis=1)
-    rows[at, last] = 1.0 - np.where(last > 0, cum[at, last - 1], 0.0)
+    rows[at, last] = 0.0
+    rows[at, last] = 1.0 - rows.sum(axis=1)
     return p
 
 
@@ -160,16 +172,14 @@ def simulate(
     analytic = _sampled(probs)
     counts = np.zeros(analytic.shape, dtype=np.int64)
     live = analytic > 0.0
-    rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for each state
-    for i in range(len(analytic)):
-        _draw_counts(counts[i], analytic[i], live[i], trials, _substream(rng, seed, i))
+    for i, (out, p, mask) in enumerate(zip(counts, analytic, live)):
+        _draw_counts(out, p, mask, trials, _substream(seed, i))
     empirical = counts / float(trials)
     variance = analytic * (1.0 - analytic) / float(trials)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = (empirical - analytic) / np.sqrt(variance)
-    fixed = ~(variance > 0.0)
-    z[fixed] = 0.0
-    z[fixed & (empirical != analytic)] = np.inf
+    moving = variance > 0.0
+    sd = np.sqrt(np.where(moving, variance, 1.0))  # 1.0: a placeholder, never read
+    z = np.divide(empirical - analytic, sd, out=np.zeros_like(variance), where=moving)
+    z[~moving & (empirical != analytic)] = np.inf
     return SimulationStats(
         scheme_kind=scheme.kind,
         trials_per_state=trials,

@@ -590,6 +590,25 @@ class TestProjectiveSchemes:
         with pytest.raises(NumericalError, match=r"DEPENDENCY_TOL .* RANK_TOL"):
             projective_scheme(band_problem(d), SchemeKind.SQM2)
 
+    def test_sqm2_tiny_f_span_leak_names_q1_and_both_causes(self):
+        # A well-conditioned complement (singular values [1, 1]) cuts nothing, but
+        # f ~ 2e-18 is below the split's rounding: the leak divided by sqrt(f)
+        # is ~6e-8, so the message must not blame the span cut alone.
+        eps = 1e-9
+        c = math.sqrt(1.0 - eps * eps)
+        problem = FilteringProblem(
+            states=([1.0, 0.0, 0.0], [eps, c, 0.0], [eps, 0.0, c]), priors=(0.4, 0.3, 0.3)
+        )
+        np.testing.assert_allclose(
+            np.linalg.svd(problem.state_matrix[1:], compute_uv=False), [1.0, 1.0]
+        )
+        q1 = decompose_target(problem).parallel_norm_sq
+        with pytest.raises(NumericalError, match=r"keep \S+ > DEPENDENCY_TOL .* RANK_TOL") as err:
+            projective_scheme(problem, SchemeKind.SQM2)
+        message = str(err.value)
+        assert f"q1 = {q1!r}" in message
+        assert "dropped a direction" in message and "too small for the split's rounding" in message
+
     def test_sqm2_near_contained_target_keeps_parts_orthogonal(self):
         # Targets within ~1e-6 of the complement span: the perpendicular part
         # is short, so its rounding must not leave it overlapping the parallel

@@ -1,10 +1,11 @@
 """Property tests of the span-basis helper, the target decomposition, the
 generalized measurement and the rank-one form of the measurement schemes.
 
-Ensembles are drawn tall (N up to 32x D) and near-dependent: rows are random
-combinations of a few base directions plus noise of size eps, so singular
-values fall on both sides of ``RANK_TOL`` and both the QR (full-rank) and the
-SVD (rank-deficient) paths of ``_row_basis`` run.
+Ensembles are drawn short (N <= D) or tall (N up to 32x D) and near-dependent:
+rows are random combinations of a few base directions plus noise of size eps,
+so singular values fall on both sides of ``RANK_TOL`` and all three paths of
+``_row_basis`` run: the identity (rows span C^D), the QR (full rank below D)
+and the SVD (rank-deficient).
 """
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, d
 @st.composite
 def near_dependent_rows(draw):
     d = draw(st.integers(1, 8))
-    n = draw(st.integers(2, 32 * d))
+    n = draw(st.integers(2, max(2, d)) | st.integers(2, 32 * d))
     base_rank = draw(st.integers(1, d))
     eps = draw(st.sampled_from([0.0, 1e-13, 1e-10, 1e-8, 1e-6, 1e-3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -46,6 +47,20 @@ def near_dependent_rows(draw):
     mix = rng.normal(size=(n, base_rank)) + 1j * rng.normal(size=(n, base_rank))
     rows = mix @ base + eps * (rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)))
     return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+def test_drawn_rows_reach_every_row_basis_path():
+    paths = set()
+
+    @PROPERTY_SETTINGS
+    @given(rows=near_dependent_rows())
+    def record(rows):
+        n, d = rows.shape
+        rank = _row_basis(rows)[1]
+        paths.add("identity" if rank == d else "qr" if rank == n else "svd")
+
+    record()
+    assert paths == {"identity", "qr", "svd"}
 
 
 @PROPERTY_SETTINGS

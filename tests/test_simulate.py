@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -63,9 +65,8 @@ def philox(seed, state_index=0):
 def drawn(seed, state_index):
     """The simulator's generator, re-keyed to (seed, state) after one draw at
     10**12 trials on another stream, so any state carried over would show."""
-    rng = np.random.Generator(np.random.Philox(key=0))
-    _substream(rng, seed ^ 1, state_index + 1).multinomial(10**12, [0.3, 0.7])
-    return _substream(rng, seed, state_index)
+    _substream(seed ^ 1, state_index + 1).multinomial(10**12, [0.3, 0.7])
+    return _substream(seed, state_index)
 
 
 class TestOutcomeDistribution:
@@ -193,9 +194,8 @@ class TestSubstreams:
     def test_seed_and_state_do_not_alias(self):
         # (seed 0, state 1) and (seed 1, state 0) must be different streams
         probs = np.array([0.25, 0.25, 0.25, 0.25])
-        rng = np.random.Generator(np.random.Philox(key=0))
-        a = draw(_sampled(probs), 10_000, _substream(rng, 0, 1))
-        b = draw(_sampled(probs), 10_000, _substream(rng, 1, 0))
+        a = draw(_sampled(probs), 10_000, _substream(0, 1))
+        b = draw(_sampled(probs), 10_000, _substream(1, 0))
         assert not np.array_equal(a, b)
         np.testing.assert_array_equal(a, draw(_sampled(probs), 10_000, philox(0, 1)))
         np.testing.assert_array_equal(b, draw(_sampled(probs), 10_000, philox(1, 0)))
@@ -212,6 +212,64 @@ class TestSubstreams:
             expected = np.zeros(p.size, dtype=np.int64)
             expected[live] = philox(seed, i).multinomial(10**12, p[live])
             np.testing.assert_array_equal(stats.counts[i], expected)
+
+    def test_concurrent_runs_give_the_counts_of_serial_runs(self):
+        # Each thread re-keys its own generator. A switch every microsecond lands
+        # between one thread's re-key and its draw, so a shared generator would
+        # hand a thread another thread's stream.
+        from conftest import random_problem
+
+        problem = random_problem(np.random.default_rng(8), max_dim=6, min_states=16, max_states=16)
+        scheme, _ = optimal_scheme(problem)
+        seeds = range(100, 108)
+        serial = {seed: simulate(scheme, problem, 1000, seed).counts for seed in seeds}
+        runs = {seed: [] for seed in seeds}
+        start = threading.Barrier(len(seeds))
+
+        def run(seed):
+            start.wait(timeout=60)
+            for _ in range(25):
+                runs[seed].append(simulate(scheme, problem, 1000, seed).counts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in seeds:
+            assert len(runs[seed]) == 25
+            for counts in runs[seed]:
+                np.testing.assert_array_equal(counts, serial[seed])
+
+    def test_a_run_after_another_gives_the_counts_of_a_first_run(self, walsh_problem):
+        scheme, _ = optimal_scheme(walsh_problem)
+        first = []
+        fresh = threading.Thread(
+            target=lambda: first.append(simulate(scheme, walsh_problem, 5000, 9).counts)
+        )
+        fresh.start()
+        fresh.join(timeout=60)
+        assert not fresh.is_alive()
+        simulate(scheme, walsh_problem, 10**12, 2**64 - 1)
+        np.testing.assert_array_equal(simulate(scheme, walsh_problem, 5000, 9).counts, first[0])
+
+    def test_leaves_the_global_numpy_generator_untouched(self, walsh_problem):
+        scheme, _ = optimal_scheme(walsh_problem)
+        saved = np.random.get_state()
+        expected = np.random.random(4)
+        np.random.set_state(saved)
+        fresh = threading.Thread(target=lambda: simulate(scheme, walsh_problem, 1000, 1))
+        fresh.start()
+        fresh.join(timeout=60)
+        assert not fresh.is_alive()
+        simulate(scheme, walsh_problem, 1000, 1)
+        np.testing.assert_array_equal(np.random.random(4), expected)
 
 
 class TestSimulate:
