@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .ensemble import FilteringProblem, _frozen_fields, _integer, _member, _numbers
+from .ensemble import FilteringProblem, _freeze, _frozen_fields, _integer, _member, _numbers
 from .errors import InvalidInputError
 from .neumark import MeasurementScheme, Outcome, SchemeKind
 from .tolerances import PROB_TOL
@@ -118,22 +119,24 @@ def _run_arguments(trials_per_state, seed) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class SimulationStats:
-    """Outcome counts and empirical/analytic rate comparison for one scheme,
-    whose outcomes label the 2 or 3 count columns (see ``outcomes``)."""
+    """Outcome counts and the analytic rates they were drawn from, for one scheme
+    whose outcomes label the 2 or 3 count columns (see ``outcomes``); the
+    read-only ``empirical_rates`` and ``z_scores`` are derived on first read."""
 
     scheme_kind: SchemeKind
     trials_per_state: int
     seed: int
     counts: np.ndarray
-    empirical_rates: np.ndarray
     analytic_rates: np.ndarray
-    z_scores: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "scheme_kind", _member(SchemeKind, self.scheme_kind, "scheme_kind"))
-        _frozen_fields(self, None, "counts", "empirical_rates", "analytic_rates", "z_scores")
-        if self.counts.shape[-1:] not in ((2,), (3,)):
-            raise InvalidInputError(f"counts of shape {self.counts.shape} need 2 or 3 outcome columns")
+        _frozen_fields(self, None, "counts", "analytic_rates")
+        shape, rates = self.counts.shape, self.analytic_rates.shape
+        if len(shape) != 2 or shape[1] not in (2, 3):
+            raise InvalidInputError(f"counts need shape (states, 2 or 3 outcomes), got {shape}")
+        if rates != shape:
+            raise InvalidInputError(f"analytic_rates of shape {rates} need the counts' {shape}")
 
     @property
     def outcomes(self) -> tuple[Outcome, ...]:
@@ -148,6 +151,23 @@ class SimulationStats:
             total += int(self.counts[1:, self.outcomes.index(Outcome.IS_TARGET)].sum())
         return total
 
+    @cached_property
+    def empirical_rates(self) -> np.ndarray:
+        """counts / trials per (state, outcome) cell."""
+        return _freeze(self.counts / float(self.trials_per_state))
+
+    @cached_property
+    def z_scores(self) -> np.ndarray:
+        """(empirical - analytic) / sqrt(analytic * (1 - analytic) / trials) per cell;
+        on deterministic cells 0 where the counts match, inf where they do not."""
+        analytic, empirical = self.analytic_rates, self.empirical_rates
+        variance = analytic * (1.0 - analytic) / float(self.trials_per_state)
+        moving = variance > 0.0
+        sd = np.sqrt(np.where(moving, variance, 1.0))  # 1.0: a placeholder, never read
+        z = np.divide(empirical - analytic, sd, out=np.zeros_like(variance), where=moving)
+        z[~moving & (empirical != analytic)] = np.inf
+        return _freeze(z)
+
 
 def simulate(
     scheme: MeasurementScheme,
@@ -161,11 +181,10 @@ def simulate(
     stream, also for a state with one live outcome, which gets every trial
     there. Deterministic for a fixed (scheme, problem, trials, seed). The analytic
     rates are those of the sampled distribution (see ``_sampled``), with Born
-    probabilities below PROB_TOL read as exact zeros; z-scores are
-    (empirical - analytic) / sqrt(analytic * (1 - analytic) / trials) per
-    (state, outcome) cell, zero where the analytic rate is deterministic and
-    matched exactly. Trials and seed are integers, trials in [1, 2**63 - 1]
-    and seed in [0, 2**64 - 1].
+    probabilities below PROB_TOL read as exact zeros. The record stores the
+    counts and these rates; its empirical rates and z-scores are computed on
+    first read. Trials and seed are integers, trials in [1, 2**63 - 1] and
+    seed in [0, 2**64 - 1].
     """
     trials, seed = _run_arguments(trials_per_state, seed)
     probs = _born_rates(scheme, problem.state_matrix)
@@ -174,21 +193,7 @@ def simulate(
     live = analytic > 0.0
     for i, (out, p, mask) in enumerate(zip(counts, analytic, live)):
         _draw_counts(out, p, mask, trials, _substream(seed, i))
-    empirical = counts / float(trials)
-    variance = analytic * (1.0 - analytic) / float(trials)
-    moving = variance > 0.0
-    sd = np.sqrt(np.where(moving, variance, 1.0))  # 1.0: a placeholder, never read
-    z = np.divide(empirical - analytic, sd, out=np.zeros_like(variance), where=moving)
-    z[~moving & (empirical != analytic)] = np.inf
-    return SimulationStats(
-        scheme_kind=scheme.kind,
-        trials_per_state=trials,
-        seed=seed,
-        counts=counts,
-        empirical_rates=empirical,
-        analytic_rates=analytic,
-        z_scores=z,
-    )
+    return SimulationStats(scheme.kind, trials, seed, counts, analytic)
 
 
 def aggregate_failure(stats: SimulationStats, priors) -> float:

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .ensemble import FilteringProblem, _frozen_fields, _numbers, _real, decompose_target
+from .ensemble import FilteringProblem, _freeze, _frozen_fields, _numbers, _real, decompose_target
 from .errors import InvalidInputError
 from .neumark import failure_allocations
 
@@ -46,9 +47,9 @@ class StrategyReport:
     """Failure probabilities and per-state allocations for one ensemble.
 
     ``per_state_failure[i]`` is the failure weight q_i of state i (target
-    first); ``per_state_success`` is its exact complement 1 - q_i.  ``q_povm``
-    is None when the interior optimum is outside its validity window. Fields
-    are declared in the key order of ``to_dict``.
+    first); the read-only ``per_state_success`` (1 - q_i) and ``average_success``
+    (1 - optimal_Q) are derived on first read. ``q_povm`` is None when the
+    interior optimum is outside its validity window.
     """
 
     q_sqm1: float
@@ -57,23 +58,31 @@ class StrategyReport:
     regime: Regime
     optimal_q1: float
     optimal_Q: float
-    average_success: float
     overlap_S: float
     parallel_norm_f: float
     per_state_failure: np.ndarray
-    per_state_success: np.ndarray
 
     def __post_init__(self):
-        _frozen_fields(self, float, "per_state_failure", "per_state_success")
+        _frozen_fields(self, float, "per_state_failure")
+
+    @cached_property
+    def per_state_success(self) -> np.ndarray:
+        return _freeze(1.0 - self.per_state_failure)
+
+    @cached_property
+    def average_success(self) -> float:
+        return 1.0 - self.optimal_Q
 
     def to_dict(self) -> dict:
-        """The report as JSON values, keyed by field name in field order."""
-        out = {}
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
-            out[field.name] = value.value if isinstance(value, Regime) else value
+        """The report as the ``strategies`` JSON values: these 11 keys, in this order."""
+        keys = (
+            "q_sqm1", "q_sqm2", "q_povm", "regime", "optimal_q1", "optimal_Q", "average_success",
+            "overlap_S", "parallel_norm_f", "per_state_failure", "per_state_success",
+        )
+        out = {key: getattr(self, key) for key in keys}
+        out["regime"] = self.regime.value
+        out["per_state_failure"] = self.per_state_failure.tolist()
+        out["per_state_success"] = self.per_state_success.tolist()
         return out
 
 
@@ -90,23 +99,18 @@ def optimal_filtering(problem: FilteringProblem) -> StrategyReport:
     eta1 = _check_eta1(problem.priors[0])
     s = float(problem.priors[1:] @ np.abs(problem._overlaps) ** 2)
     f = decompose_target(problem).parallel_norm_sq
-    qs1, qs2, qp, codes, _ = _closed_forms(eta1, f, np.array([s]))
+    qs1, qs2, qp, codes = _closed_forms(eta1, f, np.array([s]))
     regime = CURVE_REGIMES[codes[0]]
     q1 = (math.sqrt(s / eta1), 1.0, f)[codes[0]]  # the optimal q1 of each regime
     allocation = failure_allocations(problem, q1)
-    q = allocation.failure_probs
-    optimal_q = float(problem.priors @ q)
-
     return StrategyReport(
         q_sqm1=float(qs1[0]),
         q_sqm2=float(qs2[0]),
         q_povm=float(qp[0]) if regime is Regime.POVM else None,
         regime=regime,
         optimal_q1=allocation.q1,
-        optimal_Q=optimal_q,
-        per_state_failure=q,
-        per_state_success=1.0 - q,
-        average_success=1.0 - optimal_q,
+        optimal_Q=float(problem.priors @ allocation.failure_probs),
+        per_state_failure=allocation.failure_probs,
         overlap_S=s,
         parallel_norm_f=f,
     )
@@ -133,18 +137,21 @@ class FailureCurve(Sequence):
     """A sweep held column by column; indexing and iteration yield ``SweepRow``.
 
     ``q_povm`` is NaN outside the validity window, where rows report None;
-    ``regime_codes`` index ``CURVE_REGIMES``.
+    ``regime_codes`` index ``CURVE_REGIMES``; the read-only ``q_opt`` is derived on first read.
     """
 
     s: np.ndarray
     q_sqm1: np.ndarray
     q_sqm2: np.ndarray
     q_povm: np.ndarray
-    q_opt: np.ndarray
     regime_codes: np.ndarray
 
     def __post_init__(self):
-        _frozen_fields(self, None, "s", "q_sqm1", "q_sqm2", "q_povm", "q_opt", "regime_codes")
+        _frozen_fields(self, None, "s", "q_sqm1", "q_sqm2", "q_povm", "regime_codes")
+
+    @cached_property
+    def q_opt(self) -> np.ndarray:
+        return _freeze(np.choose(self.regime_codes, (self.q_povm, self.q_sqm1, self.q_sqm2)))
 
     def __len__(self) -> int:
         return self.s.size
@@ -183,17 +190,15 @@ def failure_curve(eta1: float, parallel_norm_sq: float, overlap_values) -> Failu
     if bad.any():
         first = float(s[np.argmax(bad)])
         raise InvalidInputError(f"average overlap must be finite and >= 0, got {first!r}")
-    qs1, qs2, qp, codes, q_opt = _closed_forms(eta1, f, s)
-    return FailureCurve(
-        s=s, q_sqm1=qs1, q_sqm2=qs2, q_povm=qp, q_opt=q_opt, regime_codes=codes
-    )
+    qs1, qs2, qp, codes = _closed_forms(eta1, f, s)
+    return FailureCurve(s=s, q_sqm1=qs1, q_sqm2=qs2, q_povm=qp, regime_codes=codes)
 
 
 def _closed_forms(eta1: float, f: float, s: np.ndarray):
-    """(q_sqm1, q_sqm2, q_povm, regime codes, q_opt) columns for validated inputs.
+    """(q_sqm1, q_sqm2, q_povm, regime codes) columns for validated inputs.
 
     q_povm is NaN outside the window; codes index ``CURVE_REGIMES``, and
-    boundary ties resolve to POVM.
+    boundary ties resolve to POVM; ``FailureCurve.q_opt`` picks the optimum.
     """
     qs1 = eta1 + s
     if f > 0.0:
@@ -203,5 +208,4 @@ def _closed_forms(eta1: float, f: float, s: np.ndarray):
     in_window = (eta1 * f**2 <= s) & (s <= eta1)
     qp = np.where(in_window, 2.0 * np.sqrt(eta1 * s), math.nan)
     codes = np.where(in_window, 0, np.where(s > eta1, 1, 2)).astype(np.int8)
-    q_opt = np.choose(codes, (qp, qs1, qs2))
-    return qs1, qs2, qp, codes, q_opt
+    return qs1, qs2, qp, codes

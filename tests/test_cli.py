@@ -1,5 +1,5 @@
 import contextlib
-import dataclasses
+import functools
 import importlib
 import json
 import math
@@ -621,17 +621,27 @@ class TestSimulateJsonReport:
         assert self.check(capsys, path, "sqm2")["aggregate"]["optimal_Q"] == 0.0
 
     def test_non_finite_and_signed_zero_cells(self, capsys, figure_file, monkeypatch):
-        simulate = simulate_module.simulate
+        simulate, stats_type = simulate_module.simulate, simulate_module.SimulationStats
+
+        class OddCells(stats_type):
+            @functools.cached_property
+            def z_scores(self):
+                z = stats_type.z_scores.func(self).copy()
+                z[0, :3] = np.inf, -np.inf, -0.0
+                z[1, 0] = np.nan
+                return z
 
         def odd_cells(*args):
             stats = simulate(*args)
-            z = stats.z_scores.copy()
-            z[0, :3] = np.inf, -np.inf, -0.0
-            z[1, 0] = np.nan
-            return dataclasses.replace(stats, z_scores=z)
+            return OddCells(
+                stats.scheme_kind, stats.trials_per_state, stats.seed, stats.counts,
+                stats.analytic_rates,
+            )
 
         monkeypatch.setattr(simulate_module, "simulate", odd_cells)
-        self.check(capsys, figure_file, "sqm2")
+        z = self.check(capsys, figure_file, "sqm2")["per_state"][0]["z"]
+        assert list(z.values()) == [math.inf, -math.inf, 0.0]
+        assert math.copysign(1.0, z["FAIL"]) == -1.0
 
     @pytest.mark.parametrize("x", [0.1, 1 / 3, 1.0, -0.0, 1e-300, 2.5e20, math.inf, -math.inf])
     def test_float_spelling(self, x):

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,8 +19,14 @@ from qfilter import (
     StateVector,
     StrategyReport,
     SuccessGram,
+    build_neumark,
     decompose_target,
+    failure_allocations,
     failure_curve,
+    optimal_filtering,
+    povm_elements,
+    projective_scheme,
+    simulate,
     success_gram,
     wk_spec,
 )
@@ -268,39 +277,155 @@ class TestDecomposeTarget:
             assert dec.parallel_norm_sq + perp_sq == pytest.approx(1.0, abs=1e-10)
 
 
-# (record, dtype of each array field, the other fields)
+# (record, dtype of each stored array field, the other fields, the arrays' shape)
 RESULT_RECORDS = [
     (Decomposition, dict.fromkeys(["parallel", "perpendicular"], complex),
-     dict(parallel_norm_sq=0.0)),
-    (SuccessGram, dict(matrix=complex), dict(min_eigenvalue=0.0, feasible=True)),
+     dict(parallel_norm_sq=0.0), (2,)),
+    (SuccessGram, dict(matrix=complex), dict(min_eigenvalue=0.0, feasible=True), (2,)),
     (NeumarkModel,
      dict.fromkeys(["unitary", "success_outputs", "failure_amplitudes"], complex),
-     {}),
-    (StrategyReport, dict.fromkeys(["per_state_failure", "per_state_success"], float),
+     {}, (2,)),
+    (StrategyReport, dict(per_state_failure=float),
      dict(q_sqm1=0.5, q_sqm2=0.5, q_povm=None, regime=Regime.SQM1_BOUNDARY, optimal_q1=1.0,
-          optimal_Q=0.5, average_success=0.5, overlap_S=0.0, parallel_norm_f=0.0)),
+          optimal_Q=0.5, overlap_S=0.0, parallel_norm_f=0.0), (2,)),
     (FailureCurve,
-     {**dict.fromkeys(["s", "q_sqm1", "q_sqm2", "q_povm", "q_opt"], float),
-      "regime_codes": np.int8},
-     {}),
-    (SimulationStats,
-     {"counts": np.int64,
-      **dict.fromkeys(["empirical_rates", "analytic_rates", "z_scores"], float)},
-     dict(scheme_kind=SchemeKind.POVM, trials_per_state=1, seed=0)),
+     {**dict.fromkeys(["s", "q_sqm1", "q_sqm2", "q_povm"], float), "regime_codes": np.int8},
+     {}, (2,)),
+    (SimulationStats, {"counts": np.int64, "analytic_rates": float},
+     dict(scheme_kind=SchemeKind.POVM, trials_per_state=1, seed=0), (1, 2)),
 ]
 
 
 @pytest.mark.parametrize(
-    "record, arrays, scalars", RESULT_RECORDS, ids=[case[0].__name__ for case in RESULT_RECORDS]
+    "record, arrays, scalars, shape", RESULT_RECORDS,
+    ids=[case[0].__name__ for case in RESULT_RECORDS],
 )
-def test_result_records_freeze_a_view_not_the_callers_array(record, arrays, scalars):
-    given = {name: np.zeros(2, dtype) for name, dtype in arrays.items()}
+def test_result_records_freeze_a_view_not_the_callers_array(record, arrays, scalars, shape):
+    given = {name: np.zeros(shape, dtype) for name, dtype in arrays.items()}
     built = record(**given, **scalars)
     for name, array in given.items():
         stored = getattr(built, name)
         assert array.flags.writeable
         assert not stored.flags.writeable
         assert np.shares_memory(stored, array)  # nothing is copied
+
+
+def expected_z(stats):
+    """z per cell by its definition: deterministic cells are 0 when matched, inf when not."""
+    analytic, trials = stats.analytic_rates, float(stats.trials_per_state)
+    empirical = stats.counts / trials
+    variance = analytic * (1.0 - analytic) / trials
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (empirical - analytic) / np.sqrt(variance)
+    return np.where(variance > 0.0, z, np.where(empirical == analytic, 0.0, np.inf))
+
+
+def assert_read_only(record, names):
+    for name in names:
+        value = getattr(record, name)
+        assert getattr(record, name) is value  # computed once, on first read
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_result_records_derive_their_rates_on_first_read(seed):
+    rng = np.random.default_rng([seed, 28])
+    problem = random_problem(rng, max_dim=6, max_states=6)
+    report = optimal_filtering(problem)
+    assert np.array_equal(report.per_state_success, 1.0 - report.per_state_failure)
+    assert report.average_success == 1.0 - report.optimal_Q
+    assert_read_only(report, ["per_state_success", "average_success"])
+    payload = report.to_dict()
+    assert payload["per_state_success"] == report.per_state_success.tolist()
+    assert payload["average_success"] == report.average_success
+
+    schemes = [
+        projective_scheme(problem, SchemeKind.SQM1),
+        povm_elements(build_neumark(problem, failure_allocations(problem, report.optimal_q1))),
+    ]
+    if decompose_target(problem).parallel_norm_sq < 1.0 - 1e-6:
+        schemes.append(projective_scheme(problem, SchemeKind.SQM2))
+    for scheme in schemes:
+        run = simulate(scheme, problem, 1000, seed)
+        dead = run.analytic_rates == 0.0  # cells that cannot be drawn
+        assert dead.any() and np.all(run.z_scores[dead] == 0.0)
+        # one trial moved from the state's largest cell into one it cannot draw: z = inf there
+        counts = run.counts.copy()
+        i, j = np.argwhere(dead)[0]
+        counts[i, np.argmax(counts[i])] -= 1
+        counts[i, j] += 1
+        moved = SimulationStats(
+            run.scheme_kind, run.trials_per_state, run.seed, counts, run.analytic_rates
+        )
+        assert moved.z_scores[i, j] == np.inf and not np.isinf(run.z_scores).any()
+        for stats in (run, moved):
+            assert np.array_equal(stats.empirical_rates, stats.counts / 1000.0)
+            assert np.array_equal(stats.z_scores, expected_z(stats))
+            assert_read_only(stats, ["empirical_rates", "z_scores"])
+        for name in ("empirical_rates", "z_scores"):
+            with pytest.raises(TypeError, match=name):
+                dataclasses.replace(run, **{name: run.counts})
+
+    eta1, f = float(problem.priors[0]), decompose_target(problem).parallel_norm_sq
+    curve = failure_curve(eta1, f, np.linspace(0.0, 1.5 * eta1, 301))
+    codes = curve.regime_codes
+    by_code = np.where(codes == 1, curve.q_sqm1, curve.q_sqm2)
+    assert np.array_equal(curve.q_opt, np.where(codes == 0, curve.q_povm, by_code))
+    assert_read_only(curve, ["q_opt"])
+    assert [row.q_opt for row in curve] == curve.q_opt.tolist()
+    with pytest.raises(TypeError, match="q_opt"):
+        dataclasses.replace(curve, q_opt=curve.s)
+    for name in ("per_state_success", "average_success"):
+        with pytest.raises(TypeError, match=name):
+            dataclasses.replace(report, **{name: 0.5})
+
+
+def test_derived_fields_first_read_by_concurrent_threads_are_the_serial_values():
+    # Records are shared between workers, and on Python >= 3.12 cached_property
+    # takes no lock: threads that first read one record together may each
+    # compute a field, and every reader must still see the serial value.
+    problem = random_problem(np.random.default_rng(28), max_dim=6, max_states=6)
+    scheme = projective_scheme(problem, SchemeKind.SQM1)
+    report = optimal_filtering(problem)
+    grid = np.linspace(0.0, 1.0, 201)
+
+    def fresh():
+        curve = failure_curve(float(problem.priors[0]), report.parallel_norm_f, grid)
+        return simulate(scheme, problem, 1000, 5), curve, dataclasses.replace(report)
+
+    def read(records):
+        stats, curve, rep = records
+        return stats.z_scores, stats.empirical_rates, curve.q_opt, rep.per_state_success
+
+    serial = read(fresh())
+    shared = [fresh() for _ in range(200)]
+    reads = [[] for _ in range(4)]  # more threads than the 2 cores CI runners have
+    start = threading.Barrier(len(reads))
+
+    def run(out):
+        start.wait(timeout=60)
+        out.extend(read(records) for records in shared)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(out,)) for out in reads]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for out in reads:
+        assert len(out) == len(shared)
+        for got in out:
+            assert all(np.array_equal(a, b) for a, b in zip(got, serial))
 
 
 # (the caller's array, the array a record built from it stores)

@@ -9,7 +9,9 @@ regime, and ``_row_basis`` the same rank, on four families of small ensembles:
 random ones in general position, exactly rank-deficient ones, ones whose
 complement spans the whole space (N - 1 >= D), and ones with a direction kept
 just above RANK_TOL. On the full-span ones the split is exact: the span basis
-is the identity and psi_perp is exactly 0.
+is the identity and psi_perp is exactly 0. Below the span cut,
+``band_problem(d)`` for d <= 7e-17 is exactly rank 2 with f = 1, and the
+report's f = 0 there is marked as an expected failure.
 """
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ import pytest
 from qfilter import FilteringProblem, Regime, decompose_target, optimal_filtering
 from qfilter.ensemble import _row_basis
 from qfilter.tolerances import RANK_TOL
+from conftest import band_problem
 
 # Each phase below is exact on any stored float: it only swaps and negates parts.
 PHASES = (1, -1, 1j, -1j)
@@ -188,3 +191,29 @@ def test_families_cover_each_kind_of_span():
         kinds["full_span"] += n >= d and rank == d
     assert len(CASES) >= 200
     assert kinds["deficient"] >= 40 and kinds["full_span"] >= 40, kinds
+
+
+BELOW_THE_CUT = [7e-17, 1e-17]
+
+
+@pytest.mark.parametrize("d", BELOW_THE_CUT)
+def test_band_problem_below_the_cut_is_exactly_rank_two_with_f_one(d):
+    # psi_1 = e1 lies in the span of (d, sqrt(1 - d^2), 0) and e2 exactly
+    rank, f, _ = exact_split(band_problem(d))
+    assert (rank, f) == (2, 1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the stored floats are exactly rank 2 with f = 1, but the span cut at the "
+    "absolute RANK_TOL drops the d direction and the report reads f = 0",
+)
+@pytest.mark.parametrize("d", BELOW_THE_CUT)
+def test_band_problem_below_the_cut_reports_the_exact_split(d):
+    problem = band_problem(d)
+    rank, f, s = exact_split(problem)
+    report = optimal_filtering(problem)
+    assert _row_basis(problem.state_matrix[1:])[1] == rank
+    assert report.parallel_norm_f == float(f)
+    assert report.regime is exact_regime(problem, f, s)[0]

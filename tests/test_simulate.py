@@ -354,7 +354,7 @@ class TestSimulate:
         counts = np.array([[0, 3, 7], [2, 8, 0]])
 
         def stats(kind, table):
-            return SimulationStats(kind, 10, 0, table, table / 10, table / 10, 0.0 * table)
+            return SimulationStats(kind, 10, 0, table, table / 10)
 
         three = stats("POVM", counts)
         assert three.scheme_kind is SchemeKind.POVM
@@ -365,10 +365,25 @@ class TestSimulate:
         assert two.misidentifications == 3
         assert aggregate_failure(two, [0.5, 0.5]) == pytest.approx(0.35)
         for table in (counts[:, :1], np.hstack([counts, counts[:, :1]])):
-            with pytest.raises(InvalidInputError, match="need 2 or 3 outcome columns"):
+            with pytest.raises(InvalidInputError, match="2 or 3 outcomes"):
                 stats("POVM", table)
         with pytest.raises(InvalidInputError, match="scheme_kind must be one of"):
             stats("BOGUS", counts)
+        assert np.array_equal(three.empirical_rates, counts / 10)
+        assert np.array_equal(three.z_scores, np.zeros((2, 3)))  # the counts are the rates
+
+    def test_hand_built_stats_need_a_row_per_state(self):
+        # misidentifications would index 1-D counts as a (state, outcome) table
+        counts = np.array([1, 2, 7])
+        with pytest.raises(InvalidInputError, match=r"^counts need shape .* got \(3,\)$"):
+            SimulationStats("POVM", 10, 0, counts, counts / 10)
+
+    def test_hand_built_stats_need_rates_of_the_counts_shape(self):
+        # z-scores derived from rates of another shape would fail to broadcast
+        counts = np.array([[1, 2, 7], [0, 4, 6]])
+        for rates in (np.array([0.5]), counts[:1] / 10, counts[:, 1:] / 10):
+            with pytest.raises(InvalidInputError, match=r"^analytic_rates of shape .* \(2, 3\)$"):
+                SimulationStats("POVM", 10, 0, counts, rates)
 
     def test_seeded_counts_are_pinned(self, walsh_problem, figure_point_problem):
         # counts published from these runs must not move with the sampler
