@@ -118,20 +118,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_boolean(args) -> int:
-    from .boolfn import ComplementVariant, PriorMode, approximate_povm_window, boolean_problem
-    from .boolfn import classical_query_count, povm_advantage, wk_spec
+    from .boolfn import approximate_povm_window, boolean_problem, classical_query_count
+    from .boolfn import povm_advantage, wk_spec
     from .ensemble_io import save_problem
     from .strategies import optimal_filtering
 
-    mode = PriorMode(args.prior_mode)
-    variant = ComplementVariant(args.variant)
-    problem = boolean_problem(args.n, args.k, mode, variant, eta1=args.eta1)
+    problem = boolean_problem(args.n, args.k, args.prior_mode, args.variant, eta1=args.eta1)
     report = optimal_filtering(problem)
     spec = wk_spec(args.n, args.k)
     advantage = povm_advantage(args.n, args.k)
     dj_queries, biased_queries = classical_query_count(args.n, args.k)
     eta1 = float(problem.priors[0])
-    window_low, window_high, window_inside = approximate_povm_window(args.n, args.k, eta1)
+    window = approximate_povm_window(args.n, args.k, eta1)
 
     if args.export:
         save_problem(problem, args.export)
@@ -139,8 +137,8 @@ def _cmd_boolean(args) -> int:
     payload = {
         "n": args.n,
         "k": args.k,
-        "variant": variant.value,
-        "prior_mode": mode.value,
+        "variant": args.variant,
+        "prior_mode": args.prior_mode,
         "eta1": eta1,
         "n_states": problem.n_states,
         "f_k": spec.f_k,
@@ -152,21 +150,12 @@ def _cmd_boolean(args) -> int:
         "regime": report.regime.value,
         "optimal_q1": report.optimal_q1,
         "optimal_Q": report.optimal_Q,
-        "povm_advantage": {
-            "exact_ratio": advantage.exact_ratio,
-            "approx_ratio": advantage.approx_ratio,
-            "relative_gap": advantage.relative_gap,
-        },
+        "povm_advantage": advantage._asdict(),
         "classical_queries": {
             "balanced_vs_constant": dj_queries,
             "biased_vs_balanced": biased_queries,
         },
-        "approx_povm_window": {
-            "low": window_low,
-            "high": window_high,
-            "scaled_prior": 2**args.n * eta1,
-            "inside": window_inside,
-        },
+        "approx_povm_window": window._asdict(),
     }
     if args.format == "json":
         _emit_json(payload)

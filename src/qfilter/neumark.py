@@ -102,7 +102,8 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
 
     The product rule q1 * q_i = |<psi_1|psi_i>|^2 fixes every complement
     weight; q1 itself must lie in [f, 1] where f is the target's parallel
-    squared norm (within PROB_TOL), else no unitary realization exists.
+    squared norm (within PROB_TOL), else no unitary realization exists. At
+    q1 = 0 every overlap must be exactly 0, as S must be for the closed forms.
 
     Raises NumericalError when, at q1 > 0, a complement state keeps more than
     DEPENDENCY_TOL * sqrt(q1) of psi_perp, the target's part outside its span
@@ -141,10 +142,10 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
             )
         q[1:] = overlaps_sq / q1
     else:
-        if not overlaps_sq.max(initial=0.0) <= PROB_TOL**2:
+        if overlaps_sq.any():
             raise InfeasibleError(
                 "q1 = 0 requires every complement state to be orthogonal to the target: "
-                f"overlap {np.sqrt(overlaps_sq.max()):.3e} exceeds PROB_TOL"
+                f"overlap {np.sqrt(overlaps_sq.max()):.3e} is not 0"
             )
         q[1:] = 0.0
     q = np.minimum(q, 1.0)

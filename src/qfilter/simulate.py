@@ -119,9 +119,9 @@ def _run_arguments(trials_per_state, seed) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class SimulationStats:
-    """Outcome counts and the analytic rates they were drawn from, for one scheme
-    whose outcomes label the 2 or 3 count columns (see ``outcomes``); the
-    read-only ``empirical_rates`` and ``z_scores`` are derived on first read."""
+    """Counts of one scheme's outcomes (see ``outcomes``) and the analytic rates
+    they were drawn from, at trials and a seed read as ``simulate`` reads them;
+    the read-only ``empirical_rates`` and ``z_scores`` are derived on first read."""
 
     scheme_kind: SchemeKind
     trials_per_state: int
@@ -131,6 +131,9 @@ class SimulationStats:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme_kind", _member(SchemeKind, self.scheme_kind, "scheme_kind"))
+        trials, seed = _run_arguments(self.trials_per_state, self.seed)
+        object.__setattr__(self, "trials_per_state", trials)
+        object.__setattr__(self, "seed", seed)
         _frozen_fields(self, None, "counts", "analytic_rates")
         shape, rates = self.counts.shape, self.analytic_rates.shape
         if len(shape) != 2 or shape[1] not in (2, 3):

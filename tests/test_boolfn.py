@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -23,8 +24,24 @@ from qfilter import (
     wk_spec,
 )
 from qfilter.boolfn import _complement_signs, approximate_povm_window, classical_query_count
+from qfilter.cli import _round12, main
 
 ROOT3 = math.sqrt(3.0)
+
+# every entry point that takes the pair (n, k), and every one that takes n
+TAKES_N_AND_K = {
+    "wk_spec": wk_spec,
+    "boolean_problem": boolean_problem,
+    "povm_advantage": povm_advantage,
+    "average_overlap_full": lambda n, k: average_overlap_full(n, k, 0.5),
+    "classical_query_count": classical_query_count,
+    "approximate_povm_window": lambda n, k: approximate_povm_window(n, k, 0.1),
+}
+TAKES_N = {
+    "BooleanFunction": lambda n: BooleanFunction(n, ()),
+    "enumerate_balanced": enumerate_balanced,
+    **{name: lambda n, call=call: call(n, 2) for name, call in TAKES_N_AND_K.items()},
+}
 
 
 class TestBooleanFunction:
@@ -132,6 +149,19 @@ class TestWkSpec:
             minus = dj_encode(BooleanFunction(n, tuple(1 - b for b in low_zero))).amplitudes
             assert np.abs(plus + minus).max() <= 1e-15
             np.testing.assert_array_equal(plus, spec.vector.amplitudes)
+
+    @pytest.mark.parametrize("name", TAKES_N)
+    @pytest.mark.parametrize("n", (0, -3))
+    def test_bit_count_below_one_rejected(self, n, name):
+        with pytest.raises(InvalidInputError, match=rf"^bit count n must be >= 1, got {n}$"):
+            TAKES_N[name](n)
+
+    @pytest.mark.parametrize("name", TAKES_N_AND_K)
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_bias_level_above_n_rejected(self, n, name):
+        message = rf"^bias level k must lie in \[1, n={n}\], got {n + 1}$"
+        with pytest.raises(InvalidInputError, match=message):
+            TAKES_N_AND_K[name](n, n + 1)
 
     def test_members_are_biased(self):
         # the top D / 2^k inputs flip: neither constant nor balanced for k >= 2
@@ -393,6 +423,32 @@ class TestAdvantage:
     def test_gap_shrinks_with_bias_level(self):
         gaps = [povm_advantage(8, k).relative_gap for k in (4, 6, 8)]
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+class TestPovmWindow:
+    @pytest.mark.parametrize("eta1", (0.0, 1.0, 1.5, math.nan))
+    def test_prior_range_named(self, eta1):
+        with pytest.raises(InvalidInputError, match=rf"\(0, 1\), got {eta1!r}"):
+            approximate_povm_window(3, 2, eta1)
+
+    @pytest.mark.parametrize(
+        "argv, eta1",
+        [
+            (("--n", "3", "--k", "2"), 0.125),
+            (("--n", "5", "--k", "3", "--prior-mode", "custom", "--eta1", "0.2"), 0.2),
+            (("--n", "4", "--k", "2", "--variant", "full", "--prior-mode", "equal-sets"), 0.5),
+        ],
+        ids=["basis", "custom", "full-equal-sets"],
+    )
+    def test_report_groups_are_the_records(self, capsys, argv, eta1):
+        assert main(["boolean", *argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        n, k = payload["n"], payload["k"]
+        assert payload["eta1"] == eta1
+        assert payload["povm_advantage"] == _round12(povm_advantage(n, k)._asdict())
+        window = approximate_povm_window(n, k, eta1)
+        assert payload["approx_povm_window"] == _round12(window._asdict())
+        assert window.scaled_prior == 2**n * eta1
 
 
 class TestClassicalQueries:

@@ -180,6 +180,21 @@ class TestStrategiesCommand:
         assert (code, err) == (0, "")
         assert "analytic Q 0.5  misidentifications 0" in out
 
+    @pytest.mark.parametrize("d", [7e-17, 1e-17])
+    def test_sqm2_below_the_cut_exits_3_as_reported(self, capsys, tmp_path, d):
+        # the cut reads f = 0 with S > 0: the report says SQM2 is impossible, and so does SQM2
+        path = tmp_path / "band.json"
+        save_problem(band_problem(d), path)
+        code, out, _ = run(capsys, "strategies", "--input", str(path), "--format", "json")
+        assert code == 0 and json.loads(out)["q_sqm2"] == math.inf
+        for fmt in ("json", "table"):
+            code, out, err = run(
+                capsys, "simulate", "--input", str(path), "--trials", "100", "--strategy", "sqm2",
+                "--format", fmt,
+            )
+            assert (code, out) == (3, "")
+            assert err.startswith("infeasible: q1 = 0 requires every complement state")
+
 
 class TestSweepCommand:
     def sweep(self, capsys, tmp_path, *extra):

@@ -96,14 +96,14 @@ class TestFailureAllocations:
         np.testing.assert_allclose(alloc.failure_probs, [1e-14, 1.0], rtol=1e-6)
 
     def test_zero_q1_with_nonorthogonal_complement_rejected(self):
-        # q1 = 0 stays 0 only when f reads exactly 0, which a complement
-        # overlap above PROB_TOL contradicts; the cached split is set to f = 0
+        # q1 = 0 stays 0 only when f reads exactly 0, which any nonzero
+        # complement overlap contradicts; the cached split is set to f = 0
         problem = tiny_overlap_pair()
         target = problem.state_matrix[0]
         vars(problem)["_decomposition"] = Decomposition(
             parallel=np.zeros_like(target), perpendicular=target, parallel_norm_sq=0.0
         )
-        with pytest.raises(InfeasibleError, match=r"overlap 1\.000e-07 exceeds PROB_TOL"):
+        with pytest.raises(InfeasibleError, match=r"overlap 1\.000e-07 is not 0"):
             failure_allocations(problem, 0.0)
 
     def test_optimal_allocation_is_kept_and_bit_equal_to_a_fresh_one(self):
@@ -589,6 +589,21 @@ class TestProjectiveSchemes:
         # the span cut drops the direction d carries, so f reads ~1e-17 where it is 1
         with pytest.raises(NumericalError, match=r"DEPENDENCY_TOL .* RANK_TOL"):
             projective_scheme(band_problem(d), SchemeKind.SQM2)
+
+    @pytest.mark.parametrize("d", [7e-17, 1e-17])
+    def test_sqm2_below_the_cut_is_infeasible_as_reported(self, d, orthogonal_pair_problem):
+        # the cut reads f = 0 exactly, while psi_2 keeps an overlap d with psi_1:
+        # the report's S > 0 gives q_sqm2 = inf, and q1 = 0 needs every overlap to be 0
+        problem = band_problem(d)
+        assert optimal_filtering(problem).q_sqm2 == math.inf
+        with pytest.raises(InfeasibleError, match=f"overlap {d:.3e} is not 0"):
+            failure_allocations(problem, 0.0)
+        with pytest.raises(InfeasibleError, match=f"overlap {d:.3e} is not 0"):
+            projective_scheme(problem, SchemeKind.SQM2)
+        # where every overlap is exactly 0, SQM2 still filters perfectly
+        scheme = projective_scheme(orthogonal_pair_problem, SchemeKind.SQM2)
+        fail = scheme.born_probabilities(orthogonal_pair_problem.state_matrix)[:, -1]
+        assert float(orthogonal_pair_problem.priors @ fail) == 0.0
 
     def test_sqm2_tiny_f_span_leak_names_q1_and_both_causes(self):
         # A well-conditioned complement (singular values [1, 1]) cuts nothing, but

@@ -385,6 +385,20 @@ class TestSimulate:
             with pytest.raises(InvalidInputError, match=r"^analytic_rates of shape .* \(2, 3\)$"):
                 SimulationStats("POVM", 10, 0, counts, rates)
 
+    @pytest.mark.parametrize(
+        "trials, seed, field",
+        [(0, 0, "trials_per_state"), (2.5, 0, "trials_per_state"), (10, -1, "seed"),
+         (10, 2**64, "seed")],
+        ids=["no-trials", "fractional-trials", "negative-seed", "seed-past-64-bits"],
+    )
+    def test_hand_built_stats_read_trials_and_seed(self, trials, seed, field):
+        # as simulate reads them: 0 trials would divide the empirical rates by zero
+        counts = np.array([[0, 3, 7], [2, 8, 0]])
+        with pytest.raises(InvalidInputError, match=f"^{field} must"):
+            SimulationStats("POVM", trials, seed, counts, counts / 10)
+        stats = SimulationStats("POVM", np.int64(10), np.uint64(2**64 - 1), counts, counts / 10)
+        assert (type(stats.trials_per_state), type(stats.seed)) == (int, int)
+
     def test_seeded_counts_are_pinned(self, walsh_problem, figure_point_problem):
         # counts published from these runs must not move with the sampler
         # (recorded from the keyed-Philox sampler: one multinomial draw per
