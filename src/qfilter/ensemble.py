@@ -77,10 +77,19 @@ def _member(enum: type[Enum], value, field: str):
 
 def _frozen_fields(record, dtype, *names: str) -> None:
     """Store each named array field of a frozen ``record`` as a read-only view
-    (dtype None keeps the field's dtype). The view is frozen, not the array
-    passed in, so the caller's array keeps its flags, and nothing is copied."""
+    (dtype None keeps the field's dtype), or raise InvalidInputError naming the
+    first field numpy cannot read as numbers of that dtype. The view is frozen,
+    not the array passed in, so the caller's array keeps its flags, and nothing
+    is copied."""
     for name in names:
-        object.__setattr__(record, name, _freeze(np.asarray(getattr(record, name), dtype).view()))
+        value = getattr(record, name)
+        try:
+            arr = np.asarray(value, dtype)
+        except (TypeError, ValueError):  # a malformed string, ragged nesting, a non-number
+            raise InvalidInputError(
+                f"{name} must be an array of numbers, got {value!r:.80}"
+            ) from None
+        object.__setattr__(record, name, _freeze(arr.view()))
 
 
 def _check_unit_rows(rows: np.ndarray, label: str = "state {}: ") -> None:

@@ -29,6 +29,7 @@ output, and ``build_neumark`` checks it to DEPENDENCY_TOL for any other.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -95,6 +96,12 @@ class FailureAllocation:
     def q1(self) -> float:
         """The target's failure weight, ``failure_probs[0]``."""
         return float(self.failure_probs[0])
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The ancilla amplitudes a_i = sqrt(q_i) e^{i theta_i}, read-only,
+        derived on first read."""
+        return _freeze(np.sqrt(self.failure_probs) * np.exp(1j * self.phases))
 
 
 def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocation:
@@ -169,25 +176,24 @@ class SuccessGram:
 
 def success_gram(problem: FilteringProblem, allocation: FailureAllocation) -> SuccessGram:
     """G_succ = G - w w^dagger with the state Gram G_ij = <psi_i|psi_j> and
-    w_i = sqrt(q_i) e^{-i theta_i}: the one N x N matrix the package forms.
+    w = conj(a), a the allocation's ``amplitudes``: the one N x N matrix the
+    package forms.
 
-    G and G_succ are each symmetrized, as rounding leaves both non-Hermitian
-    in the last bits. Feasible iff the smallest eigenvalue is >= -PSD_TOL
-    (separating genuine infeasibility from floating-point noise at desk-scale
-    dimensions). Under the package phase convention the first row and column
-    vanish identically, which is the success-orthogonality requirement in Gram
-    form.
+    G_succ is symmetrized once, as (G_succ + G_succ^dagger) / 2, since rounding
+    leaves G and w w^dagger non-Hermitian in the last bits; the result is
+    Hermitian exactly, as ``eigvalsh`` assumes. Feasible iff the smallest
+    eigenvalue is >= -PSD_TOL (separating genuine infeasibility from
+    floating-point noise at desk-scale dimensions). Under the package phase
+    convention the first row and column vanish identically, which is the
+    success-orthogonality requirement in Gram form.
     """
     if allocation.failure_probs.size != problem.n_states:
         raise InvalidInputError(
             f"allocation of length {allocation.failure_probs.size} does not fit "
             f"{problem.n_states} states"
         )
-    m = problem.state_matrix
-    g = m.conj() @ m.T
-    g = (g + g.conj().T) / 2.0
-    w = np.sqrt(allocation.failure_probs) * np.exp(-1j * allocation.phases)
-    gs = g - np.outer(w, w.conj())
+    m, w = problem.state_matrix, allocation.amplitudes.conj()
+    gs = m.conj() @ m.T - np.outer(w, w.conj())
     gs = (gs + gs.conj().T) / 2.0
     min_eig = float(np.linalg.eigvalsh(gs).min())
     return SuccessGram(matrix=gs, min_eigenvalue=min_eig, feasible=min_eig >= -PSD_TOL)
@@ -201,7 +207,9 @@ class NeumarkModel:
     (index D) is the failure direction. ``success_outputs[i]`` is the
     unnormalized system-block image sqrt(p_i)|success_i> and
     ``failure_amplitudes[i]`` the ancilla amplitude sqrt(q_i) e^{i theta_i},
-    with the weights and phases of the allocation it was built from.
+    with the weights and phases of the allocation it was built from. Their
+    shapes are (D+1, D+1), (N, D) and (N,), with D and N at least 1; only the
+    shapes are checked, so nothing is copied.
     """
 
     unitary: np.ndarray
@@ -210,6 +218,14 @@ class NeumarkModel:
 
     def __post_init__(self):
         _frozen_fields(self, np.complex128, "unitary", "success_outputs", "failure_amplitudes")
+        shapes = self.unitary.shape, self.success_outputs.shape, self.failure_amplitudes.shape
+        d = shapes[0][0] - 1 if shapes[0] else 0
+        n = shapes[2][0] if shapes[2] else 0
+        if not (d >= 1 and n >= 1 and shapes == ((d + 1, d + 1), (n, d), (n,))):
+            raise InvalidInputError(
+                "unitary, success_outputs and failure_amplitudes need shapes (D+1, D+1), "
+                f"(N, D) and (N,) with D, N >= 1, got {shapes[0]}, {shapes[1]} and {shapes[2]}"
+            )
 
 
 def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> NeumarkModel:
@@ -236,7 +252,7 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
         raise InfeasibleError(
             f"no unitary realization: success Gram eigenvalue {sg.min_eigenvalue:.3e} < -PSD_TOL"
         )
-    amplitudes = np.sqrt(allocation.failure_probs) * np.exp(1j * allocation.phases)
+    amplitudes = allocation.amplitudes
     # <s_1|s_i> = <psi_1|psi_i> - conj(a_1) a_i: success orthogonality is the product rule.
     breach = float(np.abs(amplitudes[0].conj() * amplitudes[1:] - problem._overlaps).max())
     if not breach <= DEPENDENCY_TOL:
@@ -248,8 +264,8 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
     dec = decompose_target(problem)
     f, q1 = dec.parallel_norm_sq, allocation.q1
     t = (q1 - f) / (1.0 - f) if f < 1.0 else 1.0  # at f = 1, x_f = psi_1
-    x_f = (dec.parallel + t * dec.perpendicular) / np.sqrt(q1) if q1 > 0.0 else np.zeros(d)
-    u = np.exp(1j * allocation.phases[0]) * x_f.conj()
+    x_f = (dec.parallel + t * dec.perpendicular) / math.sqrt(q1) if q1 > 0.0 else np.zeros(d)
+    u = cmath.exp(1j * allocation.phases[0]) * x_f.conj()
     if q1 == 0.0 and amplitudes.any():
         # a_1 = 0 leaves the complement amplitudes free of the target split. Then
         # every overlap <psi_1|psi_i> is 0, so the minimum-norm solution of
@@ -258,7 +274,7 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
     # A feasible allocation has |u| <= 1; at q1 = f and q1 = 1 it is 1 to rounding.
     norm_sq = float(np.real(np.vdot(u, u)))
     if norm_sq > 1.0:
-        u, norm_sq = u / np.sqrt(norm_sq), 1.0
+        u, norm_sq = u / math.sqrt(norm_sq), 1.0
     images = m @ u
     residual = float(np.abs(images - amplitudes).max())
     if not residual <= DEPENDENCY_TOL:
@@ -267,7 +283,7 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
             "RANK_TOL dropped a direction the states carry"
         )
 
-    r = np.sqrt(1.0 - norm_sq)
+    r = math.sqrt(1.0 - norm_sq)
     u_bar = u.conj()
     # (1 - r) / |u|^2 = 1 / (1 + r), which needs no branch at u = 0.
     unitary = np.empty((d + 1, d + 1), dtype=np.complex128)
@@ -419,7 +435,7 @@ def povm_elements(model: NeumarkModel) -> MeasurementScheme:
     x_f = model.unitary[d, :d].conj()
     if p1 > PROB_TOL:
         # U[:D, :D]^dag s_1 as a vector-matrix product, which copies no D x D block.
-        x_t = (target_success.conj() @ model.unitary[:d, :d]).conj() / np.sqrt(p1)
+        x_t = (target_success.conj() @ model.unitary[:d, :d]).conj() / math.sqrt(p1)
         return MeasurementScheme(kind=SchemeKind.POVM, vectors=(x_t, x_f))
     return MeasurementScheme(kind=SchemeKind.POVM, vectors=(x_f,))
 

@@ -5,10 +5,13 @@ Born probabilities of every state come from one call,
 builds that is O(N * D) for N states in dimension D, with no per-state or
 per-operator loop. Probabilities below PROB_TOL are treated as exact zeros,
 so an outcome with vanishing Born probability can never be drawn, and the
-last live outcome of every state takes the rest of the unit mass. A state's
-outcome counts are one multinomial draw over its live outcomes, so the cost
-per state is O(outcomes) and neither time nor memory grows with the number
-of trials. True state i draws from Philox (Salmon et al., SC'11) keyed by the
+last live outcome of every state takes the rest of the unit mass. Each state
+is then drawn in one pass over its row (``_draw``): its outcome counts are
+numpy's multinomial chain of conditional binomials over the live outcomes,
+run step by step with ``Generator.binomial``, so they equal one
+``Generator.multinomial`` draw count for count. The cost per state is
+O(outcomes), and neither time nor memory grows with the number of trials.
+True state i draws from Philox (Salmon et al., SC'11) keyed by the
 128-bit pair (seed, i) from counter 0, so distinct pairs are distinct
 streams exactly, with no hashing. Each thread keeps one Philox generator,
 built on its first draw and re-keyed in place for each state, so no generator
@@ -78,35 +81,43 @@ def _substream(seed: int, state_index: int) -> np.random.Generator:
     return rng
 
 
-def _sampled(probs: np.ndarray) -> np.ndarray:
-    """The distribution the sampler draws from, row by row: entries below
-    PROB_TOL are 0, and the last live outcome takes the rest of the unit mass,
-    as ``_draw_counts`` gives it every trial the outcomes before it do not take.
-    """
-    p = np.where(probs < PROB_TOL, 0.0, probs)
-    rows = p.reshape(-1, p.shape[-1])  # a view: 1-D input is one row
-    at = np.arange(len(rows))
-    last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
-    rows[at, last] = 0.0
-    rows[at, last] = 1.0 - rows.sum(axis=1)
-    return p
+def _draw(row: list[float], trials: int, rng: np.random.Generator) -> tuple[list, list]:
+    """The sampled distribution of one row of Born rates and its outcome counts.
 
-
-def _draw_counts(
-    out: np.ndarray, p: np.ndarray, live: np.ndarray, trials: int, rng: np.random.Generator
-) -> None:
-    """Write the outcome counts of a sampled row ``p`` (see ``_sampled``) into
-    ``out``, a zeroed int64 row: one multinomial draw from ``rng`` over the
-    live outcomes, ``live`` being the row's mask p > 0. The last live outcome
-    takes the remainder of the trials, so a row with one live outcome gets
-    every trial there, and outcomes with p = 0 are never drawn.
+    Cells below PROB_TOL are 0, and the last live cell is 1 minus the sum of
+    the cells before it. The counts are numpy's ``random_multinomial`` over
+    the live cells, step by step: each live outcome but the last draws
+    ``binomial(left, p_j / rest)`` from ``rng``, the chain stops once no trial
+    is left, and the last live outcome takes what is left. So the counts, and
+    the generator's state after them, are those of
+    ``rng.multinomial(trials, p[live])``; a row with one live outcome makes no
+    draw. A share that rounds above 1 is read as 1: ``Generator.binomial``
+    rejects it, while the multinomial's binomial gives it every trial left,
+    as it does at 1, from one uniform draw.
     """
-    out[live] = rng.multinomial(trials, p[live])
+    p = [x if x >= PROB_TOL else 0.0 for x in row]
+    last = len(p) - 1
+    while not p[last]:
+        last -= 1
+    p[last] = 1.0 - sum(p[:last])
+    counts = [0] * len(p)
+    left, rest = trials, 1.0
+    for j in range(last):
+        x = p[j]
+        if x:
+            share = x / rest
+            k = counts[j] = rng.binomial(left, share if share < 1.0 else 1.0)
+            left -= k
+            if left <= 0:
+                break
+            rest -= x
+    counts[last] = left  # 0 after the chain stopped
+    return p, counts
 
 
 def _run_arguments(trials_per_state, seed) -> tuple[int, int]:
     """``simulate``'s trials and seed as Python ints, or InvalidInputError:
-    trials in [1, 2**63 - 1] (one multinomial draw) and seed in
+    trials in [1, 2**63 - 1] (an int64 binomial draw) and seed in
     [0, 2**64 - 1] (one Philox key word)."""
     trials = _integer(trials_per_state, "trials_per_state")
     seed = _integer(seed, "seed")
@@ -180,23 +191,24 @@ def simulate(
 ) -> SimulationStats:
     """Sample every state of the ensemble ``trials_per_state`` times.
 
-    Each state's counts are one ``_draw_counts`` draw from its (seed, state)
+    Each state's counts are one ``_draw`` pass from its (seed, state)
     stream, also for a state with one live outcome, which gets every trial
     there. Deterministic for a fixed (scheme, problem, trials, seed). The analytic
-    rates are those of the sampled distribution (see ``_sampled``), with Born
+    rates are those of the sampled distribution (see ``_draw``), with Born
     probabilities below PROB_TOL read as exact zeros. The record stores the
     counts and these rates; its empirical rates and z-scores are computed on
     first read. Trials and seed are integers, trials in [1, 2**63 - 1] and
     seed in [0, 2**64 - 1].
     """
     trials, seed = _run_arguments(trials_per_state, seed)
-    probs = _born_rates(scheme, problem.state_matrix)
-    analytic = _sampled(probs)
-    counts = np.zeros(analytic.shape, dtype=np.int64)
-    live = analytic > 0.0
-    for i, (out, p, mask) in enumerate(zip(counts, analytic, live)):
-        _draw_counts(out, p, mask, trials, _substream(seed, i))
-    return SimulationStats(scheme.kind, trials, seed, counts, analytic)
+    analytic, counts = [], []
+    for i, row in enumerate(_born_rates(scheme, problem.state_matrix).tolist()):
+        rates, row_counts = _draw(row, trials, _substream(seed, i))
+        analytic.append(rates)
+        counts.append(row_counts)
+    return SimulationStats(
+        scheme.kind, trials, seed, np.array(counts, dtype=np.int64), np.array(analytic)
+    )
 
 
 def aggregate_failure(stats: SimulationStats, priors) -> float:

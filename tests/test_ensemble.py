@@ -277,14 +277,15 @@ class TestDecomposeTarget:
             assert dec.parallel_norm_sq + perp_sq == pytest.approx(1.0, abs=1e-10)
 
 
-# (record, dtype of each stored array field, the other fields, the arrays' shape)
+# (record, dtype of each stored array field, the other fields, the arrays' shape,
+# or each array's shape by name)
 RESULT_RECORDS = [
     (Decomposition, dict.fromkeys(["parallel", "perpendicular"], complex),
      dict(parallel_norm_sq=0.0), (2,)),
     (SuccessGram, dict(matrix=complex), dict(min_eigenvalue=0.0, feasible=True), (2,)),
     (NeumarkModel,
      dict.fromkeys(["unitary", "success_outputs", "failure_amplitudes"], complex),
-     {}, (2,)),
+     {}, dict(unitary=(3, 3), success_outputs=(2, 2), failure_amplitudes=(2,))),
     (StrategyReport, dict(per_state_failure=float),
      dict(q_sqm1=0.5, q_sqm2=0.5, q_povm=None, regime=Regime.SQM1_BOUNDARY, optimal_q1=1.0,
           optimal_Q=0.5, overlap_S=0.0, parallel_norm_f=0.0), (2,)),
@@ -301,13 +302,34 @@ RESULT_RECORDS = [
     ids=[case[0].__name__ for case in RESULT_RECORDS],
 )
 def test_result_records_freeze_a_view_not_the_callers_array(record, arrays, scalars, shape):
-    given = {name: np.zeros(shape, dtype) for name, dtype in arrays.items()}
+    shapes = shape if isinstance(shape, dict) else dict.fromkeys(arrays, shape)
+    given = {name: np.zeros(shapes[name], dtype) for name, dtype in arrays.items()}
     built = record(**given, **scalars)
     for name, array in given.items():
         stored = getattr(built, name)
         assert array.flags.writeable
         assert not stored.flags.writeable
         assert np.shares_memory(stored, array)  # nothing is copied
+
+
+@pytest.mark.parametrize(
+    "record, fields, name",
+    [
+        (SuccessGram, dict(matrix="ab", min_eigenvalue=0.0, feasible=True), "matrix"),
+        (Decomposition, dict(parallel="ab", perpendicular=np.zeros(2), parallel_norm_sq=0.0),
+         "parallel"),
+        (Decomposition,
+         dict(parallel=np.zeros(2), perpendicular=[[1.0], [1.0, 2.0]], parallel_norm_sq=0.0),
+         "perpendicular"),
+        (NeumarkModel, dict(unitary=np.eye(3), success_outputs=np.zeros((2, 2)),
+                            failure_amplitudes=object()), "failure_amplitudes"),
+    ],
+    ids=["malformed-string", "string-first-field", "ragged", "non-number"],
+)
+def test_result_records_name_a_field_numpy_cannot_read(record, fields, name):
+    # numpy's own ValueError or TypeError would not say which field it read
+    with pytest.raises(InvalidInputError, match=f"^{name} must be an array of numbers"):
+        record(**fields)
 
 
 def expected_z(stats):

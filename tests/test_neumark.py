@@ -14,6 +14,7 @@ from qfilter import (
     InfeasibleError,
     InvalidInputError,
     MeasurementScheme,
+    NeumarkModel,
     NumericalError,
     Outcome,
     SchemeKind,
@@ -175,6 +176,19 @@ class TestFailureAllocations:
         key, record = problem._allocation
         assert record.failure_probs.tobytes() == expected[key]
 
+    def test_amplitudes_are_derived_once_and_read_only(self, walsh_problem):
+        alloc = failure_allocations(walsh_problem, ROOT3 / 2)
+        amplitudes = alloc.amplitudes
+        assert alloc.amplitudes is amplitudes and not amplitudes.flags.writeable
+        np.testing.assert_array_equal(
+            amplitudes, np.sqrt(alloc.failure_probs) * np.exp(1j * alloc.phases)
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            alloc.amplitudes = amplitudes
+        # the dilation's ancilla amplitudes are these, not a second computation
+        model = build_neumark(walsh_problem, alloc)
+        assert np.shares_memory(model.failure_amplitudes, amplitudes)
+
     def test_q1_is_the_target_failure_weight(self, figure_point_problem):
         alloc = failure_allocations(figure_point_problem, 0.5)
         assert alloc.q1 == alloc.failure_probs[0] == 0.5
@@ -234,6 +248,25 @@ class TestSuccessGram:
         sg = success_gram(figure_point_problem, alloc)
         np.testing.assert_allclose(sg.matrix[0, 1:], 0.0, atol=1e-14)
         np.testing.assert_allclose(sg.matrix[1:, 0], 0.0, atol=1e-14)
+
+    def test_one_symmetrization_leaves_it_exactly_hermitian(self):
+        # eigvalsh reads one triangle, so the matrix must equal its conjugate
+        # transpose; symmetrizing G as well moves the verdict by rounding on the
+        # matrix's scale (up to 2.1e-15 here, at most 2.42 eps * lambda_max)
+        rng = np.random.default_rng(30)
+        problems = [random_problem(rng) for _ in range(300)] + [boolean_problem(8, 3)]
+        for problem in problems:
+            allocation = failure_allocations(problem, optimal_filtering(problem).optimal_q1)
+            sg = success_gram(problem, allocation)
+            assert np.array_equal(sg.matrix, sg.matrix.conj().T)
+            m = problem.state_matrix
+            g = m.conj() @ m.T
+            w = np.sqrt(allocation.failure_probs) * np.exp(-1j * allocation.phases)
+            twice = (g + g.conj().T) / 2.0 - np.outer(w, w.conj())
+            twice = (twice + twice.conj().T) / 2.0
+            eigenvalues = np.linalg.eigvalsh(twice)
+            scale = 4.0 * np.finfo(float).eps * max(1.0, float(eigenvalues[-1]))
+            assert abs(sg.min_eigenvalue - float(eigenvalues[0])) <= scale
 
 
 class TestBuildNeumark:
@@ -699,6 +732,27 @@ class TestUnambiguityAcrossSchemes:
                     np.testing.assert_allclose(table[:, -1], want, rtol=0.0, atol=1e-13)
                 else:
                     assert float(problem.priors @ table[:, -1]) == pytest.approx(want, abs=1e-13)
+
+
+class TestNeumarkModelValidation:
+    @pytest.mark.parametrize(
+        "unitary, outputs, amplitudes",
+        [
+            ([[1]], [[1]], [0]),
+            (np.eye(3), np.zeros((2, 5)), np.zeros(2)),
+            (np.eye(3), np.zeros((2, 2)), np.zeros(3)),
+            (np.eye(3)[:, :2], np.zeros((2, 2)), np.zeros(2)),
+            (np.eye(3), np.zeros((0, 2)), np.zeros(0)),
+            (np.eye(3), np.zeros(2), np.zeros(2)),
+        ],
+        ids=["no-system", "outputs-too-wide", "amplitude-count", "not-square", "no-states",
+             "flat-outputs"],
+    )
+    def test_hand_built_shapes_checked(self, unitary, outputs, amplitudes):
+        # a wrong shape used to reach povm_elements: a bare numpy error, or a scheme
+        shapes = r"need shapes \(D\+1, D\+1\), \(N, D\) and \(N,\) with D, N >= 1, got"
+        with pytest.raises(InvalidInputError, match=shapes):
+            NeumarkModel(unitary=unitary, success_outputs=outputs, failure_amplitudes=amplitudes)
 
 
 class TestMeasurementSchemeValidation:

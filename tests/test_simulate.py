@@ -27,7 +27,7 @@ from qfilter import (
     save_problem,
     simulate,
 )
-from qfilter.simulate import _born_rates, _draw_counts, _sampled, _substream
+from qfilter.simulate import _born_rates, _draw, _substream
 from qfilter.tolerances import PROB_TOL
 
 ROOT3 = math.sqrt(3.0)
@@ -39,11 +39,9 @@ def optimal_scheme(problem):
     return povm_elements(build_neumark(problem, allocation)), report
 
 
-def draw(p, trials, rng):
-    """The counts ``_draw_counts`` writes for the sampled row ``p`` into a fresh zeroed row."""
-    counts = np.zeros(p.size, dtype=np.int64)
-    _draw_counts(counts, p, p > 0.0, trials, rng)
-    return counts
+def draw(probs, trials, rng):
+    """The counts ``_draw`` gives one row of Born rates, read as ``simulate`` reads them."""
+    return np.array(_draw(np.asarray(probs, float).tolist(), trials, rng)[1], dtype=np.int64)
 
 
 def born(scheme, amplitudes):
@@ -117,19 +115,19 @@ class TestOutcomeDistribution:
 class TestSampling:
     def test_zero_probability_outcomes_never_drawn(self):
         probs = np.array([0.3, 0.0, 0.7])
-        counts = draw(_sampled(probs), 50_000, philox(123))
+        counts = draw(probs, 50_000, philox(123))
         assert counts[1] == 0
         assert counts.sum() == 50_000
 
     def test_tiny_probabilities_are_exact_zeros(self):
         probs = np.array([0.5, 1e-13, 0.5 - 1e-13])
-        counts = draw(_sampled(probs), 20_000, philox(7))
+        counts = draw(probs, 20_000, philox(7))
         assert counts[1] == 0
 
     def test_residual_mass_goes_to_last_live_outcome(self):
         # total slightly below 1: every draw must still land on a live outcome
         probs = np.array([0.5, 0.5 - 1e-13, 0.0])
-        counts = draw(_sampled(probs), 10_000, philox(99))
+        counts = draw(probs, 10_000, philox(99))
         assert counts[2] == 0
 
 
@@ -145,13 +143,10 @@ def reference_counts(probs, trials, seed, state_index):
     return counts
 
 
-@st.composite
-def sampled_distributions(draw):
-    """Probability vectors with exact zeros, entries below PROB_TOL, zero
-    trailing entries and totals within 1e-12 of 1."""
-    kinds = draw(st.lists(st.sampled_from(["live", "zero", "tiny"]), min_size=1, max_size=7))
-    kinds[draw(st.integers(0, len(kinds) - 1))] = "live"
-    kinds += ["zero"] * draw(st.integers(0, 2))
+def born_row(draw, kinds):
+    """A row of Born rates with one entry per kind: "live" at or above
+    PROB_TOL, "zero" exactly 0, "tiny" below PROB_TOL; its total lies within
+    1e-12 of 1."""
     weights = np.array(
         [draw(st.floats(0.01, 1.0)) if kind == "live" else 0.0 for kind in kinds]
     )
@@ -163,6 +158,25 @@ def sampled_distributions(draw):
     return weights / weights.sum() * live_total + tiny
 
 
+@st.composite
+def sampled_distributions(draw):
+    """Probability vectors with exact zeros, entries below PROB_TOL, zero
+    trailing entries and totals within 1e-12 of 1."""
+    kinds = draw(st.lists(st.sampled_from(["live", "zero", "tiny"]), min_size=1, max_size=7))
+    kinds[draw(st.integers(0, len(kinds) - 1))] = "live"
+    kinds += ["zero"] * draw(st.integers(0, 2))
+    return born_row(draw, kinds)
+
+
+@st.composite
+def chain_rows(draw):
+    """Rows with 1, 2 or 3 live outcomes, as a scheme's rows have, and exact
+    or sub-PROB_TOL zeros in any position, trailing ones included."""
+    kinds = ["live"] * draw(st.integers(1, 3))
+    kinds += draw(st.lists(st.sampled_from(["zero", "tiny"]), max_size=3))
+    return born_row(draw, draw(st.permutations(kinds)))
+
+
 class TestSamplerOracle:
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
@@ -172,7 +186,7 @@ class TestSamplerOracle:
         state_index=st.integers(0, 2**64 - 2),
     )
     def test_counts_match_multinomial_reference(self, probs, trials, seed, state_index):
-        counts = draw(_sampled(probs), trials, drawn(seed, state_index))
+        counts = draw(probs, trials, drawn(seed, state_index))
         assert counts.dtype == np.int64
         np.testing.assert_array_equal(
             counts, reference_counts(probs, trials, seed, state_index)
@@ -182,7 +196,7 @@ class TestSamplerOracle:
         probs = np.array([0.3, 0.2, 0.5])
         tracemalloc.start()
         try:
-            counts = draw(_sampled(probs), 10**7, philox(5))
+            counts = draw(probs, 10**7, philox(5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -190,15 +204,74 @@ class TestSamplerOracle:
         assert peak < 1_000_000
 
 
+class TestBinomialChain:
+    """``_draw`` runs numpy's multinomial as its chain of binomials, step by
+    step: the counts and the generator's state after them are those of one
+    ``Generator.multinomial`` draw on a twin generator."""
+
+    @staticmethod
+    def assert_one_multinomial_draw(probs, trials, seed):
+        ours, twin = philox(seed, 1), philox(seed, 1)
+        rates, counts = _draw(probs.tolist(), trials, ours)
+        live = probs >= PROB_TOL
+        expected = np.zeros(probs.size, dtype=np.int64)
+        expected[live] = twin.multinomial(trials, np.array(rates)[live])
+        assert counts == expected.tolist()
+        assert ours.random() == twin.random()
+        return rates, counts
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        probs=chain_rows(),
+        trials=st.sampled_from([1, 2, 8191, 10**5, 2**62]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_counts_and_stream_match_one_multinomial_draw(self, probs, trials, seed):
+        self.assert_one_multinomial_draw(probs, trials, seed)
+
+    @pytest.mark.parametrize("trials", [1, 2, 8191, 10**5, 2**62])
+    @pytest.mark.parametrize(
+        "first", [0.6369616873214543, 0.2697867137638703, 0.04097352393619469]
+    )
+    def test_a_share_rounding_above_one_takes_every_trial_left(self, first, trials):
+        # Three live outcomes whose last share rounds to 0: the second step's
+        # share p_2 / (1 - p_1) rounds above 1, which Generator.binomial rejects;
+        # the multinomial's step gives such a share every trial left.
+        second = math.nextafter(1.0 - first, 2.0)
+        assert second / (1.0 - first) > 1.0
+        rates, counts = self.assert_one_multinomial_draw(
+            np.array([first, second, PROB_TOL]), trials, seed=9
+        )
+        assert 0.0 <= rates[2] < PROB_TOL and counts[2] == 0
+
+    def test_chain_stops_once_no_trial_is_left(self):
+        # numpy's loop breaks when no trial is left, so no step draws on 0 trials
+        class Recording:
+            def __init__(self, rng):
+                self.rng, self.trials = rng, []
+
+            def binomial(self, n, p):
+                self.trials.append(n)
+                return self.rng.binomial(n, p)
+
+        steps = []
+        for seed in range(40):
+            rng = Recording(philox(seed))
+            assert sum(_draw([0.5, 0.3, 0.2], 1, rng)[1]) == 1
+            assert min(rng.trials) >= 1
+            steps.append(len(rng.trials))
+        assert set(steps) == {1, 2}  # the first outcome took the one trial, or did not
+
+
 class TestSubstreams:
     def test_seed_and_state_do_not_alias(self):
         # (seed 0, state 1) and (seed 1, state 0) must be different streams
         probs = np.array([0.25, 0.25, 0.25, 0.25])
-        a = draw(_sampled(probs), 10_000, _substream(0, 1))
-        b = draw(_sampled(probs), 10_000, _substream(1, 0))
+        a = draw(probs, 10_000, _substream(0, 1))
+        b = draw(probs, 10_000, _substream(1, 0))
         assert not np.array_equal(a, b)
-        np.testing.assert_array_equal(a, draw(_sampled(probs), 10_000, philox(0, 1)))
-        np.testing.assert_array_equal(b, draw(_sampled(probs), 10_000, philox(1, 0)))
+        np.testing.assert_array_equal(a, draw(probs, 10_000, philox(0, 1)))
+        np.testing.assert_array_equal(b, draw(probs, 10_000, philox(1, 0)))
 
     @pytest.mark.parametrize("seed", (0, 42, 2**64 - 1))
     def test_each_state_draws_from_a_fresh_keyed_philox(self, walsh_problem, seed):
@@ -437,10 +510,9 @@ class TestSimulate:
         # what the sampler assigns the last live outcome: every draw at or
         # above the partial sum before it
         probs = np.array([[0.3, 0.0, 0.7 - 1e-13, 4e-13], [1.0 - 3e-16, 0.0, 0.0, 0.0]])
-        p = _sampled(probs)
-        assert p[0, 2] == 1.0 - 0.3 and p[0, 3] == 0.0
-        np.testing.assert_array_equal(p[1], [1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(_sampled(probs[0]), p[0])
+        first, second = (_draw(row, 1, philox(0))[0] for row in probs.tolist())
+        assert first[2] == 1.0 - 0.3 and first[3] == 0.0
+        assert second == [1.0, 0.0, 0.0, 0.0]
 
     def test_single_outcome_rows_read_exactly_one_with_zero_z(self):
         # SQM1 fails on the target with Born probability 1 up to rounding; the
@@ -460,7 +532,7 @@ class TestSimulate:
         full = simulate(scheme, walsh_problem, 4000, 77)
         assert full.counts.dtype == np.int64
         for i, state in enumerate(walsh_problem.state_matrix):
-            part = draw(_sampled(born(scheme, state)), 4000, philox(77, i))
+            part = draw(born(scheme, state), 4000, philox(77, i))
             np.testing.assert_array_equal(full.counts[i], part)
 
     def test_z_scores_mostly_small_across_seeds(self, figure_point_problem, walsh_problem):
@@ -504,11 +576,9 @@ class TestScale:
         single = (stats.analytic_rates > 0).sum(axis=1) == 1
         assert int(single.sum()) == 248
         for i, state in enumerate(problem.state_matrix):
-            probs = born(scheme, state)
-            np.testing.assert_array_equal(stats.analytic_rates[i], _sampled(probs))
-            np.testing.assert_array_equal(
-                stats.counts[i], draw(_sampled(probs), 3000, philox(5, i))
-            )
+            rates, counts = _draw(born(scheme, state).tolist(), 3000, philox(5, i))
+            np.testing.assert_array_equal(stats.analytic_rates[i], rates)
+            np.testing.assert_array_equal(stats.counts[i], counts)
 
     def test_n10_measurement_forms_no_dense_operator(self):
         # D = 1024: one D x D complex matrix is 16 MiB; povm_elements and
