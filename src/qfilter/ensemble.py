@@ -78,18 +78,22 @@ def _member(enum: type[Enum], value, field: str):
 def _frozen_fields(record, dtype, *names: str) -> None:
     """Store each named array field of a frozen ``record`` as a read-only view
     (dtype None keeps the field's dtype), or raise InvalidInputError naming the
-    first field numpy cannot read as numbers of that dtype. The view is frozen,
-    not the array passed in, so the caller's array keeps its flags, and nothing
-    is copied."""
+    first field numpy cannot cast to that dtype without loss (``np.can_cast``):
+    a string, a non-number, a float for an integer dtype or a complex number
+    for a real one. The view is frozen, not the array passed in, so the
+    caller's array keeps its flags, and an array of that dtype is not copied."""
     for name in names:
         value = getattr(record, name)
         try:
-            arr = np.asarray(value, dtype)
-        except (TypeError, ValueError):  # a malformed string, ragged nesting, a non-number
-            raise InvalidInputError(
-                f"{name} must be an array of numbers, got {value!r:.80}"
-            ) from None
-        object.__setattr__(record, name, _freeze(arr.view()))
+            arr = np.asarray(value)
+            # an equal dtype casts; the comparison is a fraction of can_cast's call cost
+            lossless = dtype is None or arr.dtype == dtype or np.can_cast(arr.dtype, dtype)
+        except ValueError:  # ragged nesting
+            lossless = False
+        if not lossless:
+            into = "" if dtype is None else f" castable to {np.dtype(dtype)} without loss"
+            raise InvalidInputError(f"{name} must be an array of numbers{into}, got {value!r:.80}")
+        object.__setattr__(record, name, _freeze(np.asarray(arr, dtype).view()))
 
 
 def _check_unit_rows(rows: np.ndarray, label: str = "state {}: ") -> None:

@@ -1,26 +1,23 @@
-"""Explicit construction of the measurement schemes.
+"""Explicit construction of the measurement schemes, all from one family.
 
-The generalized measurement is realized on a (D+1)-dimensional space: the
-D-dimensional system block plus a one-dimensional failure direction (the
-ancilla coordinate, index D). A unitary U maps each embedded input state onto
+With the target split against the complement span as psi_1 = psi_par +
+psi_perp and f = |psi_par|^2, the unambiguous filter that fails the target
+with weight q1 in [f, 1] has the rank-one elements of
 
-    sqrt(p_i) |success_i>  +  sqrt(q_i) e^{i theta_i} |ancilla>,
+    x_f = (psi_par + t psi_perp) / sqrt(q1),    x_t = sqrt(1 - q1) psi_perp / (1 - f),
 
-with the target's success vector orthogonal to every complement success
-vector, so that a projective measurement of {target direction, ancilla,
-remainder} never misidentifies. U exists iff the success Gram
-G_succ = G - w w^dagger, w_i = sqrt(q_i) e^{-i theta_i}, is positive
-semidefinite; that verdict is checked to PSD_TOL. U is then built in closed
-form from its ancilla row, read off the cached target split (``build_neumark``).
+with t rising linearly from 0 at q1 = f to 1 at q1 = 1, plus the remainder
+(Bergou, Herzog & Hillery, PRA 71, 042314 (2005)); ``_family`` writes them
+from the cached split. It fails with probability Q(q1) = eta1 q1 + S / q1,
+and the three strategies are three values of q1: SQM1 at 1 (psi_1 alone),
+SQM2 at f (the unit parallel and perpendicular parts of psi_1) and the POVM
+at sqrt(S / eta1). A ``MeasurementScheme`` stores only the vectors, so Born
+probabilities for N states cost O(N * D).
 
-Every scheme is at most two rank-one elements x x^dagger plus the remainder
-I - sum x x^dagger, and is stored as those vectors and nothing else
-(``MeasurementScheme``): x_t and x_f, read from two rows of U, for the
-generalized measurement (``povm_elements``); psi_1 for the selective
-projection and the unit perpendicular and parallel parts of psi_1 for the
-nonselective one (``projective_scheme``). Born probabilities for N states
-then cost O(N * D) on one path, and no D x D matrix is formed unless
-``operators`` is read.
+The POVM is also realized as a unitary on the system plus one failure
+direction, built from its ancilla row conj(x_f) once the success Gram passes
+its PSD verdict (``build_neumark``); ``povm_elements`` reads x_t and x_f
+back from two of its rows.
 
 Phase convention: theta_1 = 0 and theta_i = arg<psi_1|psi_i>. With the product
 rule q1 * q_i = |<psi_1|psi_i>|^2 this zeroes the first row of G_succ, which is
@@ -38,20 +35,9 @@ from functools import cached_property
 import numpy as np
 
 from .ensemble import (
-    FilteringProblem,
-    _freeze,
-    _frozen_fields,
-    _member,
-    _numbers,
-    _real,
-    decompose_target,
+    FilteringProblem, _freeze, _frozen_fields, _member, _numbers, _real, decompose_target,
 )
-from .errors import (
-    DegenerateDecompositionError,
-    InfeasibleError,
-    InvalidInputError,
-    NumericalError,
-)
+from .errors import DegenerateDecompositionError, InfeasibleError, InvalidInputError, NumericalError
 from .tolerances import DEPENDENCY_TOL, OPERATOR_TOL, PROB_TOL, PSD_TOL
 
 
@@ -162,6 +148,25 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
     return allocation
 
 
+def _family(problem: FilteringProblem, q1: float) -> tuple[np.ndarray, ...]:
+    """The rows (x_t, x_f) of the family's scheme at ``q1`` in [f, 1] (module
+    docstring), without x_t once 1 - q1 <= PROB_TOL, as ``povm_elements``
+    drops it. x_f is the stored row psi_1 at q1 = 1, read with no split, and at
+    f = 1; it is 0 at q1 = 0."""
+    target = problem.state_matrix[0]
+    if q1 == 1.0:
+        return (target,)
+    dec = decompose_target(problem)
+    f = dec.parallel_norm_sq
+    if f == 1.0:
+        return (target,)
+    t = (q1 - f) / (1.0 - f)
+    x_f = (dec.parallel + t * dec.perpendicular) / math.sqrt(q1) if q1 > 0.0 else 0.0 * target
+    if not 1.0 - q1 > PROB_TOL:
+        return (x_f,)
+    return (math.sqrt(1.0 - q1) / (1.0 - f) * dec.perpendicular, x_f)
+
+
 @dataclass(frozen=True, eq=False)
 class SuccessGram:
     """Gram matrix of the prescribed success vectors plus its PSD verdict."""
@@ -232,15 +237,13 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
     """Construct the dilated unitary for the given failure allocation.
 
     The ancilla row u solves M u = a (states as the rows of M,
-    a_i = sqrt(q_i) e^{i theta_i}). Under the product rule it is a closed form
-    in the cached target split, not a solve (Bergou, Herzog & Hillery, PRA 71,
-    042314 (2005)): u = e^{i theta_1} conj(x_f), the minimum-norm solution, with
-    x_f = (psi_par + (q1 - f) / (1 - f) psi_perp) / sqrt(q1), psi_1 at f = 1
-    and 0 at q1 = 0. The one solve is at q1 = 0 with some a_i != 0, where u is
-    the minimum-norm solution of M[1:] u = a[1:]. With r = sqrt(1 - |u|^2) and
-    R = I - conj(u) u^T / (1 + r), R is Hermitian with R^2 = I - conj(u) u^T,
-    so U = [[R, -conj(u)], [u^T, r]] is unitary and sends each state to
-    R psi_i + a_i |ancilla>.
+    a_i = sqrt(q_i) e^{i theta_i}). Under the product rule its minimum-norm
+    solution is u = e^{i theta_1} conj(x_f), with x_f the family's at the
+    allocation's q1 (``_family``); the one solve is at q1 = 0 with some
+    a_i != 0, where u is the minimum-norm solution of M[1:] u = a[1:]. With
+    r = sqrt(1 - |u|^2) and R = I - conj(u) u^T / (1 + r), R is Hermitian with
+    R^2 = I - conj(u) u^T, so U = [[R, -conj(u)], [u^T, r]] is unitary and
+    sends each state to R psi_i + a_i |ancilla>.
 
     Raises InfeasibleError when the success Gram is not positive semidefinite
     or a breaks the product rule conj(a_1) a_i = <psi_1|psi_i>; NumericalError
@@ -261,11 +264,8 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
             f"{breach:.3e} > DEPENDENCY_TOL"
         )
 
-    dec = decompose_target(problem)
-    f, q1 = dec.parallel_norm_sq, allocation.q1
-    t = (q1 - f) / (1.0 - f) if f < 1.0 else 1.0  # at f = 1, x_f = psi_1
-    x_f = (dec.parallel + t * dec.perpendicular) / math.sqrt(q1) if q1 > 0.0 else np.zeros(d)
-    u = cmath.exp(1j * allocation.phases[0]) * x_f.conj()
+    q1 = allocation.q1
+    u = cmath.exp(1j * allocation.phases[0]) * _family(problem, q1)[-1].conj()
     if q1 == 0.0 and amplitudes.any():
         # a_1 = 0 leaves the complement amplitudes free of the target split. Then
         # every overlap <psi_1|psi_i> is 0, so the minimum-norm solution of
@@ -347,8 +347,6 @@ class MeasurementScheme:
             )
         if not np.isfinite(x).all():
             raise InvalidInputError("rank-one vectors must be finite")
-        # Each x x^dagger is positive; the remainder's smallest eigenvalue is
-        # 1 - the largest eigenvalue of the Gram matrix of the vectors.
         min_eig = 1.0 - _largest_gram_eigenvalue(x)
         if not min_eig >= -OPERATOR_TOL:
             raise NumericalError(f"outcome operator has eigenvalue {min_eig:.3e} < -OPERATOR_TOL")
@@ -418,15 +416,12 @@ class MeasurementScheme:
 
 
 def povm_elements(model: NeumarkModel) -> MeasurementScheme:
-    """System-space elements of the generalized measurement, as rank-one vectors.
-
-    Two rows of the unitary U give them: the ancilla row, x_f = conj(U[D, :D]),
-    and the target success direction s_1 / sqrt(p_1) pulled back through the
-    system block, x_t = U[:D, :D]^dag s_1 / sqrt(p_1). Then E_fail = x_f x_f^dag,
-    E_target = x_t x_t^dag and E_comp = I - E_target - E_fail, the scheme's
-    remainder. When the target always fails (p_1 within PROB_TOL of 0) the
-    scheme is x_f alone, without the conclusive target outcome. O(D^2) time
-    and O(D) memory: no D x D matrix is formed.
+    """System-space elements of the generalized measurement, read back from
+    two rows of the unitary U: x_f = conj(U[D, :D]) and
+    x_t = U[:D, :D]^dag s_1 / sqrt(p_1), the target success direction pulled
+    back through the system block; for a ``failure_allocations`` input these
+    are the family's vectors. When the target always fails (p_1 within
+    PROB_TOL of 0) the scheme is x_f alone. O(D^2) time and O(D) memory.
     """
     d = len(model.unitary) - 1
     target_success = model.success_outputs[0]
@@ -441,36 +436,30 @@ def povm_elements(model: NeumarkModel) -> MeasurementScheme:
 
 
 def projective_scheme(problem: FilteringProblem, kind: SchemeKind) -> MeasurementScheme:
-    """The two standard projective strategies on the bare system space.
+    """SQM1 and SQM2, the family's schemes at q1 = 1 and q1 = f (``_family``).
 
-    SQM1 projects onto the target: a click (IS_COMPLEMENT) excludes the
-    target, a no-click is inconclusive; the target itself always fails. SQM2
-    measures the target's component orthogonal to the complement span, giving
-    a conclusive outcome for both subsets. Both are stored as rank-one
-    vectors: SQM1 as psi_1 (FAIL), SQM2 as the unit perpendicular (IS_TARGET)
-    and parallel (FAIL) parts of psi_1, the latter zero only at f = 0 (perfect
-    filtering). SQM2 builds its weights ``failure_allocations(problem, f)`` and
-    so raises its NumericalError; at f within PROB_TOL of 1 it raises
+    SQM1 is psi_1 alone (FAIL): a click excludes the target, which itself
+    always fails. SQM2 is the unit perpendicular (IS_TARGET) and parallel
+    (FAIL) parts of psi_1, the latter zero only at f = 0 (perfect filtering).
+    SQM2 builds its weights ``failure_allocations(problem, f)`` and so raises
+    their NumericalError; at f within PROB_TOL of 1 it raises
     DegenerateDecompositionError.
     """
-    target = problem.state_matrix[0]
     if kind == SchemeKind.SQM1:
-        return MeasurementScheme(kind=SchemeKind.SQM1, vectors=(target,))
+        return MeasurementScheme(kind=SchemeKind.SQM1, vectors=_family(problem, 1.0))
     if kind != SchemeKind.SQM2:
         raise InvalidInputError(f"projective scheme kind must be SQM1 or SQM2, got {kind!r}")
 
-    dec = decompose_target(problem)
-    f = dec.parallel_norm_sq
+    f = decompose_target(problem).parallel_norm_sq
     if not f < 1.0 - PROB_TOL:
         raise DegenerateDecompositionError(
             f"target lies inside the complement span (f = {f!r} within PROB_TOL of 1); "
             "the conclusive target outcome of the nonselective strategy is impossible"
         )
     failure_allocations(problem, f)  # SQM2's own weights: the build runs the span-leak check
-    para = dec.parallel / np.linalg.norm(dec.parallel) if f > 0.0 else np.zeros_like(target)
-    # target - parallel carries rounding of size eps / |psi_perp| relative to
-    # its length, which near f = 1 leaves it visibly non-orthogonal to psi_par;
-    # one projection step restores orthogonality before normalizing.
-    perp = dec.perpendicular - para * np.vdot(para, dec.perpendicular)
+    perp, para = _family(problem, f)
+    # x_t carries rounding of size eps / |psi_perp| relative to its length, which near f = 1
+    # leaves it visibly non-orthogonal to x_f; one projection step restores that.
+    perp = perp - para * np.vdot(para, perp)
     perp /= np.linalg.norm(perp)
     return MeasurementScheme(kind=SchemeKind.SQM2, vectors=(perp, para))

@@ -145,7 +145,8 @@ class SimulationStats:
         trials, seed = _run_arguments(self.trials_per_state, self.seed)
         object.__setattr__(self, "trials_per_state", trials)
         object.__setattr__(self, "seed", seed)
-        _frozen_fields(self, None, "counts", "analytic_rates")
+        _frozen_fields(self, np.int64, "counts")
+        _frozen_fields(self, float, "analytic_rates")
         shape, rates = self.counts.shape, self.analytic_rates.shape
         if len(shape) != 2 or shape[1] not in (2, 3):
             raise InvalidInputError(f"counts need shape (states, 2 or 3 outcomes), got {shape}")

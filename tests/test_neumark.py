@@ -28,7 +28,7 @@ from qfilter import (
     projective_scheme,
     success_gram,
 )
-from qfilter.neumark import _largest_gram_eigenvalue
+from qfilter.neumark import _family, _largest_gram_eigenvalue
 from qfilter.tolerances import PROB_TOL
 from conftest import band_problem, random_problem
 
@@ -553,6 +553,34 @@ class TestPovmElements:
                 )
             evals = np.sort(np.linalg.eigvalsh(fail))
             assert evals[-2] <= 1e-10 if len(evals) > 1 else True
+
+
+class TestFamily:
+    def test_the_dilation_reads_back_the_familys_vectors(self):
+        # x_t and x_f from two rows of the unitary are the builder's closed forms
+        # at each q1 on [f, 1], with x_t left out at the same q1
+        rng = np.random.default_rng(2024)
+        problems = [random_problem(rng) for _ in range(400)]
+        problems += [boolean_problem(3, 2), boolean_problem(5, 2), boolean_problem(8, 3)]
+        built = 0
+        for problem in problems:
+            f = decompose_target(problem).parallel_norm_sq
+            for q1 in np.linspace(f, 1.0, 7):
+                allocation = failure_allocations(problem, q1)
+                read = povm_elements(build_neumark(problem, allocation)).vectors
+                family = np.array(_family(problem, allocation.q1))
+                assert read.shape == family.shape
+                np.testing.assert_allclose(read, family, rtol=0.0, atol=1e-12)
+                built += 1
+        assert built == 403 * 7
+
+    def test_sqm1_is_the_stored_target_row_and_reads_no_split(self, walsh_problem):
+        rng = np.random.default_rng(5)
+        for problem in [random_problem(rng) for _ in range(20)] + [walsh_problem]:
+            problem = FilteringProblem(states=problem.state_matrix, priors=problem.priors)
+            vectors = projective_scheme(problem, SchemeKind.SQM1).vectors
+            assert vectors.tobytes() == problem.state_matrix[:1].tobytes()
+            assert "_decomposition" not in vars(problem)
 
 
 class TestProjectiveSchemes:

@@ -371,6 +371,20 @@ class TestSimulate:
             simulate(scheme, walsh_problem, 0, 1)
 
     @pytest.mark.parametrize(
+        "counts, rates, field, dtype",
+        [([["0", "3", "7"]], [[0.0, 0.3, 0.7]], "counts", "int64"),
+         ([[0.5, 2.5, 7.0]], [[0.05, 0.25, 0.7]], "counts", "int64"),
+         ([[0, 3, 7]], [[0.0, 0.3 + 0.1j, 0.7]], "analytic_rates", "float64")],
+        ids=["string-counts", "fractional-counts", "complex-rates"],
+    )
+    def test_hand_built_stats_read_counts_and_rates_without_loss(self, counts, rates, field, dtype):
+        # string counts reached numpy's bare TypeError in misidentifications, and
+        # 0.5 per cell was read as 0 misidentifications
+        message = f"^{field} must be an array of numbers castable to {dtype} without loss"
+        with pytest.raises(InvalidInputError, match=message):
+            SimulationStats("POVM", 10, 0, np.array(counts), np.array(rates))
+
+    @pytest.mark.parametrize(
         "trials, seed, field",
         [(2.9, 1, "trials_per_state"), ("10", 1, "trials_per_state"),
          (True, 1, "trials_per_state"), (10, 1.7, "seed"), (10, "1", "seed")],
