@@ -5,12 +5,14 @@ target state against the span of the remaining states. The library's
 arguments are read by four helpers here, which reject what they cannot
 convert without loss and name the field: ``_numbers`` for arrays, ``_real``
 for one real number, ``_integer`` for counts and indices, and ``_member`` for
-enum choices. Input norms and prior sums are checked to
-NORM_TOL. Every orthonormal basis of a span in the package comes from one
-helper, ``_row_basis``, which cuts the span at RANK_TOL. Everything here is
-a pure function of immutable values (``FilteringProblem`` caches its overlaps
-and decomposition on first use, and keeps the failure allocation last built
-for it), so results can be shared freely between concurrent workers.
+enum choices. The records the library computes itself skip that reading:
+``_built`` makes them from arrays their builder has gated and frozen. Input
+norms and prior sums are checked to NORM_TOL. Every orthonormal basis of a
+span in the package comes from one helper, ``_row_basis``, which cuts the
+span at RANK_TOL. Everything here is a pure function of immutable values
+(``FilteringProblem`` caches its overlaps and decomposition on first use, and
+keeps the failure allocation last built for it), so results can be shared
+freely between concurrent workers.
 """
 from __future__ import annotations
 
@@ -28,6 +30,18 @@ from .tolerances import NORM_TOL, RANK_TOL
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _built(cls, **fields):
+    """A ``cls`` record holding ``fields`` as given, without its ``__post_init__``.
+
+    Only for values the calling builder has just computed and gated, arrays
+    already frozen with ``_freeze``: nothing here reads, copies or checks them.
+    A record built through ``cls(...)`` keeps every check of its constructor.
+    """
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
 def _numbers(value, field: str, dtype=float) -> np.ndarray:
@@ -197,9 +211,10 @@ class FilteringProblem:
         coef = basis.conj() @ target
         parallel = basis.T @ coef
         norm_sq = float(np.real(coef.conj() @ coef))
-        return Decomposition(
-            parallel=parallel,
-            perpendicular=target - parallel,
+        return _built(
+            Decomposition,
+            parallel=_freeze(parallel),
+            perpendicular=_freeze(target - parallel),
             parallel_norm_sq=min(max(norm_sq, 0.0), 1.0),
         )
 

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .ensemble import (
-    FilteringProblem, _freeze, _frozen_fields, _member, _numbers, _real, decompose_target,
+    FilteringProblem, _built, _freeze, _frozen_fields, _member, _numbers, _real, decompose_target,
 )
 from .errors import DegenerateDecompositionError, InfeasibleError, InvalidInputError, NumericalError
 from .tolerances import DEPENDENCY_TOL, OPERATOR_TOL, PROB_TOL, PSD_TOL
@@ -143,7 +143,7 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
         q[1:] = 0.0
     q = np.minimum(q, 1.0)
     phases = np.concatenate([[0.0], np.angle(problem._overlaps)])
-    allocation = FailureAllocation(failure_probs=q, phases=phases)
+    allocation = _built(FailureAllocation, failure_probs=_freeze(q), phases=_freeze(phases))
     object.__setattr__(problem, "_allocation", (q1, allocation))
     return allocation
 
@@ -201,7 +201,8 @@ def success_gram(problem: FilteringProblem, allocation: FailureAllocation) -> Su
     gs = m.conj() @ m.T - np.outer(w, w.conj())
     gs = (gs + gs.conj().T) / 2.0
     min_eig = float(np.linalg.eigvalsh(gs).min())
-    return SuccessGram(matrix=gs, min_eigenvalue=min_eig, feasible=min_eig >= -PSD_TOL)
+    feasible = min_eig >= -PSD_TOL
+    return _built(SuccessGram, matrix=_freeze(gs), min_eigenvalue=min_eig, feasible=feasible)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,9 +296,10 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
     if not unitarity <= OPERATOR_TOL:
         raise NumericalError(f"unitarity defect {unitarity:.3e} exceeds OPERATOR_TOL")
 
-    return NeumarkModel(
-        unitary=unitary,
-        success_outputs=m - np.outer(images, u_bar / (1.0 + r)),  # M R^T at O(N * D)
+    return _built(
+        NeumarkModel,
+        unitary=_freeze(unitary),
+        success_outputs=_freeze(m - np.outer(images, u_bar / (1.0 + r))),  # M R^T at O(N * D)
         failure_amplitudes=amplitudes,
     )
 
@@ -310,6 +312,16 @@ def _largest_gram_eigenvalue(x: np.ndarray) -> float:
     a, b = (*np.einsum("ij,ij->i", pairs, pairs).tolist(), 0.0)[:2]
     c = abs(np.vdot(x[0], x[1])) if len(x) == 2 else 0.0
     return (a + b) / 2.0 + math.hypot((a - b) / 2.0, c)
+
+
+def _check_positive(x: np.ndarray) -> None:
+    """The scheme's gate on its complex (1 or 2, D) rows ``x``: every entry is
+    finite and I - X X^dagger has no eigenvalue below -OPERATOR_TOL."""
+    if not np.isfinite(x).all():
+        raise InvalidInputError("rank-one vectors must be finite")
+    min_eig = 1.0 - _largest_gram_eigenvalue(x)
+    if not min_eig >= -OPERATOR_TOL:
+        raise NumericalError(f"outcome operator has eigenvalue {min_eig:.3e} < -OPERATOR_TOL")
 
 
 # A scheme of n rank-one vectors has the last n + 1 of these outcomes.
@@ -327,8 +339,9 @@ class MeasurementScheme:
     IS_COMPLEMENT. Completeness then holds by construction, and positivity is
     a check on the at most 2 x 2 Gram matrix X^dagger X of the rows:
     I - X X^dagger has eigenvalues 1 and 1 - eig(X^dagger X), and
-    construction rejects any below -OPERATOR_TOL, any other vector count and
-    any non-finite vector.
+    construction rejects any below -OPERATOR_TOL, any other vector count,
+    vectors of length 0 and any non-finite vector; the schemes the library
+    builds pass the same gate, ``_check_positive``.
 
     ``acting_dimension`` is the length D of the rows, the space states are fed
     into directly. ``operators`` are derived from the rows on first use.
@@ -340,16 +353,12 @@ class MeasurementScheme:
     def __post_init__(self):
         kind = _member(SchemeKind, self.kind, "kind")
         x = _freeze(_numbers(self.vectors, "rank-one vectors", np.complex128))
-        if x.ndim != 2 or len(x) not in (1, 2):
+        if x.ndim != 2 or len(x) not in (1, 2) or not x.shape[1]:
             raise InvalidInputError(
                 f"rank-one vectors of shape {x.shape}: a scheme takes one vector (x_fail) "
-                "or two (x_target, x_fail)"
+                "or two (x_target, x_fail), of length D >= 1"
             )
-        if not np.isfinite(x).all():
-            raise InvalidInputError("rank-one vectors must be finite")
-        min_eig = 1.0 - _largest_gram_eigenvalue(x)
-        if not min_eig >= -OPERATOR_TOL:
-            raise NumericalError(f"outcome operator has eigenvalue {min_eig:.3e} < -OPERATOR_TOL")
+        _check_positive(x)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "vectors", x)
 
@@ -415,6 +424,14 @@ class MeasurementScheme:
         return table
 
 
+def _scheme(kind: SchemeKind, vectors: tuple[np.ndarray, ...]) -> MeasurementScheme:
+    """The scheme of the 1 or 2 complex rows a builder just computed: they pass
+    the constructor's gate, ``_check_positive``, and are not read again."""
+    x = _freeze(np.array(vectors, dtype=np.complex128))
+    _check_positive(x)
+    return _built(MeasurementScheme, kind=kind, vectors=x)
+
+
 def povm_elements(model: NeumarkModel) -> MeasurementScheme:
     """System-space elements of the generalized measurement, read back from
     two rows of the unitary U: x_f = conj(U[D, :D]) and
@@ -431,8 +448,8 @@ def povm_elements(model: NeumarkModel) -> MeasurementScheme:
     if p1 > PROB_TOL:
         # U[:D, :D]^dag s_1 as a vector-matrix product, which copies no D x D block.
         x_t = (target_success.conj() @ model.unitary[:d, :d]).conj() / math.sqrt(p1)
-        return MeasurementScheme(kind=SchemeKind.POVM, vectors=(x_t, x_f))
-    return MeasurementScheme(kind=SchemeKind.POVM, vectors=(x_f,))
+        return _scheme(SchemeKind.POVM, (x_t, x_f))
+    return _scheme(SchemeKind.POVM, (x_f,))
 
 
 def projective_scheme(problem: FilteringProblem, kind: SchemeKind) -> MeasurementScheme:
@@ -446,7 +463,7 @@ def projective_scheme(problem: FilteringProblem, kind: SchemeKind) -> Measuremen
     DegenerateDecompositionError.
     """
     if kind == SchemeKind.SQM1:
-        return MeasurementScheme(kind=SchemeKind.SQM1, vectors=_family(problem, 1.0))
+        return _scheme(SchemeKind.SQM1, _family(problem, 1.0))
     if kind != SchemeKind.SQM2:
         raise InvalidInputError(f"projective scheme kind must be SQM1 or SQM2, got {kind!r}")
 
@@ -462,4 +479,4 @@ def projective_scheme(problem: FilteringProblem, kind: SchemeKind) -> Measuremen
     # leaves it visibly non-orthogonal to x_f; one projection step restores that.
     perp = perp - para * np.vdot(para, perp)
     perp /= np.linalg.norm(perp)
-    return MeasurementScheme(kind=SchemeKind.SQM2, vectors=(perp, para))
+    return _scheme(SchemeKind.SQM2, (perp, para))

@@ -28,7 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensemble import FilteringProblem, _freeze, _frozen_fields, _integer, _member, _numbers
+from .ensemble import (
+    FilteringProblem, _built, _freeze, _frozen_fields, _integer, _member, _numbers,
+)
 from .errors import InvalidInputError
 from .neumark import MeasurementScheme, Outcome, SchemeKind
 from .tolerances import PROB_TOL
@@ -147,11 +149,24 @@ class SimulationStats:
         object.__setattr__(self, "seed", seed)
         _frozen_fields(self, np.int64, "counts")
         _frozen_fields(self, float, "analytic_rates")
-        shape, rates = self.counts.shape, self.analytic_rates.shape
-        if len(shape) != 2 or shape[1] not in (2, 3):
-            raise InvalidInputError(f"counts need shape (states, 2 or 3 outcomes), got {shape}")
-        if rates != shape:
-            raise InvalidInputError(f"analytic_rates of shape {rates} need the counts' {shape}")
+        counts, rates = self.counts, self.analytic_rates
+        shape = counts.shape
+        if len(shape) != 2 or not shape[0] or shape[1] not in (2, 3):
+            raise InvalidInputError(f"counts need shape (N >= 1, 2 or 3 outcomes), got {shape}")
+        if rates.shape != shape:
+            raise InvalidInputError(f"analytic_rates of shape {rates.shape} need the counts' {shape}")
+        outside = ~((counts >= 0) & (counts <= trials))
+        if outside.any():
+            raise InvalidInputError(f"counts hold {int(counts[outside][0])}, outside [0, {trials}]")
+        # with each count in [0, trials], a sum of 2 or 3 that wraps in int64 misses trials
+        sums = counts.sum(axis=1)
+        if (sums != trials).any():
+            i = int(np.argmax(sums != trials))
+            raise InvalidInputError(f"counts of state {i} sum to {sums[i]}, not {trials} trials")
+        outside = ~((rates >= 0.0) & (rates <= 1.0))  # NaN is outside
+        if outside.any():
+            bad = float(rates[outside][0])
+            raise InvalidInputError(f"analytic_rates hold {bad!r}, outside [0, 1]")
 
     @property
     def outcomes(self) -> tuple[Outcome, ...]:
@@ -207,8 +222,13 @@ def simulate(
         rates, row_counts = _draw(row, trials, _substream(seed, i))
         analytic.append(rates)
         counts.append(row_counts)
-    return SimulationStats(
-        scheme.kind, trials, seed, np.array(counts, dtype=np.int64), np.array(analytic)
+    return _built(
+        SimulationStats,
+        scheme_kind=scheme.kind,
+        trials_per_state=trials,
+        seed=seed,
+        counts=_freeze(np.array(counts, dtype=np.int64)),
+        analytic_rates=_freeze(np.array(analytic)),
     )
 
 

@@ -22,7 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensemble import FilteringProblem, _freeze, _frozen_fields, _numbers, _real, decompose_target
+from .ensemble import (
+    FilteringProblem, _built, _freeze, _frozen_fields, _numbers, _real, decompose_target,
+)
 from .errors import InvalidInputError
 from .neumark import failure_allocations
 
@@ -103,7 +105,8 @@ def optimal_filtering(problem: FilteringProblem) -> StrategyReport:
     regime = CURVE_REGIMES[codes[0]]
     q1 = (math.sqrt(s / eta1), 1.0, f)[codes[0]]  # the optimal q1 of each regime
     allocation = failure_allocations(problem, q1)
-    return StrategyReport(
+    return _built(
+        StrategyReport,
         q_sqm1=float(qs1[0]),
         q_sqm2=float(qs2[0]),
         q_povm=float(qp[0]) if regime is Regime.POVM else None,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qfilter import (
+    DegenerateDecompositionError,
     Decomposition,
     FailureAllocation,
     FilteringProblem,
@@ -19,6 +20,7 @@ from qfilter import (
     StateVector,
     StrategyReport,
     SuccessGram,
+    boolean_problem,
     build_neumark,
     decompose_target,
     failure_allocations,
@@ -293,7 +295,7 @@ RESULT_RECORDS = [
      {**dict.fromkeys(["s", "q_sqm1", "q_sqm2", "q_povm"], float), "regime_codes": np.int8},
      {}, (2,)),
     (SimulationStats, {"counts": np.int64, "analytic_rates": float},
-     dict(scheme_kind=SchemeKind.POVM, trials_per_state=1, seed=0), (1, 2)),
+     dict(scheme_kind=SchemeKind.POVM, trials_per_state=2, seed=0), (1, 2)),
 ]
 
 
@@ -303,7 +305,7 @@ RESULT_RECORDS = [
 )
 def test_result_records_freeze_a_view_not_the_callers_array(record, arrays, scalars, shape):
     shapes = shape if isinstance(shape, dict) else dict.fromkeys(arrays, shape)
-    given = {name: np.zeros(shapes[name], dtype) for name, dtype in arrays.items()}
+    given = {name: np.ones(shapes[name], dtype) for name, dtype in arrays.items()}
     built = record(**given, **scalars)
     for name, array in given.items():
         stored = getattr(built, name)
@@ -330,6 +332,47 @@ def test_result_records_name_a_field_numpy_cannot_read(record, fields, name):
     # numpy's own ValueError or TypeError would not say which field it read
     with pytest.raises(InvalidInputError, match=f"^{name} must be an array of numbers"):
         record(**fields)
+
+
+def assert_equals_its_public_rebuild(record):
+    """``record`` equals the record its public constructor builds from its fields:
+    arrays bit-equal, of one dtype and shape, and read-only in ``record``; the
+    other fields equal and of one type."""
+    fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    rebuilt = type(record)(**fields)
+    for name, value in fields.items():
+        again = getattr(rebuilt, name)
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, name
+            assert (value.dtype, value.shape) == (again.dtype, again.shape), name
+            assert value.tobytes() == again.tobytes(), name
+        else:
+            assert type(value) is type(again) and value == again, name
+
+
+def test_library_records_equal_their_public_rebuild():
+    # the library builds its records without running their constructors' checks;
+    # each must still be the record those checks accept and store
+    rng = np.random.default_rng(2024)
+    problems = [random_problem(rng) for _ in range(400)]
+    problems += [boolean_problem(n, k) for n, k in ((3, 2), (5, 2), (8, 3))]
+    sqm2_checked = 0
+    for problem in problems:
+        report = optimal_filtering(problem)
+        allocation = failure_allocations(problem, report.optimal_q1)
+        model = build_neumark(problem, allocation)
+        schemes = [projective_scheme(problem, SchemeKind.SQM1), povm_elements(model)]
+        try:
+            schemes.append(projective_scheme(problem, SchemeKind.SQM2))
+            sqm2_checked += 1
+        except DegenerateDecompositionError:  # f = 1: the complement spans the target
+            pass
+        records = [decompose_target(problem), report, allocation,
+                   success_gram(problem, allocation), model, *schemes]
+        records += [simulate(scheme, problem, 1000, 7) for scheme in schemes]
+        for record in records:
+            assert_equals_its_public_rebuild(record)
+    assert sqm2_checked >= 100
 
 
 def expected_z(stats):

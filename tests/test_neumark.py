@@ -840,8 +840,9 @@ class TestMeasurementSchemeValidation:
             projective_scheme(walsh_problem, SchemeKind.POVM)
 
     def test_rank_one_vectors_must_fit_the_outcomes(self):
-        # one vector (x_fail) or two (x_target, x_fail): no other count has a layout
-        for vectors in (np.zeros((0, 3)), 0.5 * np.eye(3), [0.6, 0.0, 0.0]):
+        # one vector (x_fail) or two (x_target, x_fail): no other count has a layout,
+        # and vectors of length 0 act on no space
+        for vectors in (np.zeros((0, 3)), 0.5 * np.eye(3), [0.6, 0.0, 0.0], np.zeros((2, 0))):
             with pytest.raises(InvalidInputError, match=r"one vector \(x_fail\) or two"):
                 MeasurementScheme(kind=SchemeKind.POVM, vectors=vectors)
 

@@ -447,7 +447,7 @@ class TestSimulate:
         assert three.scheme_kind is SchemeKind.POVM
         assert three.outcomes == (Outcome.IS_TARGET, Outcome.IS_COMPLEMENT, Outcome.FAIL)
         assert three.misidentifications == 3 + 2
-        two = stats(SchemeKind.SQM1, counts[:, 1:])
+        two = stats(SchemeKind.SQM1, np.array([[3, 7], [10, 0]]))
         assert two.outcomes == (Outcome.IS_COMPLEMENT, Outcome.FAIL)
         assert two.misidentifications == 3
         assert aggregate_failure(two, [0.5, 0.5]) == pytest.approx(0.35)
@@ -471,6 +471,24 @@ class TestSimulate:
         for rates in (np.array([0.5]), counts[:1] / 10, counts[:, 1:] / 10):
             with pytest.raises(InvalidInputError, match=r"^analytic_rates of shape .* \(2, 3\)$"):
                 SimulationStats("POVM", 10, 0, counts, rates)
+
+    @pytest.mark.parametrize(
+        "counts, rates, message",
+        [(np.zeros((0, 3), np.int64), np.zeros((0, 3)), r"counts need shape .* got \(0, 3\)$"),
+         ([[-40, 43, 7]], [[0.0, 0.3, 0.7]], r"counts hold -40, outside \[0, 10\]$"),
+         ([[0, 3, 7], [2, 8, 1]], [[0.0, 0.3, 0.7]] * 2,
+          r"counts of state 1 sum to 11, not 10 trials$"),
+         ([[0, 3, 7]], [[1.5, 0.3, 0.7]], r"analytic_rates hold 1\.5, outside \[0, 1\]$"),
+         ([[0, 3, 7]], [[-0.5, 0.3, 0.7]], r"analytic_rates hold -0\.5, outside \[0, 1\]$"),
+         ([[0, 3, 7]], [[math.nan, 0.3, 0.7]], r"analytic_rates hold nan, outside \[0, 1\]$")],
+        ids=["no-states", "negative-count", "count-sum", "rate-above-one", "rate-below-zero",
+             "nan-rate"],
+    )
+    def test_hand_built_stats_hold_a_run_of_their_trials(self, counts, rates, message):
+        # no states reached a bare IndexError in misidentifications, a negative count
+        # a negative empirical rate, and a rate outside [0, 1] an infinite z-score
+        with pytest.raises(InvalidInputError, match=f"^{message}"):
+            SimulationStats("POVM", 10, 0, np.array(counts), np.array(rates))
 
     @pytest.mark.parametrize(
         "trials, seed, field",
