@@ -1,18 +1,18 @@
 """Complex vector-space primitives for state ensembles.
 
 State vectors, priors, and the orthogonal decomposition of a designated
-target state against the span of the remaining states. The library's
-arguments are read by four helpers here, which reject what they cannot
-convert without loss and name the field: ``_numbers`` for arrays, ``_real``
-for one real number, ``_integer`` for counts and indices, and ``_member`` for
-enum choices. The records the library computes itself skip that reading:
-``_built`` makes them from arrays their builder has gated and frozen. Input
-norms and prior sums are checked to NORM_TOL. Every orthonormal basis of a
-span in the package comes from one helper, ``_row_basis``, which cuts the
-span at RANK_TOL. Everything here is a pure function of immutable values
-(``FilteringProblem`` caches its overlaps and decomposition on first use, and
-keeps the failure allocation last built for it), so results can be shared
-freely between concurrent workers.
+target state against the span of the remaining states. What a caller hands
+in is read by four helpers here, which reject what they cannot convert
+without loss and name the field: ``_numbers`` for arrays (the one rule for
+what a number is), ``_real`` for one real number, ``_integer`` for counts and
+indices, and ``_member`` for enum choices; records store read-only copies.
+What the library computes itself skips that reading: ``_built`` makes the
+record and makes its arrays read-only. Input norms and prior sums are checked
+to NORM_TOL. Every orthonormal basis of a span in the package comes from one
+helper, ``_row_basis``, which cuts the span at RANK_TOL. Everything here is a
+pure function of immutable values (``FilteringProblem`` caches its overlaps
+and decomposition on first use, and keeps the failure allocation last built
+for it), so results can be shared freely between concurrent workers.
 """
 from __future__ import annotations
 
@@ -35,28 +35,46 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def _built(cls, **fields):
     """A ``cls`` record holding ``fields`` as given, without its ``__post_init__``.
 
-    Only for values the calling builder has just computed and gated, arrays
-    already frozen with ``_freeze``: nothing here reads, copies or checks them.
+    Only for values the calling builder has just computed and gated: each
+    array is made read-only in place, and nothing is read, copied or checked.
     A record built through ``cls(...)`` keeps every check of its constructor.
     """
     record = object.__new__(cls)
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            _freeze(value)
     record.__dict__.update(fields)
     return record
 
 
+def _holds_bool(items) -> bool:
+    """Whether the list or tuple ``items`` holds a bool, a numpy bool or a bool
+    array at any depth of its lists and tuples: numpy reads each as 1 or 0."""
+    if set(map(type, items)) <= {float, int, complex}:  # no per-item cost on plain numbers
+        return False
+    return any(
+        _holds_bool(item) if isinstance(item, (list, tuple)) else np.asarray(item).dtype.kind == "b"
+        for item in items
+    )
+
+
 def _numbers(value, field: str, dtype=float) -> np.ndarray:
     """``value`` as a new ``dtype`` array, or InvalidInputError naming ``field``
-    when numpy cannot convert it without loss: a string, a bool, a non-number,
-    or a complex entry for a real ``dtype``, whose imaginary part a cast would
-    drop."""
+    when numpy cannot convert it without loss: a string, a non-number, a bool
+    (also one inside a list or tuple), a float for an integer ``dtype``, or a
+    complex entry for a real one, whose imaginary part a cast would drop. Only
+    lists and tuples are scanned for bools; an array or a scalar is judged by
+    its dtype."""
     try:
         arr = np.asarray(value)
         lossless = arr.dtype.kind != "b" and np.can_cast(arr.dtype, dtype)
     except ValueError:  # ragged nesting
         lossless = False
+    if lossless and isinstance(value, (list, tuple)):
+        lossless = not _holds_bool(value)
     if not lossless:
-        kind = "complex" if np.dtype(dtype).kind == "c" else "real"
-        raise InvalidInputError(f"{field} must be {kind} numbers, got {value!r:.80}")
+        kind = {"c": "complex numbers", "f": "real numbers"}.get(np.dtype(dtype).kind, "integers")
+        raise InvalidInputError(f"{field} must be {kind}, got {value!r:.80}")
     # numpy builds a new C-order array from a list or tuple; anything else may alias the caller's
     return arr.astype(dtype, order="C", copy=not isinstance(value, (list, tuple)))
 
@@ -90,24 +108,10 @@ def _member(enum: type[Enum], value, field: str):
 
 
 def _frozen_fields(record, dtype, *names: str) -> None:
-    """Store each named array field of a frozen ``record`` as a read-only view
-    (dtype None keeps the field's dtype), or raise InvalidInputError naming the
-    first field numpy cannot cast to that dtype without loss (``np.can_cast``):
-    a string, a non-number, a float for an integer dtype or a complex number
-    for a real one. The view is frozen, not the array passed in, so the
-    caller's array keeps its flags, and an array of that dtype is not copied."""
+    """Store each named field of a frozen ``record`` as the read-only ``dtype``
+    copy ``_numbers`` reads from it, which names the field it rejects."""
     for name in names:
-        value = getattr(record, name)
-        try:
-            arr = np.asarray(value)
-            # an equal dtype casts; the comparison is a fraction of can_cast's call cost
-            lossless = dtype is None or arr.dtype == dtype or np.can_cast(arr.dtype, dtype)
-        except ValueError:  # ragged nesting
-            lossless = False
-        if not lossless:
-            into = "" if dtype is None else f" castable to {np.dtype(dtype)} without loss"
-            raise InvalidInputError(f"{name} must be an array of numbers{into}, got {value!r:.80}")
-        object.__setattr__(record, name, _freeze(np.asarray(arr, dtype).view()))
+        object.__setattr__(record, name, _freeze(_numbers(getattr(record, name), name, dtype)))
 
 
 def _check_unit_rows(rows: np.ndarray, label: str = "state {}: ") -> None:
@@ -206,6 +210,9 @@ class FilteringProblem:
     def _decomposition(self) -> Decomposition:
         """The target split against the complement span; see ``decompose_target``."""
         target = self.state_matrix[0]
+        if not self._overlaps.any():  # orthogonal to the span: f = 0, not a basis's rounding
+            return _built(Decomposition, parallel=np.zeros_like(target), perpendicular=target,
+                          parallel_norm_sq=0.0)
         vh, rank = _row_basis(self.state_matrix[1:])
         basis = vh[:rank]
         coef = basis.conj() @ target
@@ -213,8 +220,8 @@ class FilteringProblem:
         norm_sq = float(np.real(coef.conj() @ coef))
         return _built(
             Decomposition,
-            parallel=_freeze(parallel),
-            perpendicular=_freeze(target - parallel),
+            parallel=parallel,
+            perpendicular=target - parallel,
             parallel_norm_sq=min(max(norm_sq, 0.0), 1.0),
         )
 
@@ -258,7 +265,8 @@ def decompose_target(problem: FilteringProblem) -> Decomposition:
     """Project the target onto the span of the complement set.
 
     The parallel squared norm is accumulated over an orthonormal span basis,
-    so it is exactly the Born weight of the target inside that subspace. It
-    is computed once per problem and cached on it.
+    so it is exactly the Born weight of the target inside that subspace; a
+    target with every overlap exactly 0 reads no basis and gets f = 0. It is
+    computed once per problem and cached on it.
     """
     return problem._decomposition

@@ -14,13 +14,11 @@ from os import PathLike
 
 import numpy as np
 
-from .ensemble import FilteringProblem
+from .ensemble import FilteringProblem, _numbers
 from .errors import InvalidInputError
 
 _TOP_KEYS = {"dimension", "states", "target_index"}
 _STATE_KEYS = {"amplitudes", "prior"}
-# numpy dtype kinds of the JSON numbers (int, float) an amplitude may hold
-_NUMBER_KINDS = "iuf"
 
 
 def problem_to_dict(problem: FilteringProblem) -> dict:
@@ -35,20 +33,16 @@ def problem_to_dict(problem: FilteringProblem) -> dict:
     }
 
 
-def _pair_array(pairs: list) -> np.ndarray | None:
-    """``pairs`` as a (k, 2) array, or None unless it lists [re, im] pairs of
-    numbers. JSON true/false are not numbers, although numpy reads them as 1/0."""
+def _pair_array(pairs: list, pos: int) -> np.ndarray:
+    """``pairs`` as a (k, 2) float array, read by ``_numbers`` (so JSON
+    true/false are not numbers), or InvalidInputError naming state ``pos``
+    unless it lists [re, im] pairs of numbers."""
     try:
-        arr = np.array(pairs)
-    except ValueError:  # ragged nesting
-        return None
-    if (
-        arr.dtype.kind not in _NUMBER_KINDS
-        or arr.ndim != 2
-        or arr.shape[1] != 2
-        or bool in set(map(type, chain.from_iterable(pairs)))
-    ):
-        return None
+        arr = _numbers(pairs, "amplitudes")
+    except InvalidInputError:
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2:
+        raise InvalidInputError(f"state {pos} amplitudes must be [re, im] number pairs")
     return arr
 
 
@@ -116,9 +110,7 @@ def problem_from_dict(data) -> FilteringProblem:
             raise InvalidInputError(
                 f"state {pos} must list exactly {dimension} [re, im] amplitude pairs"
             )
-        amplitudes = pairs.array if isinstance(pairs, _LoadedPairs) else _pair_array(pairs)
-        if amplitudes is None:
-            raise InvalidInputError(f"state {pos} amplitudes must be [re, im] number pairs")
+        amplitudes = pairs.array if isinstance(pairs, _LoadedPairs) else _pair_array(pairs, pos)
         states.append(np.ascontiguousarray(amplitudes, dtype=np.float64).view(np.complex128)[:, 0])
         prior = entry["prior"]
         if isinstance(prior, bool) or not isinstance(prior, (int, float)):

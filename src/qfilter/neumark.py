@@ -143,7 +143,7 @@ def failure_allocations(problem: FilteringProblem, q1: float) -> FailureAllocati
         q[1:] = 0.0
     q = np.minimum(q, 1.0)
     phases = np.concatenate([[0.0], np.angle(problem._overlaps)])
-    allocation = _built(FailureAllocation, failure_probs=_freeze(q), phases=_freeze(phases))
+    allocation = _built(FailureAllocation, failure_probs=q, phases=phases)
     object.__setattr__(problem, "_allocation", (q1, allocation))
     return allocation
 
@@ -202,7 +202,7 @@ def success_gram(problem: FilteringProblem, allocation: FailureAllocation) -> Su
     gs = (gs + gs.conj().T) / 2.0
     min_eig = float(np.linalg.eigvalsh(gs).min())
     feasible = min_eig >= -PSD_TOL
-    return _built(SuccessGram, matrix=_freeze(gs), min_eigenvalue=min_eig, feasible=feasible)
+    return _built(SuccessGram, matrix=gs, min_eigenvalue=min_eig, feasible=feasible)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,9 +213,8 @@ class NeumarkModel:
     (index D) is the failure direction. ``success_outputs[i]`` is the
     unnormalized system-block image sqrt(p_i)|success_i> and
     ``failure_amplitudes[i]`` the ancilla amplitude sqrt(q_i) e^{i theta_i},
-    with the weights and phases of the allocation it was built from. Their
-    shapes are (D+1, D+1), (N, D) and (N,), with D and N at least 1; only the
-    shapes are checked, so nothing is copied.
+    with the weights and phases of the allocation it was built from, stored as
+    read-only complex copies of shapes (D+1, D+1), (N, D) and (N,), D, N >= 1.
     """
 
     unitary: np.ndarray
@@ -298,8 +297,8 @@ def build_neumark(problem: FilteringProblem, allocation: FailureAllocation) -> N
 
     return _built(
         NeumarkModel,
-        unitary=_freeze(unitary),
-        success_outputs=_freeze(m - np.outer(images, u_bar / (1.0 + r))),  # M R^T at O(N * D)
+        unitary=unitary,
+        success_outputs=m - np.outer(images, u_bar / (1.0 + r)),  # M R^T at O(N * D)
         failure_amplitudes=amplitudes,
     )
 
@@ -427,7 +426,7 @@ class MeasurementScheme:
 def _scheme(kind: SchemeKind, vectors: tuple[np.ndarray, ...]) -> MeasurementScheme:
     """The scheme of the 1 or 2 complex rows a builder just computed: they pass
     the constructor's gate, ``_check_positive``, and are not read again."""
-    x = _freeze(np.array(vectors, dtype=np.complex128))
+    x = np.array(vectors, dtype=np.complex128)
     _check_positive(x)
     return _built(MeasurementScheme, kind=kind, vectors=x)
 

@@ -227,8 +227,8 @@ def simulate(
         scheme_kind=scheme.kind,
         trials_per_state=trials,
         seed=seed,
-        counts=_freeze(np.array(counts, dtype=np.int64)),
-        analytic_rates=_freeze(np.array(analytic)),
+        counts=np.array(counts, dtype=np.int64),
+        analytic_rates=np.array(analytic),
     )
 
 

@@ -139,8 +139,10 @@ CURVE_REGIMES = (Regime.POVM, Regime.SQM1_BOUNDARY, Regime.SQM2_BOUNDARY)
 class FailureCurve(Sequence):
     """A sweep held column by column; indexing and iteration yield ``SweepRow``.
 
-    ``q_povm`` is NaN outside the validity window, where rows report None;
-    ``regime_codes`` index ``CURVE_REGIMES``; the read-only ``q_opt`` is derived on first read.
+    The four value columns are real and 1-D, of one length; ``q_povm`` is NaN
+    outside the validity window, where rows report None. ``regime_codes``, of
+    that length, index ``CURVE_REGIMES``: integers 0, 1 or 2 of any dtype int64
+    holds, stored as int8. The read-only ``q_opt`` is derived on first read.
     """
 
     s: np.ndarray
@@ -150,7 +152,18 @@ class FailureCurve(Sequence):
     regime_codes: np.ndarray
 
     def __post_init__(self):
-        _frozen_fields(self, None, "s", "q_sqm1", "q_sqm2", "q_povm", "regime_codes")
+        _frozen_fields(self, float, "s", "q_sqm1", "q_sqm2", "q_povm")
+        codes = _numbers(self.regime_codes, "regime_codes", np.int64)
+        shapes = tuple(a.shape for a in (self.s, self.q_sqm1, self.q_sqm2, self.q_povm, codes))
+        if len(shapes[0]) != 1 or len(set(shapes)) != 1:
+            raise InvalidInputError(
+                "s, q_sqm1, q_sqm2, q_povm and regime_codes must be 1-D and of one length, "
+                f"got shapes {', '.join(map(str, shapes))}"
+            )
+        outside = ~((codes >= 0) & (codes <= 2))
+        if outside.any():
+            raise InvalidInputError(f"regime_codes hold {int(codes[outside][0])}, outside 0..2")
+        object.__setattr__(self, "regime_codes", _freeze(codes.astype(np.int8)))
 
     @cached_property
     def q_opt(self) -> np.ndarray:
@@ -194,7 +207,7 @@ def failure_curve(eta1: float, parallel_norm_sq: float, overlap_values) -> Failu
         first = float(s[np.argmax(bad)])
         raise InvalidInputError(f"average overlap must be finite and >= 0, got {first!r}")
     qs1, qs2, qp, codes = _closed_forms(eta1, f, s)
-    return FailureCurve(s=s, q_sqm1=qs1, q_sqm2=qs2, q_povm=qp, regime_codes=codes)
+    return _built(FailureCurve, s=s, q_sqm1=qs1, q_sqm2=qs2, q_povm=qp, regime_codes=codes)
 
 
 def _closed_forms(eta1: float, f: float, s: np.ndarray):

@@ -32,8 +32,8 @@ equals rho_c on the range of E_c and is tight along b, the range of E_t:
   tr Z = 1 - eta1 f - S / f;
 - S = 0 (every complement state orthogonal to the target):
   Z = rho_c + eta1 P, and tr Z = 1. The drawn S = 0 ensembles put every state
-  on its own coordinate; a target orthogonal to a random complement is the
-  strict xfail below, since its report raises.
+  on its own coordinate; a target orthogonal to a random complement is checked
+  below, where the split reads f = 0 exactly from the zero overlaps.
 
 The POVM form is feasible in every regime, so Q >= 2 sqrt(eta1 S) holds for
 any unambiguous filter; the regime decides which bound is tight. The regime
@@ -47,8 +47,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfilter import (
-    FilteringProblem, NumericalError, PriorMode, Regime, boolean_problem, decompose_target,
-    optimal_filtering,
+    FilteringProblem, PriorMode, Regime, SchemeKind, boolean_problem, build_neumark,
+    decompose_target, failure_allocations, optimal_filtering, povm_elements, projective_scheme,
+    simulate,
 )
 from qfilter.ensemble import _row_basis
 from qfilter.tolerances import OPERATOR_TOL
@@ -178,14 +179,27 @@ def test_every_regime_has_a_feasible_dual_of_the_reported_value():
     assert forms == {"povm", "sqm1", "sqm2", "full-span", "orthogonal"}
 
 
-@pytest.mark.xfail(strict=True, raises=NumericalError, reason=(
-    "the span basis leaves f ~ 1e-32 where it is 0, so S = 0 < eta1 f^2 picks the SQM2 "
-    "boundary at q1 = f, and the span-leak check divides rounding by sqrt(f)"
-))
 def test_a_target_orthogonal_to_a_random_complement_is_certified():
     problem = target_orthogonal_to_a_random_complement(0)
-    assert 0.0 < decompose_target(problem).parallel_norm_sq < 1e-30
+    assert decompose_target(problem).parallel_norm_sq == 0.0
     form, smallest, gap = certificate_margins(problem)
     assert form == "orthogonal"
     assert min(smallest) >= -OPERATOR_TOL and abs(gap) <= 1e-12
 
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_a_target_orthogonal_to_a_random_complement_is_filtered_perfectly(seed):
+    # a span basis leaves f ~ 1e-32 here, where S = 0 < eta1 f^2 picked the SQM2
+    # boundary at q1 = f and the span-leak check divided rounding by sqrt(f)
+    problem = target_orthogonal_to_a_random_complement(seed)
+    report = optimal_filtering(problem)
+    assert report.optimal_Q == 0.0
+    allocation = failure_allocations(problem, report.optimal_q1)
+    schemes = [
+        projective_scheme(problem, SchemeKind.SQM1),
+        projective_scheme(problem, SchemeKind.SQM2),
+        povm_elements(build_neumark(problem, allocation)),
+    ]
+    for scheme in schemes:
+        assert simulate(scheme, problem, 1000, seed).misidentifications == 0, scheme.kind

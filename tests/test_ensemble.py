@@ -33,7 +33,7 @@ from qfilter import (
     wk_spec,
 )
 from qfilter.ensemble import _row_basis
-from qfilter.strategies import FailureCurve
+from qfilter.strategies import CURVE_REGIMES, FailureCurve
 from conftest import random_problem
 
 
@@ -303,35 +303,92 @@ RESULT_RECORDS = [
     "record, arrays, scalars, shape", RESULT_RECORDS,
     ids=[case[0].__name__ for case in RESULT_RECORDS],
 )
-def test_result_records_freeze_a_view_not_the_callers_array(record, arrays, scalars, shape):
+def test_result_records_copy_the_callers_array(record, arrays, scalars, shape):
     shapes = shape if isinstance(shape, dict) else dict.fromkeys(arrays, shape)
     given = {name: np.ones(shapes[name], dtype) for name, dtype in arrays.items()}
     built = record(**given, **scalars)
     for name, array in given.items():
         stored = getattr(built, name)
-        assert array.flags.writeable
         assert not stored.flags.writeable
-        assert np.shares_memory(stored, array)  # nothing is copied
+        assert not np.shares_memory(stored, array)
+        assert np.array_equal(stored, array) and stored.dtype == array.dtype
+        assert array.flags.writeable and (array == 1).all()  # the caller's array is untouched
+
+
+STATS = dict(scheme_kind=SchemeKind.SQM1, trials_per_state=1, seed=0)
 
 
 @pytest.mark.parametrize(
-    "record, fields, name",
+    "record, fields, name, kind",
     [
-        (SuccessGram, dict(matrix="ab", min_eigenvalue=0.0, feasible=True), "matrix"),
+        (SuccessGram, dict(matrix="ab", min_eigenvalue=0.0, feasible=True), "matrix", "complex"),
         (Decomposition, dict(parallel="ab", perpendicular=np.zeros(2), parallel_norm_sq=0.0),
-         "parallel"),
+         "parallel", "complex"),
         (Decomposition,
          dict(parallel=np.zeros(2), perpendicular=[[1.0], [1.0, 2.0]], parallel_norm_sq=0.0),
-         "perpendicular"),
+         "perpendicular", "complex"),
         (NeumarkModel, dict(unitary=np.eye(3), success_outputs=np.zeros((2, 2)),
-                            failure_amplitudes=object()), "failure_amplitudes"),
+                            failure_amplitudes=object()), "failure_amplitudes", "complex"),
+        (Decomposition,
+         dict(parallel=np.zeros(2, bool), perpendicular=np.ones(2), parallel_norm_sq=0.0),
+         "parallel", "complex"),
+        (StrategyReport,
+         dict(q_sqm1=0.5, q_sqm2=0.5, q_povm=None, regime=Regime.SQM1_BOUNDARY, optimal_q1=1.0,
+              optimal_Q=0.5, overlap_S=0.0, parallel_norm_f=0.0,
+              per_state_failure=np.array([True, False])),
+         "per_state_failure", "real"),
+        (SimulationStats,
+         dict(STATS, counts=np.array([[False, True]]), analytic_rates=np.array([[0.0, 1.0]])),
+         "counts", "integers"),
+        (SimulationStats,
+         dict(STATS, counts=np.array([[0, 1]]), analytic_rates=np.array([[False, True]])),
+         "analytic_rates", "real"),
     ],
-    ids=["malformed-string", "string-first-field", "ragged", "non-number"],
+    ids=["malformed-string", "string-first-field", "ragged", "non-number", "bool-decomposition",
+         "bool-report", "bool-counts", "bool-rates"],
 )
-def test_result_records_name_a_field_numpy_cannot_read(record, fields, name):
-    # numpy's own ValueError or TypeError would not say which field it read
-    with pytest.raises(InvalidInputError, match=f"^{name} must be an array of numbers"):
+def test_result_records_name_a_field_numpy_cannot_read(record, fields, name, kind):
+    # numpy's own ValueError or TypeError would not say which field it read, and it
+    # reads a bool as the number 1 or 0
+    with pytest.raises(InvalidInputError, match=f"^{name} must be {kind}"):
         record(**fields)
+
+
+CURVE = dict.fromkeys(["s", "q_sqm1", "q_sqm2", "q_povm"], [0.1]) | dict(regime_codes=[1])
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(s=np.array(["a"])), r"^s must be real numbers"),
+        (dict(s=object()), r"^s must be real numbers"),
+        (dict(q_povm=[0.1 + 1j]), r"^q_povm must be real numbers"),
+        (dict(q_sqm1=[0.1, 0.2, 0.3]), r"^s, q_sqm1, q_sqm2, q_povm and regime_codes must be 1-D "
+         r"and of one length, got shapes \(1,\), \(3,\), "),
+        (dict.fromkeys(CURVE, 0.1) | dict(regime_codes=1), r"^s, q_sqm1, .* got shapes \(\), "),
+        (dict(regime_codes=[1, 1]), r"^s, q_sqm1, .* got shapes (\(1,\), ){4}\(2,\)$"),
+        (dict(regime_codes=[7]), r"^regime_codes hold 7, outside 0\.\.2$"),
+        (dict(regime_codes=np.array([-1], np.int16)), r"^regime_codes hold -1, outside 0\.\.2$"),
+        (dict(regime_codes=[0.5]), r"^regime_codes must be integers"),
+        (dict(regime_codes=[True]), r"^regime_codes must be integers"),
+    ],
+    ids=["string-column", "object-column", "complex-column", "long-column", "scalar-columns",
+         "long-codes", "code-7", "negative-code", "fractional-code", "bool-code"],
+)
+def test_hand_built_failure_curve_checks_its_columns(change, message):
+    # a string or object column was stored as given, a length-3 column beside length-1
+    # ones was accepted, and code 7 or 0.5 reached a bare IndexError or TypeError on curve[0]
+    with pytest.raises(InvalidInputError, match=message):
+        FailureCurve(**(CURVE | change))
+
+
+@pytest.mark.parametrize("codes", [np.array([0, 1, 2], dtype) for dtype in
+                                   (np.int8, np.uint8, np.int16, np.int32, np.int64, np.uint32)])
+def test_hand_built_failure_curve_stores_its_codes_as_int8(codes):
+    columns = dict.fromkeys(["s", "q_sqm1", "q_sqm2", "q_povm"], [0.3, 0.6, 0.1])
+    curve = FailureCurve(**columns, regime_codes=codes)
+    assert curve.regime_codes.dtype == np.int8 and not curve.regime_codes.flags.writeable
+    assert [row.regime for row in curve] == list(CURVE_REGIMES)
 
 
 def assert_equals_its_public_rebuild(record):
@@ -367,7 +424,9 @@ def test_library_records_equal_their_public_rebuild():
             sqm2_checked += 1
         except DegenerateDecompositionError:  # f = 1: the complement spans the target
             pass
-        records = [decompose_target(problem), report, allocation,
+        curve = failure_curve(problem.priors[0], report.parallel_norm_f,
+                              [report.overlap_S, 0.0, 0.5])
+        records = [decompose_target(problem), report, allocation, curve,
                    success_gram(problem, allocation), model, *schemes]
         records += [simulate(scheme, problem, 1000, 7) for scheme in schemes]
         for record in records:
@@ -546,6 +605,10 @@ NOT_REAL = {
     "complex-list": [0.5 + 0.2j, 0.5],
     "string": "ab",
     "bool": [True, False],
+    # numpy reads a bool beside numbers as the number 1 or 0
+    "bool-in-list": [True, 0.5],
+    "numpy-bool-in-list": (0.5, np.True_),
+    "bool-array-in-list": [[0.5], np.array([False])],
 }
 
 
@@ -553,7 +616,7 @@ NOT_REAL = {
     pytest.param(field, value, id=f"{field}-{name}")
     for field, (_, holds_complex) in NUMERIC_INPUTS.items()
     for name, value in NOT_REAL.items()
-    if name in ("string", "bool") or not holds_complex
+    if not (holds_complex and name.startswith("complex"))
 ])
 def test_numeric_input_converted_without_loss_or_rejected_by_name(field, value):
     with pytest.raises(InvalidInputError, match=f"^{field} must be"):
@@ -565,9 +628,22 @@ def test_numeric_input_converted_without_loss_or_rejected_by_name(field, value):
     [
         ([[1.0, 0.0], [1.0]], r"^states must be complex numbers"),
         ([1.0, 0.0], r"^states must have shape \(N, 2\), .* dimension 2, got shape \(2,\)$"),
+        ([[True, 0.0]], r"^states must be complex numbers"),
     ],
-    ids=["ragged", "1-D"],
+    ids=["ragged", "1-D", "bool"],
 )
 def test_born_probabilities_names_states_that_are_not_rows(states, message):
     with pytest.raises(InvalidInputError, match=message):
         SQM1_ON_QUBIT.born_probabilities(states)
+
+
+@pytest.mark.parametrize(
+    "states",
+    [[[1.0, 0.0], [0.0, True]], ([1.0, 0.0], (np.True_, 0.0)),
+     [np.array([1.0, 0.0]), np.array([False, True])]],
+    ids=["bool", "numpy-bool", "bool-array"],
+)
+def test_problem_states_holding_a_bool_are_rejected(states):
+    # numpy reads the bool beside the numbers as 1 or 0, which passes the norm check
+    with pytest.raises(InvalidInputError, match="^states must be complex numbers"):
+        FilteringProblem(states=states, priors=(0.5, 0.5))

@@ -371,18 +371,27 @@ class TestSimulate:
             simulate(scheme, walsh_problem, 0, 1)
 
     @pytest.mark.parametrize(
-        "counts, rates, field, dtype",
-        [([["0", "3", "7"]], [[0.0, 0.3, 0.7]], "counts", "int64"),
-         ([[0.5, 2.5, 7.0]], [[0.05, 0.25, 0.7]], "counts", "int64"),
-         ([[0, 3, 7]], [[0.0, 0.3 + 0.1j, 0.7]], "analytic_rates", "float64")],
-        ids=["string-counts", "fractional-counts", "complex-rates"],
+        "counts, rates, field, kind",
+        [([["0", "3", "7"]], [[0.0, 0.3, 0.7]], "counts", "integers"),
+         ([[0.5, 2.5, 7.0]], [[0.05, 0.25, 0.7]], "counts", "integers"),
+         ([[0, 3, 7]], [[0.0, 0.3 + 0.1j, 0.7]], "analytic_rates", "real numbers"),
+         ([[False, False, True]], [[0.0, 0.0, 1.0]], "counts", "integers"),
+         ([[0, 0, 10]], [[False, False, True]], "analytic_rates", "real numbers")],
+        ids=["string-counts", "fractional-counts", "complex-rates", "bool-counts", "bool-rates"],
     )
-    def test_hand_built_stats_read_counts_and_rates_without_loss(self, counts, rates, field, dtype):
-        # string counts reached numpy's bare TypeError in misidentifications, and
-        # 0.5 per cell was read as 0 misidentifications
-        message = f"^{field} must be an array of numbers castable to {dtype} without loss"
-        with pytest.raises(InvalidInputError, match=message):
+    def test_hand_built_stats_read_counts_and_rates_without_loss(self, counts, rates, field, kind):
+        # string counts reached numpy's bare TypeError in misidentifications, 0.5 per
+        # cell was read as 0 misidentifications, and a bool is read as 1 or 0
+        with pytest.raises(InvalidInputError, match=f"^{field} must be {kind}, got "):
             SimulationStats("POVM", 10, 0, np.array(counts), np.array(rates))
+
+    @pytest.mark.parametrize(
+        "priors", [[True, 0.0], np.array([True, False])], ids=["bool-in-list", "bool-array"]
+    )
+    def test_aggregate_failure_rejects_bool_priors(self, priors):
+        stats = SimulationStats("SQM1", 10, 0, np.array([[3, 7], [10, 0]]), np.full((2, 2), 0.5))
+        with pytest.raises(InvalidInputError, match="^priors must be real numbers"):
+            aggregate_failure(stats, priors)
 
     @pytest.mark.parametrize(
         "trials, seed, field",
